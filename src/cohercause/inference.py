@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,8 +360,9 @@ def test_causal_influence(
 def read_sequence_csv(path: str) -> dict[str, np.ndarray]:
     """Read a t,x,y sequence file (extra numeric channels allowed).
 
-    Returns a column-name -> array mapping. Parsing problems are
-    reported with the 1-based line number at which they occur.
+    Returns a column-name -> array mapping. Parsing problems and
+    non-finite cells (nan, inf) are reported with the 1-based line
+    number at which they occur.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -389,4 +391,22 @@ def read_sequence_csv(path: str) -> dict[str, np.ndarray]:
                     ) from None
     if not columns[0]:
         raise ValueError(f"{path}: no data rows")
-    return {name: np.asarray(col) for name, col in zip(names, columns)}
+    data = {name: np.asarray(col) for name, col in zip(names, columns)}
+    if not all(np.isfinite(col).all() for col in data.values()):
+        raise ValueError(_locate_non_finite(path, names))
+    return data
+
+
+def _locate_non_finite(path: str, names: list[str]) -> str:
+    """Name the line and column of a file's first nan/inf cell, re-reading it."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            for name, cell in zip(names, row):
+                if not math.isfinite(float(cell)):
+                    return (
+                        f"{path}: line {line_no}: non-finite value {cell!r} "
+                        f"in column {name!r}"
+                    )
+    return f"{path}: non-finite value"

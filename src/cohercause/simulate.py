@@ -240,7 +240,7 @@ def gen_barnett(
     """Simulate the bivariate ARMA(r, 1) pair, burn-in discarded.
 
     The AR recursion is run directly (no truncation) and the finite MA
-    polynomials are applied afterwards.
+    polynomials are applied afterwards, as truncated full convolutions.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -249,12 +249,11 @@ def gen_barnett(
     mu = stream_rng(ns.seed, ns.stream, 0).standard_normal(total)
     nu = stream_rng(ns.seed, ns.stream, 1).standard_normal(total)
     eta2 = lfilter([1.0], [1.0, -spec.b], nu)
-    drive = mu.copy()
-    drive[1:] += spec.coupling * eta2[:-1]
-    eta1 = lfilter([1.0], [1.0, -spec.a], drive)
-    y = lfilter(spec.ma_y, [1.0], eta1)[BURN_IN:]
-    x = lfilter(spec.ma_x, [1.0], eta2)[BURN_IN:]
-    return x.copy(), y.copy()
+    mu[1:] += spec.coupling * eta2[:-1]  # mu becomes the drive of eta1
+    eta1 = lfilter([1.0], [1.0, -spec.a], mu)
+    y = np.convolve(spec.ma_y, eta1)[BURN_IN:total]
+    x = np.convolve(spec.ma_x, eta2)[BURN_IN:total]
+    return x, y
 
 
 def _overlap_sum(al: np.ndarray, be: np.ndarray, lags: np.ndarray) -> np.ndarray:

@@ -59,6 +59,16 @@ class TestSimulateAndTest:
         assert code == 1
         assert "line 3" in err
 
+    def test_non_finite_csv_reports_line_and_column(self, tmp_path, capsys):
+        bad = tmp_path / "pair.csv"
+        bad.write_text("t,x,y\n0,1.0,2.0\n1,nan,0.5\n")
+        code, out, err = run_cli(capsys, "test", "--input", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"cohercause: error: {bad}: line 3: non-finite value 'nan' in column 'x'\n"
+        )
+
     def test_solvency_violation_names_dims(self, tmp_path, capsys):
         pair = tmp_path / "tiny.csv"
         rows = "".join(f"{i},{i * 0.1},{i * 0.2}\n" for i in range(25))

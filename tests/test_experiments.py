@@ -20,6 +20,7 @@ from cohercause import (
     roc_curve,
     sample_covariance,
 )
+from cohercause import experiments
 from cohercause.experiments import (
     _batch_statistic,
     _consecutive_stats,
@@ -31,6 +32,59 @@ from cohercause.experiments import (
 )
 from cohercause.inference import lag_embed
 from cohercause.simulate import lag_window_covariance
+
+
+def per_window_consecutive_stats(x, y, T, M, n_windows, center=True, chunk=250):
+    """Reference: the window-by-window row-list carving of consecutive windows."""
+    window = M + T
+    out = np.empty(n_windows)
+    for w0 in range(0, n_windows, chunk):
+        batch = []
+        for w in range(w0, min(w0 + chunk, n_windows)):
+            s0 = w * window
+            xs = x[s0 : s0 + window]
+            ys = y[s0 : s0 + window]
+            rows = [xs[T - 1 - k : T - 1 - k + M] for k in range(T)]
+            rows.append(ys[T : T + M])
+            rows += [ys[T - 1 - k : T - 1 - k + M] for k in range(T)]
+            batch.append(np.array(rows))
+        D = np.array(batch)
+        if center:
+            D = D - D.mean(axis=2, keepdims=True)
+        S = D @ np.swapaxes(D, 1, 2)
+        out[w0 : w0 + len(batch)] = _batch_statistic(S, T, 1, T)
+    return out
+
+
+class TestConsecutiveCarving:
+    """The view-based carving is bit-identical to the per-window loop."""
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize(
+        "T, M, n_windows, extra, chunks",
+        [
+            (30, 2000, 25, 0, 3),  # last of three chunks is partial
+            (30, 2000, 25, 777, 3),  # sequence longer than the windows
+            (10, 1000, 130, 13, 3),  # the power study's window shape
+            (4, 60, 7, 0, 1),  # fewer windows than one chunk holds
+        ],
+    )
+    def test_bit_identical_to_per_window_loop(
+        self, center, T, M, n_windows, extra, chunks
+    ):
+        chunk = experiments._WINDOW_CHUNK_BYTES // ((2 * T + 1) * M * 8)
+        assert -(-n_windows // chunk) == chunks
+        assert chunks == 1 or n_windows % chunk != 0
+        spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
+        x, y = gen_barnett(spec, n_windows * (M + T) + extra, 11)
+        fast = _consecutive_stats(x, y, T, M, n_windows, center=center)
+        slow = per_window_consecutive_stats(x, y, T, M, n_windows, center=center)
+        assert np.array_equal(fast, slow)
+
+    def test_too_short_sequence_rejected(self):
+        x, y = gen_barnett(BarnettModelSpec(), 3 * 64 - 1, 2)
+        with pytest.raises(ValueError, match="too short for 3 windows of 64"):
+            _consecutive_stats(x, y, 4, 60, 3)
 
 
 class TestBatchedFastPath:

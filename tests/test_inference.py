@@ -326,3 +326,21 @@ class TestSequenceCsvErrors:
         f.write_text("")
         with pytest.raises(ValueError, match="empty"):
             read_sequence_csv(str(f))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_cell_reports_line_and_column(self, tmp_path, cell):
+        f = tmp_path / "pair.csv"
+        f.write_text(f"t,x,y\n0,1.0,2.0\n\n1,{cell},0.5\n2,3.0,nan\n")
+        with pytest.raises(ValueError) as info:
+            read_sequence_csv(str(f))
+        # Line 3 is blank, so the first bad cell sits on line 4.
+        assert str(info.value) == (
+            f"{f}: line 4: non-finite value {cell!r} in column 'x'"
+        )
+
+    def test_non_finite_in_extra_channel_rejected(self, tmp_path):
+        f = tmp_path / "pair.csv"
+        f.write_text("t,x,y,w\n0,1.0,2.0,9.0\n1,1.5,2.5,inf\n")
+        message = "line 3: non-finite value 'inf' in column 'w'"
+        with pytest.raises(ValueError, match=message):
+            read_sequence_csv(str(f))

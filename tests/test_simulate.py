@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.signal import lfilter
 
 from cohercause import (
     BarnettModelSpec,
@@ -19,6 +20,22 @@ from cohercause import (
     read_sequence_csv,
     write_sequence_csv,
 )
+from cohercause.simulate import BURN_IN
+from cohercause.streams import stream_rng
+
+
+def lfilter_gen_barnett(spec, length, noise):
+    """Reference: the Barnett pair with both MA polynomials run through lfilter."""
+    total = length + BURN_IN
+    mu = stream_rng(noise.seed, noise.stream, 0).standard_normal(total)
+    nu = stream_rng(noise.seed, noise.stream, 1).standard_normal(total)
+    eta2 = lfilter([1.0], [1.0, -spec.b], nu)
+    drive = mu.copy()
+    drive[1:] += spec.coupling * eta2[:-1]
+    eta1 = lfilter([1.0], [1.0, -spec.a], drive)
+    y = lfilter(spec.ma_y, [1.0], eta1)[BURN_IN:]
+    x = lfilter(spec.ma_x, [1.0], eta2)[BURN_IN:]
+    return x, y
 
 
 def batched_cross_cov(x, y, lag, n_batches=100):
@@ -160,6 +177,13 @@ class TestGenerators:
         x1, y1 = gen_barnett(spec, 2000, 3)
         x2, y2 = gen_barnett(spec, 2000, 3)
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+
+    @pytest.mark.parametrize("order", [0, 1, 10])
+    def test_gen_barnett_matches_lfilter_reference(self, order):
+        spec = BarnettModelSpec(transfer_entropy=0.3, ma_order=order)
+        x, y = gen_barnett(spec, 5000, NoiseSpec(seed=4, stream=2))
+        ref_x, ref_y = lfilter_gen_barnett(spec, 5000, NoiseSpec(seed=4, stream=2))
+        assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
 
     def test_decoupled_channels_uncorrelated(self):
         spec = BarnettModelSpec(transfer_entropy=0.0, ma_order=1)
