@@ -14,10 +14,14 @@ one), and is invariant under block-diagonal nonsingular transforms of
 KL divergence, conditional mutual information and transfer entropy, all
 monotone functions of one another.
 
-rho2 is computed primarily through the log-determinant Schur route; the
-product over singular values serves as an independent cross-check and a
-discrepancy beyond tolerance raises, on the theory that two independent
-paths catch conditioning bugs that one would not.
+Every production caller (the test statistic, both kinds of map, the
+Monte Carlo studies) reaches rho2 through one batched kernel,
+``_log_det_q``: a single Cholesky factorization of the composite
+reordered to (z, x, y), from which log(1 - rho2) follows without
+subtracting log-determinants. The other routes to the same number (the
+singular values of the coherence matrix, x regressed onto (y, z), the
+inverse-block readout) are kept as public functions and compared
+against the kernel in the tests.
 """
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .covariance import (
+    COND_LIMIT,
     CompositeCovariance,
-    ConditionalCovariances,
     CovarianceError,
     conditional_covariances,
     inv_sqrt_spd,
@@ -54,15 +58,6 @@ __all__ = [
 # Singular values of the coherence matrix are clamped below 1 so that
 # log(1 - k^2) stays finite under rounding.
 K_CLAMP = 1.0 - 1e-14
-
-# Allowed absolute disagreement between the log-det route and the
-# product-over-singular-values route for (1 - rho2). The floor applies
-# to well-conditioned inputs; for ill-conditioned conditional
-# covariances the SVD route honestly loses digits with the square root
-# of the condition number, so the allowance grows accordingly (a
-# formula-level bug produces O(1) disagreement either way).
-CROSS_CHECK_TOL = 1e-9
-CROSS_CHECK_COND_SCALE = 1e-12
 
 DEFAULT_SPECTRAL_GRID = 4096
 
@@ -120,6 +115,50 @@ class SpectralCoherence:
     broadband_rho2: float
 
 
+def _checked_cholesky(S: np.ndarray) -> np.ndarray | None:
+    """Cholesky factors of a stack of SPD matrices, or None when one fails
+    or has a relative pivot L_ii^2 / S_ii below 1 / COND_LIMIT."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2 / np.diagonal(S, axis1=-2, axis2=-1)
+    return L if np.all(pivots >= 1.0 / COND_LIMIT) else None
+
+
+def _log_det_q(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
+    """log(1 - rho2) for each (x, y, z)-ordered Gram of a (..., n, n) stack.
+
+    The Gram is reordered to (z, x, y) and factored once, S = L L^T. With
+    W = L_yy^{-1} L_yx, 1 - rho2 = det S_yy|xz / det S_yy|z
+    = 1 / det(I_q + W W^T), so no two log-determinants are subtracted.
+    The log is returned because 1 - rho2 itself can round to zero for
+    large blocks; callers take rho2 = -expm1(log) and det_q = exp(log).
+
+    Raises
+    ------
+    CovarianceError
+        Naming the first block, z, x given z or y given (x, z), in which
+        the factorization fails or a relative pivot falls below
+        1 / COND_LIMIT.
+    """
+    n = p + q + r
+    order = np.r_[p + q : n, : p + q]
+    S = S[..., order[:, None], order]
+    L = _checked_cholesky(S)
+    if L is None:
+        leading = ((r, "z"), (r + p, "x given z"))
+        name = next(
+            (nm for k, nm in leading if k and _checked_cholesky(S[..., :k, :k]) is None),
+            "y given (x, z)",
+        )
+        raise CovarianceError(f"{name} is rank-deficient")
+    W = np.linalg.solve(L[..., r + p :, r + p :], L[..., r + p :, r : r + p])
+    k2 = np.linalg.eigvalsh(W @ np.swapaxes(W, -1, -2))
+    # Rounding can leave an eigenvalue marginally below zero.
+    return np.minimum(-np.sum(np.log1p(k2), axis=-1), 0.0)
+
+
 def coherence_matrix(R: CompositeCovariance) -> np.ndarray:
     """The whitened conditional cross-covariance C = A^{-1/2} B D^{-1/2}.
 
@@ -127,25 +166,12 @@ def coherence_matrix(R: CompositeCovariance) -> np.ndarray:
     result lie in [0, 1] up to rounding.
     """
     cond = conditional_covariances(R)
-    return _coherence_matrix_from_conditionals(cond)
-
-
-def _coherence_matrix_from_conditionals(cond: ConditionalCovariances) -> np.ndarray:
     try:
         wx = inv_sqrt_spd(cond.xx_z)
         wy = inv_sqrt_spd(cond.yy_z)
     except CovarianceError as exc:
         raise CovarianceError(f"degenerate conditional covariance: {exc}") from None
     return wx @ cond.xy_z @ wy
-
-
-def _condition_number(A: np.ndarray) -> float:
-    if A.shape[0] == 0:
-        return 1.0
-    vals = la.eigvalsh(A)
-    if vals[0] <= 0:
-        return math.inf
-    return float(vals[-1] / vals[0])
 
 
 def partial_canonical_correlations(C: np.ndarray) -> np.ndarray:
@@ -160,6 +186,9 @@ def partial_canonical_correlations(C: np.ndarray) -> np.ndarray:
 def partial_coherence(R: CompositeCovariance) -> PartialCoherenceResult:
     """Partial coherence of x and y given z, with full diagnostics.
 
+    rho2 and det_q come from the Cholesky kernel; the canonical
+    correlations are the singular values of :func:`coherence_matrix`.
+
     Returns
     -------
     PartialCoherenceResult
@@ -169,31 +198,18 @@ def partial_coherence(R: CompositeCovariance) -> PartialCoherenceResult:
     Raises
     ------
     CovarianceError
-        If a conditional covariance is not positive definite after the
-        jitter policy, or if the log-det and singular-value routes
-        disagree by more than the cross-check tolerance.
+        If a block is rank-deficient (the message names it), or a
+        conditional covariance is not positive definite after the
+        jitter policy.
     """
-    cond = conditional_covariances(R)
-    log_one_minus = (
-        log_det_spd(cond.uu_z) - log_det_spd(cond.xx_z) - log_det_spd(cond.yy_z)
-    )
-    # Rounding can push the determinant ratio marginally past 1.
-    det_q = min(math.exp(log_one_minus), 1.0)
-    C = _coherence_matrix_from_conditionals(cond)
-    k = partial_canonical_correlations(C)
-    det_q_svd = float(np.prod(1.0 - k**2))
-    kappa = max(_condition_number(cond.xx_z), _condition_number(cond.yy_z))
-    allowance = max(CROSS_CHECK_TOL, math.sqrt(kappa) * CROSS_CHECK_COND_SCALE)
-    if abs(det_q - det_q_svd) > allowance:
-        raise CovarianceError(
-            "log-det and canonical-correlation routes disagree: "
-            f"{det_q:.12e} vs {det_q_svd:.12e}"
-        )
+    dims = R.dims
+    log_det_q = float(_log_det_q(R.entries, dims.p, dims.q, dims.r))
+    C = coherence_matrix(R)
     return PartialCoherenceResult(
-        rho2=1.0 - det_q,
-        canonical_correlations=k,
+        rho2=-math.expm1(log_det_q),
+        canonical_correlations=partial_canonical_correlations(C),
         coherence_matrix=C,
-        det_q=det_q,
+        det_q=math.exp(log_det_q),
     )
 
 
@@ -201,9 +217,8 @@ def partial_coherence_one_onto_two(R: CompositeCovariance) -> float:
     """Partial coherence computed by regressing x onto v = (y, z).
 
     Normalizes the error covariance of x given v by the error covariance
-    of x given z alone. Identical to ``partial_coherence(R).rho2``; kept
-    as a separate route because the equality is a structural invariant
-    worth testing against.
+    of x given z alone. Equal to ``partial_coherence(R).rho2``; kept as
+    an independent route, which the tests hold the kernel against.
     """
     xx_v = schur_complement(R, "xx_v")
     xx_z = schur_complement(R, "xx")

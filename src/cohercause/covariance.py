@@ -38,7 +38,8 @@ PSD_RTOL = 1e-10
 
 # Jitter policy for near-singular conditioning blocks: if the condition
 # number exceeds COND_LIMIT, add JITTER_SCALE * mean(diag) to the diagonal
-# and retry once.
+# and retry once. The statistic kernel in coherence.py never jitters: it
+# reports a relative Cholesky pivot below 1 / COND_LIMIT as rank deficiency.
 COND_LIMIT = 1e12
 JITTER_SCALE = 1e-10
 

@@ -1,13 +1,8 @@
 """Reproduction harness: coherence maps, size calibration, power and ROC.
 
-Monte Carlo replications run over a vectorized fast path that computes
-the partial-coherence statistic for whole batches of sample covariances
-at once through the determinant identity
-
-    1 - rho2 = det(S) det(S_zz) / (det(S_xz) det(S_yz)),
-
-which agrees with the canonical per-matrix route (a unit test pins the
-two together). Null thresholds are computed once per (p, q, r, M,
+Monte Carlo replications hand whole stacks of sample covariances to the
+same Cholesky kernel that the test and the maps use, one batched call
+per chunk of panels. Null thresholds are computed once per (p, q, r, M,
 alpha) and cached.
 
 Two replication modes mirror the two window modes of the embedding:
@@ -35,8 +30,7 @@ import numpy as np
 import scipy.linalg as la
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coherence import partial_coherence
-from .covariance import JITTER_SCALE
+from .coherence import _log_det_q
 from .inference import LagSpec, lag_embed, likelihood_ratio, sample_covariance
 from .nulldist import (
     DEFAULT_N_MC,
@@ -124,49 +118,14 @@ class SizeEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Batched statistic fast path
-
-
-def _batch_logdet(A: np.ndarray) -> np.ndarray:
-    """Log-determinants of a (B, k, k) stack of SPD matrices."""
-    if A.shape[-1] == 0:
-        return np.zeros(A.shape[0])
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        # Rare with M >> p+q+r; retry item-wise with the jitter policy.
-        out = np.empty(A.shape[0])
-        for i, m in enumerate(A):
-            try:
-                L1 = np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
-                jitter = JITTER_SCALE * np.mean(np.diag(m))
-                L1 = np.linalg.cholesky(m + jitter * np.eye(m.shape[0]))
-            out[i] = 2.0 * np.sum(np.log(np.diag(L1)))
-        return out
-    return 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-
-
-def _batch_statistic(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
-    """Partial coherence of each matrix in a (B, n, n) stack."""
-    n = p + q + r
-    xz = list(range(p)) + list(range(p + q, n))
-    yz = list(range(p, n))
-    zz = list(range(p + q, n))
-    log_ratio = (
-        _batch_logdet(S)
-        + _batch_logdet(S[:, zz][:, :, zz])
-        - _batch_logdet(S[:, xz][:, :, xz])
-        - _batch_logdet(S[:, yz][:, :, yz])
-    )
-    return 1.0 - np.minimum(np.exp(log_ratio), 1.0)
+# Batched statistic
 
 
 def _panel_statistic(D: np.ndarray, p: int, q: int, r: int, center: bool) -> np.ndarray:
     """Statistic of each panel in a (B, n, M) stack, centred in place if asked."""
     if center:
         D -= D.mean(axis=2, keepdims=True)
-    return _batch_statistic(D @ np.swapaxes(D, 1, 2), p, q, r)
+    return -np.expm1(_log_det_q(D @ np.swapaxes(D, 1, 2), p, q, r))
 
 
 def _mvn_chunk_stats(
@@ -321,7 +280,7 @@ def coherence_map(
             R = model_composite_covariance(
                 seqs, offset, 0, conditioning=conditioning, T_cond=T_cond
             )
-            return partial_coherence(R).rho2
+            return likelihood_ratio(R)
 
     elif isinstance(model, tuple) and len(model) == 2:
         case = "data"

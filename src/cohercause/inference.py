@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import BlockDims, CompositeCovariance
-from .coherence import partial_coherence
+from .coherence import _log_det_q
 from .nulldist import (
     DEFAULT_N_MC,
     DEFAULT_SEED,
@@ -131,6 +131,8 @@ class LagSpec:
     ) -> "LagSpec":
         """The pairwise-map embedding: x = x_{t+offset}, y = y_t, and z the
         chosen finite past (with the x sample excluded when it collides)."""
+        if T_cond < 1:
+            raise ValueError(f"T_cond must be >= 1, got {T_cond}")
         if conditioning == "past-of-x":
             z_offsets: list[int] = []
             j = 0
@@ -261,9 +263,18 @@ def likelihood_ratio(S: CompositeCovariance) -> float:
     """The test statistic: partial coherence of the sample covariance.
 
     One minus the returned value is the ordinary likelihood ratio for
-    the null of zero conditional cross-covariance.
+    the null of zero conditional cross-covariance. It comes from the one
+    Cholesky kernel that the maps and the Monte Carlo studies also use.
+
+    Raises
+    ------
+    CovarianceError
+        If a block is rank-deficient, e.g. a constant series or x
+        collinear with the conditioning set; the message names the
+        first such block: z, x given z, or y given (x, z).
     """
-    return partial_coherence(S).rho2
+    d = S.dims
+    return float(-np.expm1(_log_det_q(S.entries, d.p, d.q, d.r)))
 
 
 @dataclass(frozen=True)

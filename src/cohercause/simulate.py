@@ -30,6 +30,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .covariance import BlockDims, CompositeCovariance
+from .inference import LagSpec
 from .streams import stream_rng
 
 __all__ = [
@@ -364,20 +365,10 @@ def composite_from_sequences(
     return CompositeCovariance.from_matrix(m, dims)
 
 
-def _pairwise_conditioning(s: int, t: int, conditioning: str, depth: int) -> list[Sample]:
-    if conditioning == "past-of-x":
-        out: list[Sample] = []
-        j = t
-        while len(out) < depth:
-            if j != s:
-                out.append(("x", j))
-            j -= 1
-        return out
-    if conditioning == "past-of-y":
-        return [("y", t - j) for j in range(1, depth + 1)]
-    raise ValueError(
-        f"unknown conditioning {conditioning!r}; expected past-of-x or past-of-y"
-    )
+def _role_samples(lag: LagSpec, t: int) -> list[list[Sample]]:
+    """The x, y and z sample selections of a lag spec at column time t."""
+    roles = (lag.x_role, lag.y_role, lag.z_role)
+    return [[(role.channel, t + off) for off in role.offsets] for role in roles]
 
 
 def model_composite_covariance(
@@ -394,8 +385,10 @@ def model_composite_covariance(
     never an element of z. Accepts precomputed sequences to avoid
     re-deriving them per grid point.
     """
-    z_samples = _pairwise_conditioning(s, t, conditioning, T_cond)
-    times = [s, t] + [tt for _, tt in z_samples]
+    samples = _role_samples(
+        LagSpec.pairwise(s - t, T_cond=T_cond, conditioning=conditioning), t
+    )
+    times = [tt for block in samples for _, tt in block]
     needed = max(times) - min(times)
     if isinstance(spec, CovarianceSequences):
         seqs = spec
@@ -405,7 +398,7 @@ def model_composite_covariance(
             )
     else:
         seqs = analytic_covariances(spec, needed)
-    return composite_from_sequences(seqs, [("x", s)], [("y", t)], z_samples)
+    return composite_from_sequences(seqs, *samples)
 
 
 def lag_window_covariance(
@@ -421,10 +414,7 @@ def lag_window_covariance(
     seqs = spec if isinstance(spec, CovarianceSequences) else analytic_covariances(spec, T)
     if seqs.max_lag < T:
         raise ValueError(f"lag range exceeded: need {T}, sequences cover {seqs.max_lag}")
-    xs: list[Sample] = [("x", -i) for i in range(1, T + 1)]
-    ys: list[Sample] = [("y", 0)]
-    zs: list[Sample] = [("y", -i) for i in range(1, T + 1)]
-    return composite_from_sequences(seqs, xs, ys, zs)
+    return composite_from_sequences(seqs, *_role_samples(LagSpec.influence_test(T), 0))
 
 
 def write_sequence_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:

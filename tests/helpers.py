@@ -20,3 +20,29 @@ def random_nonsingular(rng, n):
         t = rng.standard_normal((n, n))
         if n == 0 or abs(np.linalg.det(t)) > 1e-3:
             return t
+
+
+def degenerate_pair(case, n=400):
+    """An (x, y) pair whose influence-test panel has a rank-deficient block."""
+    y = np.random.default_rng(9).standard_normal(n)
+    x = {
+        "constant-x": np.full(n, 3.0),
+        "x-equals-y": y,
+        "x-is-lagged-y": np.r_[0.0, y[:-1]],
+        "x-affine-in-y": 2.0 * y + 1.0,
+        "constant-y": y,
+    }[case]
+    if case == "constant-y":
+        y = np.full(n, -1.5)
+    return x, y
+
+
+# Which block each degenerate pair makes rank-deficient: a constant y
+# leaves the past of y, z, singular before x is reached.
+DEGENERATE_BLOCKS = {
+    "constant-x": "x given z",
+    "x-equals-y": "x given z",
+    "x-is-lagged-y": "x given z",
+    "x-affine-in-y": "x given z",
+    "constant-y": "z",
+}

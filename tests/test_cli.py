@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from cohercause import write_sequence_csv
 from cohercause.cli import build_parser, main
+
+from helpers import DEGENERATE_BLOCKS, degenerate_pair
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +71,17 @@ class TestSimulateAndTest:
         assert err == (
             f"cohercause: error: {bad}: line 3: non-finite value 'nan' in column 'x'\n"
         )
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_BLOCKS))
+    def test_degenerate_input_names_block(self, tmp_path, capsys, case):
+        pair = tmp_path / "pair.csv"
+        write_sequence_csv(str(pair), *degenerate_pair(case, 300))
+        code, out, err = run_cli(
+            capsys, "test", "--input", str(pair), "--lags", "4", "--method", "bartlett"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"cohercause: error: {DEGENERATE_BLOCKS[case]} is rank-deficient\n"
 
     def test_solvency_violation_names_dims(self, tmp_path, capsys):
         pair = tmp_path / "tiny.csv"

@@ -13,6 +13,7 @@ from cohercause import (
     assemble_composite,
     block_diag_transform,
     coherence_matrix,
+    conditional_covariances,
     conditional_estimator_gain,
     information_measures,
     partial_canonical_correlations,
@@ -22,7 +23,7 @@ from cohercause import (
 )
 from cohercause.simulate import MAFilterSpec, analytic_covariances, composite_from_sequences
 
-from helpers import CORPUS_DIMS, random_composite, random_nonsingular
+from helpers import CORPUS_DIMS, random_composite, random_nonsingular, random_pd
 
 D111 = BlockDims(1, 1, 1)
 
@@ -130,6 +131,34 @@ class TestPartialCoherence:
         assert partial_coherence(Rs).rho2 == pytest.approx(
             partial_coherence(R).rho2, abs=1e-10
         )
+
+
+def condition_number(A):
+    vals = np.linalg.eigvalsh(A)
+    return vals[-1] / vals[0]
+
+
+class TestKernelAgainstReferenceRoutes:
+    """The Cholesky kernel behind rho2 against the independent routes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(CORPUS_DIMS),
+        st.sampled_from([0.5, 1e-3, 1e-6]),
+    )
+    def test_matches_singular_values_and_one_onto_two(self, seed, dims, jitter):
+        R = CompositeCovariance.from_matrix(
+            random_pd(np.random.default_rng(seed), dims.total, jitter), dims
+        )
+        res = partial_coherence(R)
+        cond = conditional_covariances(R)
+        kappa = max(condition_number(cond.xx_z), condition_number(cond.yy_z))
+        # The singular-value route loses digits with sqrt(kappa).
+        allowance = max(1e-9, math.sqrt(kappa) * 1e-12)
+        det_q_svd = np.prod(1.0 - res.canonical_correlations**2)
+        assert abs(res.rho2 - (1.0 - det_q_svd)) <= allowance
+        assert abs(res.rho2 - partial_coherence_one_onto_two(R)) <= 1e-10
 
 
 class TestOneOntoTwo:

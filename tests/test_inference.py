@@ -22,7 +22,7 @@ from cohercause import (
 )
 from cohercause import test_causal_influence as causal_influence_test
 
-from helpers import random_nonsingular
+from helpers import DEGENERATE_BLOCKS, degenerate_pair, random_nonsingular
 
 
 def barnett_panel(seed=1, length=2000, T=10, F=0.02):
@@ -58,6 +58,11 @@ class TestLagSpec:
         # future x sample: nothing to exclude
         spec2 = LagSpec.pairwise(offset=3, T_cond=5, conditioning="past-of-x")
         assert spec2.z_role.offsets == (0, -1, -2, -3, -4)
+
+    @pytest.mark.parametrize("conditioning", ["past-of-x", "past-of-y"])
+    def test_pairwise_needs_conditioning_depth(self, conditioning):
+        with pytest.raises(ValueError, match="T_cond must be >= 1, got 0"):
+            LagSpec.pairwise(2, T_cond=0, conditioning=conditioning)
 
     def test_pairwise_past_of_y(self):
         spec = LagSpec.pairwise(offset=2, T_cond=4, conditioning="past-of-y")
@@ -223,6 +228,19 @@ class TestLikelihoodRatio:
         stat2 = likelihood_ratio(sample_covariance(transformed))
         assert stat2 == pytest.approx(stat, abs=1e-8)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(st.floats(-150, 150), min_size=7, max_size=7),
+    )
+    def test_extreme_row_scale_invariance(self, seed, exponents):
+        panel = barnett_panel(seed=seed % 1000, length=800, T=3)
+        scales = 10.0 ** np.array(exponents)[:, None]
+        scaled = DataPanel(data=scales * panel.data, dims=panel.dims, meta=panel.meta)
+        assert likelihood_ratio(sample_covariance(scaled)) == pytest.approx(
+            likelihood_ratio(sample_covariance(panel)), abs=2e-14
+        )
+
     def test_column_permutation_invariance(self):
         panel = barnett_panel(length=600, T=3)
         rng = np.random.default_rng(4)
@@ -233,6 +251,17 @@ class TestLikelihoodRatio:
         assert likelihood_ratio(sample_covariance(permuted)) == pytest.approx(
             likelihood_ratio(sample_covariance(panel)), abs=1e-12
         )
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_BLOCKS))
+    def test_error_names_block(self, case):
+        x, y = degenerate_pair(case)
+        panel = lag_embed(x, y, LagSpec.influence_test(T=4))
+        with pytest.raises(
+            CovarianceError, match=f"^{DEGENERATE_BLOCKS[case]} is rank-deficient$"
+        ):
+            likelihood_ratio(sample_covariance(panel))
 
 
 class TestCausalInfluence:

@@ -208,7 +208,41 @@ class TestGenerators:
         assert seqs.xy_at(0) > 0.4
 
 
+def pairwise_samples(s, t, conditioning, depth):
+    """Reference: the (x, y, z) sample lists of the pairwise statistic."""
+    if conditioning == "past-of-x":
+        z = [("x", j) for j in range(t, t - depth - 1, -1) if j != s][:depth]
+    else:
+        z = [("y", t - j) for j in range(1, depth + 1)]
+    return [("x", s)], [("y", t)], z
+
+
 class TestModelComposite:
+    @pytest.mark.parametrize("case", ["I", "II", "III", "barnett"])
+    def test_sample_selection_matches_reference(self, case):
+        spec = (
+            BarnettModelSpec(transfer_entropy=0.02, ma_order=2)
+            if case == "barnett"
+            else MAFilterSpec.from_case(case)
+        )
+        seqs = analytic_covariances(spec, 50)
+        for conditioning in ("past-of-x", "past-of-y"):
+            for s, t in ((0, 0), (-7, 0), (5, 0), (2, 3), (9, -4)):
+                for depth in (1, 6, 20):
+                    R = model_composite_covariance(seqs, s, t, conditioning, T_cond=depth)
+                    ref = composite_from_sequences(
+                        seqs, *pairwise_samples(s, t, conditioning, depth)
+                    )
+                    assert np.array_equal(R.entries, ref.entries)
+        for T in (1, 4, 10):
+            ref = composite_from_sequences(
+                seqs,
+                [("x", -i) for i in range(1, T + 1)],
+                [("y", 0)],
+                [("y", -i) for i in range(1, T + 1)],
+            )
+            assert np.array_equal(lag_window_covariance(seqs, T).entries, ref.entries)
+
     def test_zero_coupling_gives_zero_coherence(self):
         spec = MAFilterSpec(f_offsets=(), f_coeffs=())
         for s, t in ((0, 0), (3, 1), (-2, 4)):
