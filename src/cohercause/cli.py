@@ -72,6 +72,19 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_study_flags(sub: argparse.ArgumentParser) -> None:
+    """The replication flags shared by power, roc and calibrate."""
+    sub.add_argument("--replications", type=int,
+                     default=experiments.DEFAULT_REPLICATIONS, help="Monte Carlo replications")
+    sub.add_argument("--fast", action="store_true",
+                     help=f"desk preset: {FAST_REPLICATIONS} replications")
+    sub.add_argument("--M", type=int, default=DEFAULT_M, help="samples per replication")
+    sub.add_argument("--T", type=int, default=DEFAULT_T, help="lag depth")
+    sub.add_argument("--n-mc", type=int, default=DEFAULT_N_MC, help="null-law draws")
+    sub.add_argument("--window-mode", choices=["consecutive-windows", "independent-realizations"],
+                     default="consecutive-windows", help="replication protocol")
+
+
 def _parse_range(text: str) -> range:
     """Parse 'a..b' (inclusive) or a single integer into a range."""
     if ".." in text:
@@ -160,15 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transfer-entropy", "--F", dest="transfer_entropy",
                    type=float, default=DEFAULT_F, help="coupling strength")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
-    p.add_argument("--replications", type=int,
-                   default=experiments.DEFAULT_REPLICATIONS, help="Monte Carlo replications")
-    p.add_argument("--fast", action="store_true",
-                   help=f"desk preset: {FAST_REPLICATIONS} replications")
-    p.add_argument("--M", type=int, default=DEFAULT_M, help="samples per replication")
-    p.add_argument("--T", type=int, default=DEFAULT_T, help="lag depth")
-    p.add_argument("--n-mc", type=int, default=DEFAULT_N_MC, help="null-law draws")
-    p.add_argument("--window-mode", choices=["consecutive-windows", "independent-realizations"],
-                   default="consecutive-windows", help="replication protocol")
+    _add_study_flags(p)
     p.add_argument("--output", required=True, help="CSV power curve")
     p.add_argument("--summary", help="JSON run summary (default <output>.json)")
     _add_common(p)
@@ -179,31 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
     r.add_argument("--sizes", default=",".join(str(v) for v in DEFAULT_SIZE_GRID),
                    help="comma-separated size grid")
-    r.add_argument("--replications", type=int,
-                   default=experiments.DEFAULT_REPLICATIONS, help="Monte Carlo replications")
-    r.add_argument("--fast", action="store_true",
-                   help=f"desk preset: {FAST_REPLICATIONS} replications")
-    r.add_argument("--M", type=int, default=DEFAULT_M, help="samples per replication")
-    r.add_argument("--T", type=int, default=DEFAULT_T, help="lag depth")
-    r.add_argument("--n-mc", type=int, default=DEFAULT_N_MC, help="null-law draws")
-    r.add_argument("--window-mode", choices=["consecutive-windows", "independent-realizations"],
-                   default="consecutive-windows", help="replication protocol")
+    _add_study_flags(r)
     r.add_argument("--output", required=True, help="CSV ROC curve")
     r.add_argument("--summary", help="JSON run summary (default <output>.json)")
     _add_common(r)
 
     c = add_parser("calibrate", help="achieved size under the null (coupling off)")
     c.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
-    c.add_argument("--replications", type=int,
-                   default=experiments.DEFAULT_REPLICATIONS, help="Monte Carlo replications")
-    c.add_argument("--fast", action="store_true",
-                   help=f"desk preset: {FAST_REPLICATIONS} replications")
-    c.add_argument("--M", type=int, default=DEFAULT_M, help="samples per replication")
-    c.add_argument("--T", type=int, default=DEFAULT_T, help="lag depth")
     c.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
-    c.add_argument("--n-mc", type=int, default=DEFAULT_N_MC, help="null-law draws")
-    c.add_argument("--window-mode", choices=["consecutive-windows", "independent-realizations"],
-                   default="consecutive-windows", help="replication protocol")
+    _add_study_flags(c)
     c.add_argument("--output", help="also write the JSON result to this file")
     _add_common(c)
 
@@ -301,12 +290,11 @@ def _cmd_nulldist(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    replications = FAST_REPLICATIONS if args.fast else args.replications
     points = power_curve(
         _parse_range(args.orders),
         F=args.transfer_entropy,
         alpha=args.alpha,
-        replications=replications,
+        replications=args.replications,
         M=args.M,
         T=args.T,
         seed=args.seed,
@@ -320,7 +308,7 @@ def _cmd_power(args) -> int:
         "orders": [pt.ma_order for pt in points],
         "transfer_entropy": args.transfer_entropy,
         "alpha": args.alpha,
-        "replications": replications,
+        "replications": args.replications,
         "M": args.M,
         "T": args.T,
         "window_mode": args.window_mode,
@@ -333,12 +321,11 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    replications = FAST_REPLICATIONS if args.fast else args.replications
     sizes = tuple(float(v) for v in args.sizes.split(","))
     points = roc_curve(
         F=args.transfer_entropy,
         ma_order=args.ma_order,
-        replications=replications,
+        replications=args.replications,
         M=args.M,
         T=args.T,
         size_grid=sizes,
@@ -353,7 +340,7 @@ def _cmd_roc(args) -> int:
         "transfer_entropy": args.transfer_entropy,
         "ma_order": args.ma_order,
         "sizes": list(sizes),
-        "replications": replications,
+        "replications": args.replications,
         "M": args.M,
         "T": args.T,
         "window_mode": args.window_mode,
@@ -366,11 +353,10 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    replications = FAST_REPLICATIONS if args.fast else args.replications
     est = calibrate_size(
         BarnettModelSpec(transfer_entropy=0.0, ma_order=args.ma_order),
         alpha=args.alpha,
-        replications=replications,
+        replications=args.replications,
         M=args.M,
         T=args.T,
         window_mode=args.window_mode,
@@ -411,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", None) is None:
         args.jobs = _default_jobs()
+    if getattr(args, "fast", False):
+        args.replications = FAST_REPLICATIONS
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -32,9 +32,9 @@ import numpy as np
 import scipy.linalg as la
 
 from .covariance import (
-    COND_LIMIT,
     CompositeCovariance,
     CovarianceError,
+    _checked_cholesky,
     conditional_covariances,
     inv_sqrt_spd,
     log_det_spd,
@@ -113,17 +113,6 @@ class SpectralCoherence:
     frequencies: np.ndarray
     narrowband_k2: np.ndarray
     broadband_rho2: float
-
-
-def _checked_cholesky(S: np.ndarray) -> np.ndarray | None:
-    """Cholesky factors of a stack of SPD matrices, or None when one fails
-    or has a relative pivot L_ii^2 / S_ii below 1 / COND_LIMIT."""
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return None
-    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2 / np.diagonal(S, axis1=-2, axis2=-1)
-    return L if np.all(pivots >= 1.0 / COND_LIMIT) else None
 
 
 def _log_det_q(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:

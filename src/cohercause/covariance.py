@@ -36,10 +36,11 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 
-# Jitter policy for near-singular conditioning blocks: if the condition
-# number exceeds COND_LIMIT, add JITTER_SCALE * mean(diag) to the diagonal
-# and retry once. The statistic kernel in coherence.py never jitters: it
-# reports a relative Cholesky pivot below 1 / COND_LIMIT as rank deficiency.
+# Ill-conditioning rule: a Cholesky factorization fails it when LAPACK
+# fails or a relative pivot L_ii^2 / S_ii falls below 1 / COND_LIMIT. The
+# statistic kernel in coherence.py reports such a block as rank-deficient;
+# the conditional covariances here add JITTER_SCALE * mean(diag) to the
+# diagonal and retry once.
 COND_LIMIT = 1e12
 JITTER_SCALE = 1e-10
 
@@ -250,30 +251,34 @@ def assemble_composite(
     return CompositeCovariance.from_matrix(m, dims)
 
 
+def _checked_cholesky(S: np.ndarray) -> np.ndarray | None:
+    """Cholesky factors of a stack of SPD matrices, or None when one fails
+    or has a relative pivot L_ii^2 / S_ii below 1 / COND_LIMIT."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2 / np.diagonal(S, axis1=-2, axis2=-1)
+    return L if np.all(pivots >= 1.0 / COND_LIMIT) else None
+
+
 def _solve_conditioning(rbb: np.ndarray, rab: np.ndarray) -> np.ndarray:
     """Return ``rab @ rbb^{-1} @ rab.T`` with the diagonal-jitter retry.
 
     ``rbb`` is the covariance of the conditioning block; an empty block
-    yields a zero correction (conditioning on nothing).
+    yields a zero correction (conditioning on nothing). The jitter is
+    added only when the Cholesky factor of ``rbb`` fails the relative
+    pivot rule of the statistic kernel.
     """
     if rbb.shape[0] == 0:
         return np.zeros((rab.shape[0], rab.shape[0]))
-    current = rbb
-    for attempt in (0, 1):
-        try:
-            eigs = la.eigvalsh(current)
-            if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_LIMIT:
-                raise la.LinAlgError("ill-conditioned conditioning block")
-            cf = la.cho_factor(current, lower=True)
-            sol = la.cho_solve(cf, rab.T)
-            return rab @ sol
-        except la.LinAlgError:
-            if attempt == 1:
-                raise CovarianceError(
-                    "conditioning block is singular beyond the jitter policy"
-                ) from None
-            current = rbb + JITTER_SCALE * np.mean(np.diag(rbb)) * np.eye(rbb.shape[0])
-    raise AssertionError("unreachable")
+    if _checked_cholesky(rbb) is None:
+        rbb = rbb + JITTER_SCALE * np.mean(np.diag(rbb)) * np.eye(rbb.shape[0])
+        if _checked_cholesky(rbb) is None:
+            raise CovarianceError(
+                "conditioning block is singular beyond the jitter policy"
+            )
+    return rab @ la.cho_solve(la.cho_factor(rbb, lower=True), rab.T)
 
 
 def schur_complement(R: CompositeCovariance, target: str) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Monte Carlo replications hand whole stacks of sample covariances to the
 same Cholesky kernel that the test and the maps use, one batched call
-per chunk of panels. Null thresholds are computed once per (p, q, r, M,
-alpha) and cached.
+per chunk of panels. Each study computes its null threshold once per
+call, from the same seeded null law that the test uses.
 
 Two replication modes mirror the two window modes of the embedding:
 "independent-realizations" draws panel columns i.i.d. from the exact
@@ -12,8 +12,10 @@ so this is the distribution of fully independent realizations, without
 simulating and mostly discarding millions of burn-in samples);
 "consecutive-windows" simulates one long sequence and carves it into
 back-to-back windows, reproducing the original experimental protocol
-with its weakly dependent columns. Its windows are zero-copy views,
-gathered chunk by chunk into one reused panel buffer of about 10 MB.
+with its weakly dependent columns. Its panel rows are laid out by
+``LagSpec.rows``, as in ``lag_embed``: one zero-copy view per row over the
+sequences reshaped to one window per row, gathered chunk by chunk into one
+reused panel buffer of about 10 MB.
 """
 from __future__ import annotations
 
@@ -28,10 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherence import _log_det_q
-from .inference import LagSpec, lag_embed, likelihood_ratio, sample_covariance
+from .inference import (
+    LagSpec,
+    _row_views,
+    lag_embed,
+    likelihood_ratio,
+    sample_covariance,
+)
 from .nulldist import (
     DEFAULT_N_MC,
     DEFAULT_SEED,
@@ -177,9 +184,10 @@ def _consecutive_stats(
     """Statistics from back-to-back windows of one long sequence.
 
     Each window holds M + T samples and yields M full-context columns of
-    the ([x lags], y_t, [y lags]) embedding. Windows are zero-copy views of
-    the reshaped sequences, copied chunk by chunk into one reused panel of
-    about ``_WINDOW_CHUNK_BYTES``, which stays cache-resident for any M and T.
+    the influence-test embedding. Its rows are zero-copy views of the
+    sequences reshaped to one window per row, copied chunk by chunk into one
+    reused panel of about ``_WINDOW_CHUNK_BYTES``, which stays cache-resident
+    for any M and T.
     """
     window = M + T
     n = n_windows * window
@@ -188,32 +196,21 @@ def _consecutive_stats(
             f"sequence of {x.size} samples is too short for "
             f"{n_windows} windows of {window}"
         )
-    # Entry [w, k] of each view is samples k .. k + M - 1 of window w.
-    xv = sliding_window_view(x[:n].reshape(n_windows, window), M, axis=1)
-    yv = sliding_window_view(y[:n].reshape(n_windows, window), M, axis=1)
+    # Entry [w, k] of each view is the row's sample at column k of window w.
+    views = _row_views(
+        x[:n].reshape(n_windows, window),
+        y[:n].reshape(n_windows, window),
+        LagSpec.influence_test(T).rows,
+    )
     chunk = max(1, _WINDOW_CHUNK_BYTES // ((2 * T + 1) * M * 8))
     D = np.empty((min(chunk, n_windows), 2 * T + 1, M))
     out = np.empty(n_windows)
     for w0 in range(0, n_windows, chunk):
         D = D[: min(chunk, n_windows - w0)]  # shrinks only for the last chunk
-        D[:, :T] = xv[w0 : w0 + chunk, T - 1 :: -1]
-        D[:, T:] = yv[w0 : w0 + chunk, T::-1]
+        for i, v in enumerate(views):
+            D[:, i] = v[w0 : w0 + chunk]
         out[w0 : w0 + chunk] = _panel_statistic(D, T, 1, T, center)
     return out
-
-
-_threshold_cache: dict[tuple, float] = {}
-
-
-def _cached_threshold(
-    p: int, q: int, r: int, M: int, alpha: float, n_mc: int, seed: int, jobs: int
-) -> float:
-    key = (p, q, r, M, alpha, n_mc, seed)
-    if key not in _threshold_cache:
-        _threshold_cache[key] = critical_value(
-            make_spec(p, q, r, M), alpha, n_mc=n_mc, seed=seed, jobs=jobs
-        )
-    return _threshold_cache[key]
 
 
 def _model_statistics(
@@ -340,7 +337,9 @@ def calibrate_size(
         f1=spec.f1,
         f2=spec.f2,
     )
-    threshold = _cached_threshold(T, 1, T, M - 1, alpha, n_mc, seed, jobs)
+    threshold = critical_value(
+        make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed, jobs=jobs
+    )
     stats = _model_statistics(
         null_spec, replications, M, T, window_mode, seed, jobs=jobs
     )
@@ -368,7 +367,9 @@ def power_curve(
     jobs: int = 1,
 ) -> list[PowerPoint]:
     """Rejection rate versus MA order at fixed transfer entropy F."""
-    threshold = _cached_threshold(T, 1, T, M - 1, alpha, n_mc, seed, jobs)
+    threshold = critical_value(
+        make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed, jobs=jobs
+    )
     points = []
     for order in ma_orders:
         spec = BarnettModelSpec(transfer_entropy=F, ma_order=int(order))

@@ -86,15 +86,26 @@ class LagSpec:
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         seen: set[tuple[str, int]] = set()
-        for role in (self.x_role, self.y_role, self.z_role):
-            for off in role.offsets:
-                key = (role.channel, off)
-                if key in seen:
-                    raise ValueError(
-                        f"sample {key} appears in more than one role; the same "
-                        "sequence sample may not occur twice in one column"
-                    )
-                seen.add(key)
+        for key in self.rows:
+            if key in seen:
+                raise ValueError(
+                    f"sample {key} appears in more than one role; the same "
+                    "sequence sample may not occur twice in one column"
+                )
+            seen.add(key)
+
+    @property
+    def rows(self) -> tuple[tuple[str, int], ...]:
+        """The panel rows as (channel, offset) pairs, in (x, y, z) order.
+
+        This is the one description of the embedding geometry: the data
+        panel, the study windows and the population composites all read it.
+        """
+        return tuple(
+            (role.channel, off)
+            for role in (self.x_role, self.y_role, self.z_role)
+            for off in role.offsets
+        )
 
     @property
     def dims(self) -> BlockDims:
@@ -172,14 +183,13 @@ class DataPanel:
     meta: LagSpec
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.data, dtype=float)
+        d = np.array(self.data, dtype=float)
         if d.ndim != 2 or d.shape[0] != self.dims.total:
             raise ValueError(
                 f"panel must be {self.dims.total} x M, got shape {d.shape}"
             )
         if d.shape[1] < 1:
             raise ValueError("panel needs at least one column")
-        d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
 
@@ -188,8 +198,18 @@ class DataPanel:
         return self.data.shape[1]
 
 
-def _column_at(seq: np.ndarray, t: int, offsets: tuple[int, ...]) -> np.ndarray:
-    return seq[[t + off for off in offsets]]
+def _row_views(x: np.ndarray, y: np.ndarray, rows) -> list[np.ndarray]:
+    """One zero-copy view per (channel, offset) row over the last axis.
+
+    Entry k of every view is that row's sample at column time t = k - lo,
+    where [lo, hi] is the offset span widened to include t itself, so the
+    views hold the columns t = -lo .. L - 1 - hi of length-L sequences
+    (none when L <= hi - lo).
+    """
+    offsets = [off for _, off in rows]
+    lo, hi = min(0, *offsets), max(0, *offsets)
+    n = max(0, x.shape[-1] - (hi - lo))
+    return [(x if ch == "x" else y)[..., off - lo : off - lo + n] for ch, off in rows]
 
 
 def lag_embed(x_seq: np.ndarray, y_seq: np.ndarray, spec: LagSpec) -> DataPanel:
@@ -205,45 +225,25 @@ def lag_embed(x_seq: np.ndarray, y_seq: np.ndarray, spec: LagSpec) -> DataPanel:
     y_seq = np.asarray(y_seq, dtype=float)
     if x_seq.shape != y_seq.shape:
         raise ValueError("x and y sequences must have the same shape")
-    roles = (spec.x_role, spec.y_role, spec.z_role)
-    all_offsets = [off for role in roles for off in role.offsets]
-    off_min, off_max = min(all_offsets), max(all_offsets)
-
-    if spec.window_mode == "consecutive-windows":
-        if x_seq.ndim != 1:
-            raise ValueError("consecutive-windows mode expects one-dimensional sequences")
-        L = x_seq.size
-        t_first = max(0, -off_min)
-        t_last = L - 1 - max(0, off_max)
-        n_cols = (t_last - t_first) // spec.stride + 1 if t_last >= t_first else 0
-        if n_cols < 1:
-            raise ValueError(
-                f"insufficient data: {L} samples leave no feasible column "
-                f"for offsets spanning [{off_min}, {off_max}]"
-            )
-        rows = []
-        for role in roles:
-            seq = x_seq if role.channel == "x" else y_seq
-            for off in role.offsets:
-                start = t_first + off
-                stop = start + (n_cols - 1) * spec.stride + 1
-                rows.append(seq[start:stop:spec.stride])
-        return DataPanel(data=np.array(rows), dims=spec.dims, meta=spec)
-
-    if x_seq.ndim != 2:
+    consecutive = spec.window_mode == "consecutive-windows"
+    if consecutive and x_seq.ndim != 1:
+        raise ValueError("consecutive-windows mode expects one-dimensional sequences")
+    if not consecutive and x_seq.ndim != 2:
         raise ValueError(
             "independent-realizations mode expects (n_realizations, length) arrays"
         )
-    L = x_seq.shape[1]
-    t_col = L - 1 - max(0, off_max)
-    if t_col < max(0, -off_min):
-        raise ValueError(f"realizations of length {L} are too short for the offsets")
-    rows = []
-    for role in roles:
-        seq = x_seq if role.channel == "x" else y_seq
-        for off in role.offsets:
-            rows.append(seq[:, t_col + off])
-    return DataPanel(data=np.array(rows), dims=spec.dims, meta=spec)
+    views = _row_views(x_seq, y_seq, spec.rows)
+    if views[0].shape[-1] < 1:
+        L = x_seq.shape[-1]
+        if not consecutive:
+            raise ValueError(f"realizations of length {L} are too short for the offsets")
+        offsets = [off for _, off in spec.rows]
+        raise ValueError(
+            f"insufficient data: {L} samples leave no feasible column "
+            f"for offsets spanning [{min(offsets)}, {max(offsets)}]"
+        )
+    rows = [v[:: spec.stride] if consecutive else v[:, -1] for v in views]
+    return DataPanel(data=rows, dims=spec.dims, meta=spec)
 
 
 def sample_covariance(panel: DataPanel, center: bool = True) -> CompositeCovariance:

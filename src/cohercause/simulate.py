@@ -342,33 +342,32 @@ def composite_from_sequences(
     """Composite covariance of arbitrary (channel, time) sample selections.
 
     Each sample is a ("x"|"y", time index) pair; the times only matter
-    through their differences. Raises if a required lag exceeds the
+    through their differences. Entry (i, j) of the upper triangle is read
+    from the xx, xy or yy sequence of the channel pair at lag t_j - t_i,
+    and mirrored below the diagonal. Raises if a required lag exceeds the
     tabulated range of ``seqs``.
     """
     samples = list(x_samples) + list(y_samples) + list(z_samples)
     dims = BlockDims(p=len(x_samples), q=len(y_samples), r=len(z_samples))
-    n = dims.total
-    m = np.zeros((n, n))
-    for i, (ca, ta) in enumerate(samples):
-        for j in range(i, n):
-            cb, tb = samples[j]
-            if ca == "x" and cb == "x":
-                v = seqs.xx_at(tb - ta)
-            elif ca == "y" and cb == "y":
-                v = seqs.yy_at(tb - ta)
-            elif ca == "x" and cb == "y":
-                v = seqs.xy_at(tb - ta)
-            else:
-                v = seqs.xy_at(ta - tb)
-            m[i, j] = v
-            m[j, i] = v
+    is_y = np.array([ch == "y" for ch, _ in samples], dtype=int)
+    times = np.array([tt for _, tt in samples])
+    lags = times[None, :] - times[:, None]
+    worst = int(np.abs(lags).max())
+    if worst > seqs.max_lag:
+        raise ValueError(f"lag {worst} exceeds the tabulated range {seqs.max_lag}")
+    # Channel pair (a, b) reads row 2 a + b: xx, xy, yx, yy; yx[m] = xy[-m].
+    table = np.stack([seqs.xx, seqs.xy, seqs.xy[::-1], seqs.yy])
+    full = table[2 * is_y[:, None] + is_y[None, :], seqs.max_lag + lags]
+    m = np.triu(full) + np.triu(full, 1).T
     return CompositeCovariance.from_matrix(m, dims)
 
 
-def _role_samples(lag: LagSpec, t: int) -> list[list[Sample]]:
-    """The x, y and z sample selections of a lag spec at column time t."""
-    roles = (lag.x_role, lag.y_role, lag.z_role)
-    return [[(role.channel, t + off) for off in role.offsets] for role in roles]
+def _lag_composite(seqs: CovarianceSequences, lag: LagSpec) -> CompositeCovariance:
+    """Population composite of a lag spec's rows, at offsets relative to t."""
+    rows, d = lag.rows, lag.dims
+    return composite_from_sequences(
+        seqs, rows[: d.p], rows[d.p : d.p + d.q], rows[d.p + d.q :]
+    )
 
 
 def model_composite_covariance(
@@ -385,11 +384,9 @@ def model_composite_covariance(
     never an element of z. Accepts precomputed sequences to avoid
     re-deriving them per grid point.
     """
-    samples = _role_samples(
-        LagSpec.pairwise(s - t, T_cond=T_cond, conditioning=conditioning), t
-    )
-    times = [tt for block in samples for _, tt in block]
-    needed = max(times) - min(times)
+    lag = LagSpec.pairwise(s - t, T_cond=T_cond, conditioning=conditioning)
+    offsets = [off for _, off in lag.rows]
+    needed = max(offsets) - min(offsets)
     if isinstance(spec, CovarianceSequences):
         seqs = spec
         if needed > seqs.max_lag:
@@ -398,7 +395,7 @@ def model_composite_covariance(
             )
     else:
         seqs = analytic_covariances(spec, needed)
-    return composite_from_sequences(seqs, *samples)
+    return _lag_composite(seqs, lag)
 
 
 def lag_window_covariance(
@@ -414,7 +411,7 @@ def lag_window_covariance(
     seqs = spec if isinstance(spec, CovarianceSequences) else analytic_covariances(spec, T)
     if seqs.max_lag < T:
         raise ValueError(f"lag range exceeded: need {T}, sequences cover {seqs.max_lag}")
-    return composite_from_sequences(seqs, *_role_samples(LagSpec.influence_test(T), 0))
+    return _lag_composite(seqs, LagSpec.influence_test(T))
 
 
 def write_sequence_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:

@@ -21,7 +21,14 @@ from cohercause import (
     partial_coherence_one_onto_two,
     spectral_partial_coherence,
 )
-from cohercause.simulate import MAFilterSpec, analytic_covariances, composite_from_sequences
+from cohercause.inference import likelihood_ratio
+from cohercause.simulate import (
+    BarnettModelSpec,
+    MAFilterSpec,
+    analytic_covariances,
+    composite_from_sequences,
+    model_composite_covariance,
+)
 
 from helpers import CORPUS_DIMS, random_composite, random_nonsingular, random_pd
 
@@ -180,6 +187,16 @@ class TestOneOntoTwo:
             assert abs(
                 partial_coherence_one_onto_two(R) - partial_coherence(R).rho2
             ) < 1e-10
+
+    @pytest.mark.parametrize("offset", [-19, -1])
+    def test_ill_conditioned_past_is_not_jittered(self, offset):
+        # S_vv has condition number ~1.4e12 but clean Cholesky pivots; a
+        # jitter there used to move rho2 from 3.2e-6 to 0 at offset -19.
+        seqs = analytic_covariances(BarnettModelSpec(transfer_entropy=0.02, ma_order=10), 40)
+        R = model_composite_covariance(seqs, offset, 0, "past-of-y", T_cond=20)
+        assert partial_coherence_one_onto_two(R) == pytest.approx(
+            likelihood_ratio(R), rel=1e-4
+        )
 
 
 class TestEstimatorGain:

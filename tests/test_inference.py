@@ -30,6 +30,41 @@ def barnett_panel(seed=1, length=2000, T=10, F=0.02):
     return lag_embed(x, y, LagSpec.influence_test(T=T))
 
 
+def row_loop_embed(x_seq, y_seq, spec):
+    """Reference: the per-row loop lag_embed ran before its rows were views."""
+    roles = (spec.x_role, spec.y_role, spec.z_role)
+    all_offsets = [off for role in roles for off in role.offsets]
+    off_min, off_max = min(all_offsets), max(all_offsets)
+    rows = []
+    if spec.window_mode == "consecutive-windows":
+        t_first = max(0, -off_min)
+        t_last = x_seq.size - 1 - max(0, off_max)
+        n_cols = (t_last - t_first) // spec.stride + 1
+        for role in roles:
+            seq = x_seq if role.channel == "x" else y_seq
+            for off in role.offsets:
+                start = t_first + off
+                stop = start + (n_cols - 1) * spec.stride + 1
+                rows.append(seq[start:stop:spec.stride])
+    else:
+        t_col = x_seq.shape[1] - 1 - max(0, off_max)
+        for role in roles:
+            seq = x_seq if role.channel == "x" else y_seq
+            for off in role.offsets:
+                rows.append(seq[:, t_col + off])
+    return np.array(rows)
+
+
+# (x, y, z) roles: the test embedding, a map embedding with a future x
+# sample, offsets all negative (t itself in no role) and all positive.
+REFERENCE_ROLES = {
+    "influence": (Role("x", (-1, -2, -3, -4)), Role("y", (0,)), Role("y", (-1, -2, -3, -4))),
+    "pairwise-future": (Role("x", (3,)), Role("y", (0,)), Role("x", (0, -1, -2))),
+    "all-negative": (Role("x", (-2, -5)), Role("y", (-1,)), Role("y", (-3, -4))),
+    "all-positive": (Role("x", (1, 4)), Role("y", (2,)), Role("x", (3,))),
+}
+
+
 class TestLagSpec:
     def test_duplicate_sample_across_roles_rejected(self):
         with pytest.raises(ValueError, match="more than one role"):
@@ -67,6 +102,13 @@ class TestLagSpec:
     def test_pairwise_past_of_y(self):
         spec = LagSpec.pairwise(offset=2, T_cond=4, conditioning="past-of-y")
         assert spec.z_role == Role("y", (-1, -2, -3, -4))
+
+    def test_rows_in_block_order(self):
+        assert LagSpec.influence_test(T=2).rows == (
+            ("x", -1), ("x", -2), ("y", 0), ("y", -1), ("y", -2)
+        )
+        spec = LagSpec.pairwise(offset=-1, T_cond=3, conditioning="past-of-x")
+        assert spec.rows == (("x", -1), ("y", 0), ("x", 0), ("x", -2), ("x", -3))
 
 
 class TestLagEmbed:
@@ -119,6 +161,39 @@ class TestLagEmbed:
         assert panel.M == 25
         # each column comes from its own realization at the last valid t
         assert_allclose(panel.data[3, 7], x[7, 29 - 4])
+
+    @pytest.mark.parametrize("roles", REFERENCE_ROLES.values(), ids=REFERENCE_ROLES.keys())
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("length", [23, 24, 25])
+    def test_consecutive_matches_row_loop(self, roles, stride, length):
+        rng = np.random.default_rng(length)
+        x, y = rng.standard_normal((2, length))
+        spec = LagSpec(4, *roles, stride=stride)
+        panel = lag_embed(x, y, spec)
+        assert np.array_equal(panel.data, row_loop_embed(x, y, spec))
+        assert not panel.data.flags.writeable
+        assert not np.shares_memory(panel.data, x)
+
+    @pytest.mark.parametrize("roles", REFERENCE_ROLES.values(), ids=REFERENCE_ROLES.keys())
+    def test_independent_matches_row_loop(self, roles):
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal((2, 9, 12))
+        spec = LagSpec(4, *roles, window_mode="independent-realizations")
+        assert np.array_equal(lag_embed(x, y, spec).data, row_loop_embed(x, y, spec))
+
+    @pytest.mark.parametrize("roles", REFERENCE_ROLES.values(), ids=REFERENCE_ROLES.keys())
+    def test_shortest_feasible_length(self, roles):
+        # one column needs exactly the span [min(0, off), max(0, off)]
+        offsets = [off for role in roles for off in role.offsets]
+        span = max(0, *offsets) - min(0, *offsets) + 1
+        x, y = np.arange(2.0 * span).reshape(2, span)
+        spec = LagSpec(4, *roles)
+        assert lag_embed(x, y, spec).M == 1
+        with pytest.raises(ValueError, match="insufficient data"):
+            lag_embed(x[:-1], y[:-1], spec)
+        realizations = LagSpec(4, *roles, window_mode="independent-realizations")
+        with pytest.raises(ValueError, match="too short for the offsets"):
+            lag_embed(x[None, :-1], y[None, :-1], realizations)
 
     def test_mode_and_shape_must_agree(self):
         spec = LagSpec.influence_test(T=2)

@@ -8,6 +8,8 @@ from scipy.signal import lfilter
 from cohercause import (
     BarnettModelSpec,
     BlockDims,
+    CompositeCovariance,
+    CovarianceSequences,
     MAFilterSpec,
     NoiseSpec,
     analytic_covariances,
@@ -215,6 +217,75 @@ def pairwise_samples(s, t, conditioning, depth):
     else:
         z = [("y", t - j) for j in range(1, depth + 1)]
     return [("x", s)], [("y", t)], z
+
+
+def per_entry_composite(seqs, x_samples, y_samples, z_samples):
+    """Reference: the per-entry loop composite_from_sequences ran before it
+    indexed the stacked sequences at once."""
+    samples = list(x_samples) + list(y_samples) + list(z_samples)
+    dims = BlockDims(p=len(x_samples), q=len(y_samples), r=len(z_samples))
+    n = dims.total
+    m = np.zeros((n, n))
+    for i, (ca, ta) in enumerate(samples):
+        for j in range(i, n):
+            cb, tb = samples[j]
+            if ca == "x" and cb == "x":
+                v = seqs.xx_at(tb - ta)
+            elif ca == "y" and cb == "y":
+                v = seqs.yy_at(tb - ta)
+            elif ca == "x" and cb == "y":
+                v = seqs.xy_at(tb - ta)
+            else:
+                v = seqs.xy_at(ta - tb)
+            m[i, j] = v
+            m[j, i] = v
+    return CompositeCovariance.from_matrix(m, dims)
+
+
+# Sample selections mixing channels and time orders within each block.
+MIXED_SAMPLES = [
+    ([("x", 0)], [("y", 0)], []),
+    ([("x", 2), ("x", 0)], [("y", 1)], [("x", 3), ("y", 0)]),
+    ([("y", -1), ("x", 1)], [("x", -2), ("y", 1)], [("y", -2), ("x", 0), ("y", 0)]),
+]
+
+
+class TestCompositeFromSequences:
+    @pytest.mark.parametrize("case", ["I", "II", "III", "barnett"])
+    def test_matches_per_entry_loop(self, case):
+        spec = (
+            BarnettModelSpec(transfer_entropy=0.02, ma_order=2)
+            if case == "barnett"
+            else MAFilterSpec.from_case(case)
+        )
+        seqs = analytic_covariances(spec, 30)
+        selections = MIXED_SAMPLES + [
+            pairwise_samples(s, 0, conditioning, 20)
+            for conditioning in ("past-of-x", "past-of-y")
+            for s in (-9, 0, 9)
+        ]
+        for samples in selections:
+            R = composite_from_sequences(seqs, *samples)
+            assert np.array_equal(R.entries, per_entry_composite(seqs, *samples).entries)
+
+    def test_asymmetric_xx_reads_upper_triangle(self):
+        # xx[m] != xx[-m]: the entry (i, j), i < j, reads lag t_j - t_i
+        seqs = CovarianceSequences(
+            max_lag=3,
+            xx=np.array([0.05, 0.3, 0.6, 4.0, 0.5, 0.2, 0.1]),
+            yy=np.array([0.1, 0.2, 0.4, 3.0, 0.4, 0.2, 0.1]),
+            xy=np.array([0.02, -0.1, 0.3, 0.5, 0.2, 0.1, -0.05]),
+        )
+        for samples in MIXED_SAMPLES:
+            R = composite_from_sequences(seqs, *samples)
+            assert np.array_equal(R.entries, per_entry_composite(seqs, *samples).entries)
+        R = composite_from_sequences(seqs, [("x", 2), ("x", 0)], [("y", 1)], [])
+        assert R.entries[0, 1] == R.entries[1, 0] == 0.3
+
+    def test_lag_range_error(self):
+        seqs = analytic_covariances(MAFilterSpec.from_case("I"), 4)
+        with pytest.raises(ValueError, match="lag 5 exceeds the tabulated range 4"):
+            composite_from_sequences(seqs, [("x", 0)], [("y", 5)], [])
 
 
 class TestModelComposite:
