@@ -31,10 +31,11 @@ from .experiments import (
 from .inference import LagSpec, lag_embed, read_sequence_csv, test_causal_influence
 from .nulldist import (
     DEFAULT_N_MC,
+    _mc_p_value,
+    _order_statistic_threshold,
     bartlett_critical_value,
-    critical_value,
     make_spec,
-    p_value,
+    sample_null,
 )
 from .simulate import (
     BarnettModelSpec,
@@ -268,7 +269,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_nulldist(args) -> int:
     wspec = make_spec(args.p, args.q, args.r, args.M)
-    crit = critical_value(wspec, args.alpha, n_mc=args.n_mc, seed=args.seed, jobs=args.jobs)
+    # One draw of the null law gives both the threshold and the p-value.
+    samples = sample_null(wspec, args.n_mc, seed=args.seed, jobs=args.jobs)
     payload = {
         "p": args.p,
         "q": args.q,
@@ -277,14 +279,12 @@ def _cmd_nulldist(args) -> int:
         "alpha": args.alpha,
         "n_mc": args.n_mc,
         "seed": args.seed,
-        "critical_value": crit,
+        "critical_value": _order_statistic_threshold(samples, args.alpha),
         "bartlett_critical_value": bartlett_critical_value(wspec, args.alpha),
     }
     if args.stat is not None:
         payload["stat"] = args.stat
-        payload["p_value"] = p_value(
-            wspec, args.stat, n_mc=args.n_mc, seed=args.seed, jobs=args.jobs
-        )
+        payload["p_value"] = _mc_p_value(samples, args.stat)
     _emit_json(payload, args.output)
     return 0
 

@@ -1,9 +1,12 @@
 """Reproduction harness: coherence maps, size calibration, power and ROC.
 
-Monte Carlo replications hand whole stacks of sample covariances to the
-same Cholesky kernel that the test and the maps use, one batched call
-per chunk of panels. Each study computes its null threshold once per
-call, from the same seeded null law that the test uses.
+A coherence map forms one covariance of the distinct rows of all its
+offsets (for data, the centred Gram over the columns they share) and
+hands every offset's composite, a principal sub-matrix of it, to the
+Cholesky kernel in one batched call. Monte Carlo replications hand whole
+stacks of sample covariances to the same kernel, one call per chunk of
+panels. Each study computes its null threshold once per call, from the
+same seeded null law that the test uses.
 
 Two replication modes mirror the two window modes of the embedding:
 "independent-realizations" draws panel columns i.i.d. from the exact
@@ -32,13 +35,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .coherence import _log_det_q
-from .inference import (
-    LagSpec,
-    _row_views,
-    lag_embed,
-    likelihood_ratio,
-    sample_covariance,
-)
+from .covariance import BlockDims, CompositeCovariance
+from .inference import LagSpec, _row_views
 from .nulldist import (
     DEFAULT_N_MC,
     DEFAULT_SEED,
@@ -53,9 +51,9 @@ from .simulate import (
     MAFilterSpec,
     NoiseSpec,
     analytic_covariances,
+    composite_from_sequences,
     gen_barnett,
     lag_window_covariance,
-    model_composite_covariance,
 )
 from .streams import stream_rng
 
@@ -133,6 +131,19 @@ def _panel_statistic(D: np.ndarray, p: int, q: int, r: int, center: bool) -> np.
     if center:
         D -= D.mean(axis=2, keepdims=True)
     return -np.expm1(_log_det_q(D @ np.swapaxes(D, 1, 2), p, q, r))
+
+
+def _centred_gram(views: list[np.ndarray]) -> np.ndarray:
+    """Centred Gram of equal-length row views, summed over column chunks of
+    about ``_WINDOW_CHUNK_BYTES`` so that the panel is never materialised."""
+    means = np.array([v.mean() for v in views])[:, None]
+    chunk = max(1, _WINDOW_CHUNK_BYTES // (len(views) * 8))
+    gram = np.zeros((len(views), len(views)))
+    for c0 in range(0, views[0].size, chunk):
+        D = np.array([v[c0 : c0 + chunk] for v in views])
+        D -= means
+        gram += D @ D.T
+    return gram
 
 
 def _mvn_chunk_stats(
@@ -249,61 +260,51 @@ def coherence_map(
 ) -> CoherenceMap:
     """Pairwise partial-coherence map over a grid of (s, t).
 
-    ``model`` is a model spec (analytic path) or an ``(x_seq, y_seq)``
-    pair of one-dimensional arrays (estimated path). Values depend on
-    (s, t) only through s - t by stationarity, so each distinct offset
-    is computed once.
+    ``model`` is a model spec or covariance sequences (analytic path) or
+    an ``(x_seq, y_seq)`` pair of one-dimensional arrays (estimated path).
+    Values depend on (s, t) only through the offset s - t by stationarity.
+    Every offset's composite is a principal sub-matrix of one covariance
+    over the distinct (channel, offset) rows that the offsets use: the
+    population composite of a model, or for data the centred sample Gram
+    over the columns that every offset shares. That covariance is
+    validated once, and all offsets go through one batched kernel call.
     """
     s_range = np.asarray(list(s_range), dtype=int)
     t_range = np.asarray(list(t_range), dtype=int)
-    values = np.zeros((s_range.size, t_range.size))
-    cache: dict[int, float] = {}
-
-    if isinstance(model, (MAFilterSpec, BarnettModelSpec, CovarianceSequences)):
-        if isinstance(model, MAFilterSpec):
-            case = model.name
-        elif isinstance(model, BarnettModelSpec):
-            case = "barnett"
-        else:
-            case = "sequences"
-        if isinstance(model, CovarianceSequences):
-            seqs = model
-        else:
-            span = int(abs(s_range.max() - t_range.min()))
-            span = max(span, int(abs(t_range.max() - s_range.min())))
-            seqs = analytic_covariances(model, span + T_cond + 1)
-
-        def value(offset: int) -> float:
-            R = model_composite_covariance(
-                seqs, offset, 0, conditioning=conditioning, T_cond=T_cond
-            )
-            return likelihood_ratio(R)
-
-    elif isinstance(model, tuple) and len(model) == 2:
+    grid = np.subtract.outer(s_range, t_range)
+    if grid.size == 0:
+        raise ValueError("the (s, t) grid is empty")
+    offsets, cell = np.unique(grid, return_inverse=True)
+    specs = [LagSpec.pairwise(int(off), T_cond, conditioning) for off in offsets]
+    rows = sorted({row for spec in specs for row in spec.rows})
+    p = sum(ch == "x" for ch, _ in rows)
+    if isinstance(model, tuple) and len(model) == 2:
         case = "data"
-        x_seq = np.asarray(model[0], dtype=float)
-        y_seq = np.asarray(model[1], dtype=float)
-
-        def value(offset: int) -> float:
-            spec = LagSpec.pairwise(offset, T_cond=T_cond, conditioning=conditioning)
-            panel = lag_embed(x_seq, y_seq, spec)
-            return likelihood_ratio(sample_covariance(panel))
-
+        x_seq, y_seq = (np.asarray(seq, dtype=float) for seq in model)
+        if x_seq.ndim != 1 or x_seq.shape != y_seq.shape:
+            raise ValueError("x and y must be one-dimensional with equal length")
+        gram = CompositeCovariance.from_matrix(
+            _centred_gram(_row_views(x_seq, y_seq, rows)), BlockDims(p, len(rows) - p, 0)
+        )
+    elif isinstance(model, (MAFilterSpec, BarnettModelSpec, CovarianceSequences)):
+        if isinstance(model, CovarianceSequences):
+            case, seqs = "sequences", model
+        else:
+            case = model.name if isinstance(model, MAFilterSpec) else "barnett"
+            seqs = analytic_covariances(model, int(np.ptp([off for _, off in rows])))
+        gram = composite_from_sequences(seqs, rows[:p], rows[p:], [])
     else:
         raise TypeError(
             "model must be a model spec, covariance sequences, or an (x, y) pair"
         )
-
-    for i, s in enumerate(s_range):
-        for j, t in enumerate(t_range):
-            off = int(s - t)
-            if off not in cache:
-                cache[off] = value(off)
-            values[i, j] = cache[off]
+    index = {row: i for i, row in enumerate(rows)}
+    idx = np.array([[index[row] for row in spec.rows] for spec in specs])
+    composites = gram.entries[idx[:, :, None], idx[:, None, :]]
+    rho2 = -np.expm1(_log_det_q(composites, 1, 1, T_cond))
     return CoherenceMap(
         s_range=s_range,
         t_range=t_range,
-        values=values,
+        values=rho2[cell].reshape(grid.shape),
         conditioning=conditioning,
         case=case,
     )

@@ -25,6 +25,7 @@ from .coherence import _log_det_q
 from .nulldist import (
     DEFAULT_N_MC,
     DEFAULT_SEED,
+    _mc_p_value,
     _order_statistic_threshold,
     bartlett_critical_value,
     bartlett_pvalue,
@@ -203,12 +204,17 @@ def _row_views(x: np.ndarray, y: np.ndarray, rows) -> list[np.ndarray]:
 
     Entry k of every view is that row's sample at column time t = k - lo,
     where [lo, hi] is the offset span widened to include t itself, so the
-    views hold the columns t = -lo .. L - 1 - hi of length-L sequences
-    (none when L <= hi - lo).
+    views hold the columns t = -lo .. L - 1 - hi of length-L sequences.
+    Raises ``ValueError`` when that leaves no column (L <= hi - lo).
     """
     offsets = [off for _, off in rows]
     lo, hi = min(0, *offsets), max(0, *offsets)
-    n = max(0, x.shape[-1] - (hi - lo))
+    n = x.shape[-1] - (hi - lo)
+    if n < 1:
+        raise ValueError(
+            f"insufficient data: length {x.shape[-1]} is too short for the offsets "
+            f"spanning [{min(offsets)}, {max(offsets)}]"
+        )
     return [(x if ch == "x" else y)[..., off - lo : off - lo + n] for ch, off in rows]
 
 
@@ -233,15 +239,6 @@ def lag_embed(x_seq: np.ndarray, y_seq: np.ndarray, spec: LagSpec) -> DataPanel:
             "independent-realizations mode expects (n_realizations, length) arrays"
         )
     views = _row_views(x_seq, y_seq, spec.rows)
-    if views[0].shape[-1] < 1:
-        L = x_seq.shape[-1]
-        if not consecutive:
-            raise ValueError(f"realizations of length {L} are too short for the offsets")
-        offsets = [off for _, off in spec.rows]
-        raise ValueError(
-            f"insufficient data: {L} samples leave no feasible column "
-            f"for offsets spanning [{min(offsets)}, {max(offsets)}]"
-        )
     rows = [v[:: spec.stride] if consecutive else v[:, -1] for v in views]
     return DataPanel(data=rows, dims=spec.dims, meta=spec)
 
@@ -333,10 +330,10 @@ def test_causal_influence(
     approximation (cheaper, adequate for large M). The decision fields
     are mutually consistent: reject_null holds exactly when the
     statistic exceeds the threshold, and (for continuous statistics and
-    non-integer alpha (n_mc + 1)) exactly when p_value < alpha.
+    non-integer alpha (n_mc + 1)) exactly when p_value < alpha. So
+    "wilks-mc" raises ``ValueError`` when fewer than 50 of the n_mc null
+    draws fall in a tail.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     dims = panel.dims
     m_eff = panel.M - 1 if center else panel.M
     # Wilks solvency first, so short panels fail with the named dims.
@@ -346,8 +343,7 @@ def test_causal_influence(
     if method == "wilks-mc":
         samples = sample_null(wspec, n_mc, seed=seed, jobs=jobs)
         threshold = _order_statistic_threshold(samples, alpha)
-        k = int(np.count_nonzero(samples >= stat))
-        pv = (k + 1) / (n_mc + 1)
+        pv = _mc_p_value(samples, stat)
     elif method == "bartlett":
         threshold = bartlett_critical_value(wspec, alpha)
         pv = bartlett_pvalue(wspec, stat)

@@ -124,12 +124,25 @@ def _order_statistic_threshold(samples: np.ndarray, alpha: float) -> float:
     Rejecting when the statistic exceeds this threshold agrees exactly
     with rejecting when the add-one-smoothed p-value falls below alpha,
     provided alpha (n + 1) is not an integer and the statistic is
-    continuous.
+    continuous. Fewer than 50 draws in a tail, n min(alpha, 1 - alpha) < 50,
+    can break that agreement and raise ``ValueError``.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     n = samples.size
+    if n * min(alpha, 1.0 - alpha) < 50:
+        raise ValueError(
+            f"n_mc={n} gives insufficient tail resolution for alpha={alpha}"
+        )
     m = int(math.floor(alpha * (n + 1)))
-    m = min(max(m, 1), n)
     return float(np.partition(samples, n - m)[n - m])
+
+
+def _mc_p_value(samples: np.ndarray, stat: float) -> float:
+    """Add-one-smoothed Monte Carlo p-value, (k + 1) / (n + 1)."""
+    if not 0.0 <= stat <= 1.0:
+        raise ValueError(f"statistic must lie in [0, 1], got {stat}")
+    return (int(np.count_nonzero(samples >= stat)) + 1) / (samples.size + 1)
 
 
 def critical_value(
@@ -144,14 +157,7 @@ def critical_value(
     Reject the null when the observed statistic exceeds the returned
     threshold.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if n_mc * min(alpha, 1.0 - alpha) < 50:
-        raise ValueError(
-            f"n_mc={n_mc} gives insufficient tail resolution for alpha={alpha}"
-        )
-    samples = sample_null(spec, n_mc, seed=seed, jobs=jobs)
-    return _order_statistic_threshold(samples, alpha)
+    return _order_statistic_threshold(sample_null(spec, n_mc, seed=seed, jobs=jobs), alpha)
 
 
 def p_value(
@@ -162,11 +168,7 @@ def p_value(
     jobs: int = 1,
 ) -> float:
     """Add-one-smoothed Monte Carlo p-value, (k + 1) / (n + 1)."""
-    if not 0.0 <= stat <= 1.0:
-        raise ValueError(f"statistic must lie in [0, 1], got {stat}")
-    samples = sample_null(spec, n_mc, seed=seed, jobs=jobs)
-    k = int(np.count_nonzero(samples >= stat))
-    return (k + 1) / (n_mc + 1)
+    return _mc_p_value(sample_null(spec, n_mc, seed=seed, jobs=jobs), stat)
 
 
 def _bartlett_factor(spec: WilksLambdaSpec) -> float:

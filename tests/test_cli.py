@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cohercause import write_sequence_csv
+from cohercause import cli, critical_value, make_spec, p_value, sample_null, write_sequence_csv
 from cohercause.cli import build_parser, main
 
 from helpers import DEGENERATE_BLOCKS, degenerate_pair
@@ -83,6 +83,17 @@ class TestSimulateAndTest:
         assert out == ""
         assert err == f"cohercause: error: {DEGENERATE_BLOCKS[case]} is rank-deficient\n"
 
+    def test_too_few_null_draws_is_runtime_error(self, tmp_path, capsys):
+        pair = tmp_path / "pair.csv"
+        run_cli(capsys, "simulate", "--case", "barnett", "--length", "2000",
+                "--transfer-entropy", "0.3", "--output", str(pair))
+        code, out, err = run_cli(capsys, "test", "--input", str(pair), "--n-mc", "10")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "cohercause: error: n_mc=10 gives insufficient tail resolution for alpha=0.05\n"
+        )
+
     def test_solvency_violation_names_dims(self, tmp_path, capsys):
         pair = tmp_path / "tiny.csv"
         rows = "".join(f"{i},{i * 0.1},{i * 0.2}\n" for i in range(25))
@@ -104,6 +115,22 @@ class TestNulldist:
         assert payload["critical_value"] > 0
         assert 0 <= payload["p_value"] <= 1
         assert payload["seed"] == 42
+
+    def test_one_null_draw_gives_both_numbers(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cli, "sample_null", lambda *a, **k: calls.append(a) or sample_null(*a, **k)
+        )
+        code, out, _ = run_cli(
+            capsys, "nulldist", "--p", "2", "--q", "1", "--r", "2", "--M", "50",
+            "--alpha", "0.05", "--n-mc", "20000", "--stat", "0.3", "--seed", "5",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        payload = json.loads(out)
+        spec = make_spec(2, 1, 2, 50)
+        assert payload["critical_value"] == critical_value(spec, 0.05, n_mc=20_000, seed=5)
+        assert payload["p_value"] == p_value(spec, 0.3, n_mc=20_000, seed=5)
 
     def test_insolvent_dims_error(self, capsys):
         code, _, err = run_cli(

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from cohercause import (
     BarnettModelSpec,
     BlockDims,
+    CovarianceError,
     DataPanel,
     LagSpec,
     MAFilterSpec,
@@ -15,6 +16,7 @@ from cohercause import (
     calibrate_size,
     coherence_map,
     gen_barnett,
+    gen_ma_case,
     likelihood_ratio,
     power_curve,
     roc_curve,
@@ -32,7 +34,13 @@ from cohercause.experiments import (
     write_summary_json,
 )
 from cohercause.inference import lag_embed
-from cohercause.simulate import lag_window_covariance
+from cohercause.simulate import (
+    analytic_covariances,
+    lag_window_covariance,
+    model_composite_covariance,
+)
+
+from helpers import DEGENERATE_BLOCKS, degenerate_pair
 
 
 def per_window_consecutive_stats(x, y, T, M, n_windows, center=True, chunk=250):
@@ -55,6 +63,126 @@ def per_window_consecutive_stats(x, y, T, M, n_windows, center=True, chunk=250):
         S = D @ np.swapaxes(D, 1, 2)
         out[w0 : w0 + len(batch)] = -np.expm1(_log_det_q(S, T, 1, T))
     return out
+
+
+def per_cell_analytic_map(model, s_range, t_range, conditioning, T_cond):
+    """Reference: one population composite and one statistic per grid cell."""
+    span = max(abs(max(s_range) - min(t_range)), abs(max(t_range) - min(s_range)))
+    seqs = analytic_covariances(model, span + T_cond + 1)
+    return np.array([
+        [
+            likelihood_ratio(model_composite_covariance(seqs, s, t, conditioning, T_cond))
+            for t in t_range
+        ]
+        for s in s_range
+    ])
+
+
+def per_offset_data_map(x, y, s_range, t_range, conditioning, T_cond):
+    """Reference: one lag_embed panel per offset, cut to the columns that every
+    offset of the grid shares."""
+    specs = {
+        s - t: LagSpec.pairwise(s - t, T_cond=T_cond, conditioning=conditioning)
+        for s in s_range
+        for t in t_range
+    }
+    union = [off for spec in specs.values() for _, off in spec.rows]
+    lo, hi = min(0, *union), max(0, *union)
+    n = x.size - (hi - lo)
+    values = {}
+    for off, spec in specs.items():
+        own = [o for _, o in spec.rows]
+        first = min(0, *own) - lo  # panel column of the first shared t
+        panel = lag_embed(x, y, spec).data[:, first : first + n]
+        cut = DataPanel(data=panel, dims=spec.dims, meta=spec)
+        values[off] = likelihood_ratio(sample_covariance(cut))
+    return np.array([[values[s - t] for t in t_range] for s in s_range])
+
+
+MAP_MODELS = {
+    "I": MAFilterSpec.from_case("I"),
+    "II": MAFilterSpec.from_case("II"),
+    "III": MAFilterSpec.from_case("III"),
+    "barnett-ma1": BarnettModelSpec(transfer_entropy=0.02, ma_order=1),
+    "barnett-ma10": BarnettModelSpec(transfer_entropy=0.02, ma_order=10),
+}
+
+
+class TestOneGramMap:
+    """Every map is one kernel call over sub-matrices of one Gram; it matches
+    the per-offset routes it replaced."""
+
+    @pytest.mark.parametrize("name", MAP_MODELS)
+    def test_analytic_past_of_x_bit_identical(self, name):
+        grid = range(0, 20)
+        cmap = coherence_map(MAP_MODELS[name], grid, grid, "past-of-x", T_cond=20)
+        ref = per_cell_analytic_map(MAP_MODELS[name], grid, grid, "past-of-x", 20)
+        assert np.array_equal(cmap.values, ref)
+
+    @pytest.mark.parametrize("name", MAP_MODELS)
+    def test_analytic_past_of_y(self, name):
+        grid = range(0, 20)
+        cmap = coherence_map(MAP_MODELS[name], grid, grid, "past-of-y", T_cond=20)
+        ref = per_cell_analytic_map(MAP_MODELS[name], grid, grid, "past-of-y", 20)
+        assert_allclose(cmap.values, ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 100_000], ids=["one-chunk", "chunked"])
+    @pytest.mark.parametrize("conditioning", ["past-of-x", "past-of-y"])
+    def test_data_map_matches_shared_column_panels(
+        self, monkeypatch, conditioning, chunk_bytes
+    ):
+        if chunk_bytes:  # a few hundred columns per chunk, the last one partial
+            monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", chunk_bytes)
+        x, y = gen_ma_case("I", 20_000, 42)
+        grid = range(0, 20)
+        cmap = coherence_map((x, y), grid, grid, conditioning, T_cond=20)
+        ref = per_offset_data_map(x, y, grid, grid, conditioning, 20)
+        assert_allclose(cmap.values, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "s_range, t_range", [(range(0, 4), range(0, 6)), ([2], [0])],
+        ids=["non-square", "single-cell"],
+    )
+    @pytest.mark.parametrize("conditioning", ["past-of-x", "past-of-y"])
+    def test_grid_shapes(self, s_range, t_range, conditioning):
+        model = MAP_MODELS["I"]
+        cmap = coherence_map(model, s_range, t_range, conditioning, T_cond=8)
+        assert cmap.values.shape == (len(s_range), len(t_range))
+        ref = per_cell_analytic_map(model, s_range, t_range, conditioning, 8)
+        if conditioning == "past-of-x":
+            assert np.array_equal(cmap.values, ref)
+        assert_allclose(cmap.values, ref, rtol=0, atol=1e-15)
+        x, y = gen_ma_case("I", 5000, 3)
+        data = coherence_map((x, y), s_range, t_range, conditioning, T_cond=8)
+        assert_allclose(
+            data.values,
+            per_offset_data_map(x, y, s_range, t_range, conditioning, 8),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_empty_grid_rejected(self):
+        x, y = gen_ma_case("I", 2000, 3)
+        for model in (MAP_MODELS["I"], (x, y)):
+            with pytest.raises(ValueError, match="grid is empty"):
+                coherence_map(model, [], range(0, 3))
+
+    def test_too_short_data_rejected(self):
+        x, y = gen_ma_case("I", 5000, 3)
+        # the offsets -3..3 with T_cond = 20 span [-20, 3]: 20 samples hold
+        # no column, as lag_embed says of each offset's own panel
+        with pytest.raises(ValueError, match="insufficient data"):
+            coherence_map((x[:20], y[:20]), range(0, 4), range(0, 4), T_cond=20)
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_BLOCKS))
+    def test_degenerate_data_names_block(self, case):
+        x, y = degenerate_pair(case)
+        with pytest.raises(CovarianceError, match=f"^{DEGENERATE_BLOCKS[case]} is rank"):
+            coherence_map((x, y), range(0, 4), range(0, 4), "past-of-y", T_cond=4)
+
+    def test_constant_x_past_of_x_names_z(self):
+        x, y = degenerate_pair("constant-x")
+        with pytest.raises(CovarianceError, match="^z is rank-deficient"):
+            coherence_map((x, y), range(0, 4), range(0, 4), "past-of-x", T_cond=4)
 
 
 class TestConsecutiveCarving:
@@ -270,6 +398,10 @@ class TestRocCurve:
         pts = roc_curve(F=0.1, ma_order=1, size_grid=(0.05,), **common)
         pw = power_curve([1], F=0.1, alpha=0.05, **common)
         assert pts[0].power == pw[0].power
+
+    def test_too_few_null_draws_rejected(self):
+        with pytest.raises(ValueError, match="n_mc=2000 gives insufficient tail"):
+            roc_curve(replications=600, M=100, T=2, size_grid=(0.01, 0.5), n_mc=2000)
 
     def test_size_grid_validated(self):
         with pytest.raises(ValueError, match="sizes"):

@@ -369,6 +369,20 @@ class TestCausalInfluence:
                 assert out.reject_null == (out.statistic > out.threshold)
                 assert out.reject_null == (out.p_value < out.alpha)
 
+    @pytest.mark.parametrize("method", ["wilks-mc", "bartlett"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_range(self, method, alpha):
+        panel = barnett_panel(seed=1, length=600, T=3)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            causal_influence_test(panel, alpha=alpha, method=method, n_mc=20_000)
+
+    def test_too_few_null_draws_rejected(self):
+        # With 10 draws the 0.05 threshold was the largest draw, so a strong
+        # coupling rejected while reporting p = 1/11 > alpha.
+        panel = barnett_panel(seed=1, length=2000, T=10, F=0.3)
+        with pytest.raises(ValueError, match="n_mc=10 gives insufficient tail resolution"):
+            causal_influence_test(panel, alpha=0.05, n_mc=10)
+
     def test_strong_coupling_is_detected(self):
         panel = barnett_panel(seed=9, length=5000, T=10, F=0.5)
         out = causal_influence_test(panel, alpha=0.05, method="bartlett")

@@ -170,6 +170,13 @@ class TestBartlett:
 
 class TestOrderStatisticThreshold:
     def test_matches_quantile_convention(self):
-        samples = np.arange(1, 100, dtype=float) / 100.0  # 99 samples
-        # alpha = 0.05: m = floor(0.05 * 100) = 5 -> 5th largest = 0.95
+        samples = np.arange(1, 2000, dtype=float) / 2000.0  # 1999 samples
+        # alpha = 0.05: m = floor(0.05 * 2000) = 100 -> 100th largest = 0.95
         assert _order_statistic_threshold(samples, 0.05) == 0.95
+
+    def test_too_few_tail_samples_rejected(self):
+        # 99 samples leave under 50 in the alpha = 0.05 tail: no threshold
+        # could agree with the add-one p-value there.
+        samples = np.arange(1, 100, dtype=float) / 100.0
+        with pytest.raises(ValueError, match="n_mc=99 gives insufficient tail resolution"):
+            _order_statistic_threshold(samples, 0.05)
