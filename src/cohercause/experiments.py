@@ -1,12 +1,12 @@
 """Reproduction harness: coherence maps, size calibration, power and ROC.
 
 A coherence map forms one covariance of the distinct rows of all its
-offsets (for data, the centred Gram over the columns they share) and
-hands every offset's composite, a principal sub-matrix of it, to the
-Cholesky kernel in one batched call. Monte Carlo replications hand whole
-stacks of sample covariances to the same kernel, one call per chunk of
-panels. Each study computes its null threshold once per call, from the
-same seeded null law that the test uses.
+offsets (for data, the test's scaled-row Gram over the columns they share)
+and hands every offset's composite, a principal sub-matrix of it, to the
+Cholesky kernel in one batched call. Monte Carlo replications, O(1) by
+construction, hand whole stacks of unscaled sample covariances to the same
+kernel, one call per chunk of panels. Each study computes its null
+threshold once per call, from the same seeded null law that the test uses.
 
 Two replication modes mirror the two window modes of the embedding:
 "independent-realizations" draws panel columns i.i.d. from the exact
@@ -22,8 +22,6 @@ reused panel buffer of about 10 MB.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -36,7 +34,7 @@ import scipy.linalg as la
 
 from .coherence import _log_det_q
 from .covariance import BlockDims, CompositeCovariance
-from .inference import LagSpec, _row_views
+from .inference import _WINDOW_CHUNK_BYTES, LagSpec, _row_views, _scaled_gram
 from .nulldist import (
     DEFAULT_N_MC,
     DEFAULT_SEED,
@@ -77,7 +75,6 @@ FAST_REPLICATIONS = 2_000
 DEFAULT_SIZE_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
 
 _MVN_CHUNK = 200
-_WINDOW_CHUNK_BYTES = 10 * 2**20
 
 
 @dataclass(frozen=True)
@@ -131,19 +128,6 @@ def _panel_statistic(D: np.ndarray, p: int, q: int, r: int, center: bool) -> np.
     if center:
         D -= D.mean(axis=2, keepdims=True)
     return -np.expm1(_log_det_q(D @ np.swapaxes(D, 1, 2), p, q, r))
-
-
-def _centred_gram(views: list[np.ndarray]) -> np.ndarray:
-    """Centred Gram of equal-length row views, summed over column chunks of
-    about ``_WINDOW_CHUNK_BYTES`` so that the panel is never materialised."""
-    means = np.array([v.mean() for v in views])[:, None]
-    chunk = max(1, _WINDOW_CHUNK_BYTES // (len(views) * 8))
-    gram = np.zeros((len(views), len(views)))
-    for c0 in range(0, views[0].size, chunk):
-        D = np.array([v[c0 : c0 + chunk] for v in views])
-        D -= means
-        gram += D @ D.T
-    return gram
 
 
 def _mvn_chunk_stats(
@@ -265,9 +249,10 @@ def coherence_map(
     Values depend on (s, t) only through the offset s - t by stationarity.
     Every offset's composite is a principal sub-matrix of one covariance
     over the distinct (channel, offset) rows that the offsets use: the
-    population composite of a model, or for data the centred sample Gram
-    over the columns that every offset shares. That covariance is
-    validated once, and all offsets go through one batched kernel call.
+    population composite of a model, or for data the test's Gram of
+    centred rows scaled to O(1), over the columns that every offset shares.
+    That covariance is validated once, and all offsets go through one
+    batched kernel call.
     """
     s_range = np.asarray(list(s_range), dtype=int)
     t_range = np.asarray(list(t_range), dtype=int)
@@ -284,7 +269,8 @@ def coherence_map(
         if x_seq.ndim != 1 or x_seq.shape != y_seq.shape:
             raise ValueError("x and y must be one-dimensional with equal length")
         gram = CompositeCovariance.from_matrix(
-            _centred_gram(_row_views(x_seq, y_seq, rows)), BlockDims(p, len(rows) - p, 0)
+            _scaled_gram(_row_views(x_seq, y_seq, rows), center=True)[0],
+            BlockDims(p, len(rows) - p, 0),
         )
     elif isinstance(model, (MAFilterSpec, BarnettModelSpec, CovarianceSequences)):
         if isinstance(model, CovarianceSequences):
@@ -446,12 +432,7 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def write_map_csv(path: str, cmap: CoherenceMap) -> None:

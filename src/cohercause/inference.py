@@ -1,11 +1,11 @@
 """From raw sequences to a causality decision.
 
-The pipeline is: embed two scalar sequences into lagged sample vectors
-(a data panel), form the unnormalized sample covariance S = D D^T, take
-its partial coherence as the test statistic, and compare against the
-Wilks Lambda null law. The statistic is the ordinary likelihood ratio
-for the null hypothesis that the conditional cross-covariance between
-the x block and the y block is zero.
+The pipeline is: embed two scalar sequences into lagged sample vectors (a
+data panel), form the Gram of its centred rows, each scaled by a power of
+two to stay O(M) at any floating-point scale, take its partial coherence
+(scale-invariant, so that of S = D D^T) as the test statistic, and compare
+it against the Wilks Lambda null law. One minus it is the likelihood ratio
+for zero conditional x-y cross-covariance.
 
 A rejection is an indication of causal influence at the stated level,
 relative to the chosen prima facie conditioning; a non-rejection is a
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 WINDOW_MODES = ("consecutive-windows", "independent-realizations")
+_WINDOW_CHUNK_BYTES = 10 * 2**20
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,27 @@ def _row_views(x: np.ndarray, y: np.ndarray, rows) -> list[np.ndarray]:
     return [(x if ch == "x" else y)[..., off - lo : off - lo + n] for ch, off in rows]
 
 
+def _scaled_gram(rows, center: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gram G of equal-length rows (a 2-D panel or row views), and scales s.
+
+    Row i is centred if ``center``, divided by s_i, the power of two above its
+    largest deviation, and gathered in column chunks of ``_WINDOW_CHUNK_BYTES``.
+    G is O(M) at any floating-point scale, G_ij s_i s_j is the data-scale Gram
+    exactly, and a centred row of equal samples is zero, so the kernel names it.
+    """
+    lo, hi = (np.array([f(v) for v in rows]) for f in (np.min, np.max))
+    means = np.where(lo == hi, lo, [v.mean() for v in rows]) if center else np.zeros_like(lo)
+    scales = np.ldexp(1.0, np.frexp(np.maximum(hi - means, means - lo))[1])
+    chunk = max(1, _WINDOW_CHUNK_BYTES // (len(rows) * 8))
+    gram = np.zeros((len(rows), len(rows)))
+    for c0 in range(0, len(rows[0]), chunk):
+        D = np.array([v[c0 : c0 + chunk] for v in rows])
+        D -= means[:, None]
+        D *= 1.0 / scales[:, None]
+        gram += D @ D.T
+    return gram, scales
+
+
 def lag_embed(x_seq: np.ndarray, y_seq: np.ndarray, spec: LagSpec) -> DataPanel:
     """Build the data panel for a lag spec.
 
@@ -244,16 +266,15 @@ def lag_embed(x_seq: np.ndarray, y_seq: np.ndarray, spec: LagSpec) -> DataPanel:
 
 
 def sample_covariance(panel: DataPanel, center: bool = True) -> CompositeCovariance:
-    """Unnormalized sample covariance S = D D^T of the panel.
+    """Unnormalized sample covariance S = D D^T of the panel, at data scale.
 
     With ``center`` (the default) the per-row sample mean is removed
     first; the null law then loses one effective sample, which
-    :func:`test_causal_influence` accounts for by using M - 1.
+    :func:`test_causal_influence` accounts for by using M - 1. S is the
+    test's scaled-row Gram multiplied back by s s^T.
     """
-    D = panel.data
-    if center:
-        D = D - D.mean(axis=1, keepdims=True)
-    return CompositeCovariance.from_matrix(D @ D.T, panel.dims)
+    gram, s = _scaled_gram(panel.data, center)
+    return CompositeCovariance.from_matrix(gram * s[:, None] * s, panel.dims)
 
 
 def likelihood_ratio(S: CompositeCovariance) -> float:
@@ -338,8 +359,8 @@ def test_causal_influence(
     m_eff = panel.M - 1 if center else panel.M
     # Wilks solvency first, so short panels fail with the named dims.
     wspec = make_spec(dims.p, dims.q, dims.r, m_eff)
-    S = sample_covariance(panel, center=center)
-    stat = likelihood_ratio(S)
+    gram = _scaled_gram(panel.data, center)[0]
+    stat = likelihood_ratio(CompositeCovariance.from_matrix(gram, dims))
     if method == "wilks-mc":
         samples = sample_null(wspec, n_mc, seed=seed, jobs=jobs)
         threshold = _order_statistic_threshold(samples, alpha)

@@ -22,7 +22,6 @@ below 1e-12 per coefficient.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -420,8 +419,6 @@ def write_sequence_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be one-dimensional with equal length")
+    rows = enumerate(zip(x.tolist(), y.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "y"])
-        for t, (xv, yv) in enumerate(zip(x, y)):
-            writer.writerow([t, repr(float(xv)), repr(float(yv))])
+        fh.write("t,x,y\n" + "".join(f"{t},{a!r},{b!r}\n" for t, (a, b) in rows))

@@ -27,6 +27,7 @@ def degenerate_pair(case, n=400):
     y = np.random.default_rng(9).standard_normal(n)
     x = {
         "constant-x": np.full(n, 3.0),
+        "constant-x-inexact": np.full(n, 0.1),
         "x-equals-y": y,
         "x-is-lagged-y": np.r_[0.0, y[:-1]],
         "x-affine-in-y": 2.0 * y + 1.0,
@@ -38,9 +39,11 @@ def degenerate_pair(case, n=400):
 
 
 # Which block each degenerate pair makes rank-deficient: a constant y
-# leaves the past of y, z, singular before x is reached.
+# leaves the past of y, z, singular before x is reached. The mean of 0.1
+# repeated is not exactly 0.1, so only an exactly zeroed row names x.
 DEGENERATE_BLOCKS = {
     "constant-x": "x given z",
+    "constant-x-inexact": "x given z",
     "x-equals-y": "x given z",
     "x-is-lagged-y": "x given z",
     "x-affine-in-y": "x given z",

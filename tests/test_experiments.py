@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -23,7 +24,7 @@ from cohercause import (
     partial_coherence_one_onto_two,
     sample_covariance,
 )
-from cohercause import experiments
+from cohercause import experiments, inference
 from cohercause.coherence import _log_det_q
 from cohercause.experiments import (
     _consecutive_stats,
@@ -132,7 +133,7 @@ class TestOneGramMap:
         self, monkeypatch, conditioning, chunk_bytes
     ):
         if chunk_bytes:  # a few hundred columns per chunk, the last one partial
-            monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(inference, "_WINDOW_CHUNK_BYTES", chunk_bytes)
         x, y = gen_ma_case("I", 20_000, 42)
         grid = range(0, 20)
         cmap = coherence_map((x, y), grid, grid, conditioning, T_cond=20)
@@ -159,6 +160,15 @@ class TestOneGramMap:
             per_offset_data_map(x, y, s_range, t_range, conditioning, 8),
             rtol=0, atol=1e-12,
         )
+
+    @pytest.mark.parametrize("conditioning", ["past-of-x", "past-of-y"])
+    def test_data_map_any_row_scale(self, conditioning):
+        # 1e-200 x underflows and 1e200 y overflows a data-scale Gram.
+        x, y = gen_ma_case("I", 5000, 3)
+        grid = range(0, 6)
+        cmap = coherence_map((1e-200 * x, 1e200 * y), grid, grid, conditioning, T_cond=8)
+        ref = coherence_map((x, y), grid, grid, conditioning, T_cond=8)
+        assert_allclose(cmap.values, ref.values, rtol=0, atol=1e-12)
 
     def test_empty_grid_rejected(self):
         x, y = gen_ma_case("I", 2000, 3)
@@ -409,6 +419,13 @@ class TestRocCurve:
 
 
 class TestWriters:
+    def test_csv_text_matches_csv_writer(self):
+        header = ["ma_order", "power", "replications"]
+        rows = [[0, repr(0.1), 2000], [10, repr(-1.5e-300), 7], [-1, repr(2.0), 0]]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        assert experiments._csv_text(header, rows) == buf.getvalue()
+
     def test_map_csv(self, tmp_path):
         cmap = coherence_map(
             MAFilterSpec.from_case("I"), range(0, 3), range(0, 3), "past-of-x",

@@ -316,6 +316,20 @@ class TestLikelihoodRatio:
             likelihood_ratio(sample_covariance(panel)), abs=2e-14
         )
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(st.floats(-300, 300), min_size=7, max_size=7),
+    )
+    def test_causal_influence_any_row_scale(self, seed, exponents):
+        # Scales whose data-scale Gram underflows or overflows.
+        panel = barnett_panel(seed=seed % 1000, length=800, T=3)
+        scales = 10.0 ** np.array(exponents)[:, None]
+        scaled = DataPanel(data=scales * panel.data, dims=panel.dims, meta=panel.meta)
+        assert causal_influence_test(scaled, method="bartlett").statistic == pytest.approx(
+            causal_influence_test(panel, method="bartlett").statistic, abs=2e-14
+        )
+
     def test_column_permutation_invariance(self):
         panel = barnett_panel(length=600, T=3)
         rng = np.random.default_rng(4)

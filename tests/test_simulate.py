@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -24,6 +25,15 @@ from cohercause import (
 )
 from cohercause.simulate import BURN_IN
 from cohercause.streams import stream_rng
+
+
+def csv_writer_sequence(path, x, y):
+    """Reference: the per-row csv.writer loop of the sequence CSV format."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "x", "y"])
+        for t, (xv, yv) in enumerate(zip(x, y)):
+            writer.writerow([t, repr(float(xv)), repr(float(yv))])
 
 
 def lfilter_gen_barnett(spec, length, noise):
@@ -369,6 +379,14 @@ class TestSequenceCsv:
         assert_allclose(data["x"], x)
         assert_allclose(data["y"], y)
         assert_allclose(data["t"], np.arange(500))
+
+    def test_bytes_match_csv_writer_loop(self, tmp_path):
+        x, y = gen_barnett(BarnettModelSpec(), 500, 1)
+        x = np.r_[x, -0.0, 5e-324, -1e-300, 1.7976931348623157e308, -2.5e17, 0.1]
+        y = np.r_[y, 3.0, -1e300, 1e-17, -5e-324, 123.456, -0.0]
+        write_sequence_csv(str(tmp_path / "fast.csv"), x, y)
+        csv_writer_sequence(str(tmp_path / "loop.csv"), x, y)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "pair.csv"
