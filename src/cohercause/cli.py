@@ -2,10 +2,11 @@
 
 One binary, subcommand style. All randomness flows from a single --seed
 flag (default 42, never time-based); the same configuration and seed
-produce byte-identical output files. Parallelism is controlled by
---jobs (default: all cores), which the COHERCAUSE_JOBS environment
-variable overrides as a default. Exit codes: 0 success, 1 runtime
-error, 2 usage error.
+produce byte-identical output files. --jobs (default: all cores), which
+the COHERCAUSE_JOBS environment variable overrides as a default, sizes
+the process pool of the independent-realization study replications; the
+null law is drawn in the calling process. Exit codes: 0 success, 1
+runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--jobs", type=int, default=None,
-        help="parallel workers (default: COHERCAUSE_JOBS or all cores)",
+        help="study replication workers (default: COHERCAUSE_JOBS or all cores)",
     )
 
 
@@ -211,7 +212,6 @@ def _cmd_test(args) -> int:
         n_mc=args.n_mc,
         seed=args.seed,
         center=not args.no_center,
-        jobs=args.jobs,
     )
     text = outcome.to_json() + "\n"
     sys.stdout.write(text)
@@ -270,7 +270,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_nulldist(args) -> int:
     wspec = make_spec(args.p, args.q, args.r, args.M)
     # One draw of the null law gives both the threshold and the p-value.
-    samples = sample_null(wspec, args.n_mc, seed=args.seed, jobs=args.jobs)
+    samples = sample_null(wspec, args.n_mc, seed=args.seed)
     payload = {
         "p": args.p,
         "q": args.q,

@@ -324,9 +324,7 @@ def calibrate_size(
         f1=spec.f1,
         f2=spec.f2,
     )
-    threshold = critical_value(
-        make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed, jobs=jobs
-    )
+    threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
     stats = _model_statistics(
         null_spec, replications, M, T, window_mode, seed, jobs=jobs
     )
@@ -354,9 +352,7 @@ def power_curve(
     jobs: int = 1,
 ) -> list[PowerPoint]:
     """Rejection rate versus MA order at fixed transfer entropy F."""
-    threshold = critical_value(
-        make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed, jobs=jobs
-    )
+    threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
     points = []
     for order in ma_orders:
         spec = BarnettModelSpec(transfer_entropy=F, ma_order=int(order))
@@ -402,7 +398,7 @@ def roc_curve(
     stats = _model_statistics(
         spec, replications, M, T, window_mode, seed, stream=ma_order + 1, jobs=jobs
     )
-    null_samples = sample_null(make_spec(T, 1, T, M - 1), n_mc, seed=seed, jobs=jobs)
+    null_samples = sample_null(make_spec(T, 1, T, M - 1), n_mc, seed=seed)
     points = []
     for size in sorted(size_grid):
         if not 0.0 < size < 1.0:

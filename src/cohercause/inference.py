@@ -14,6 +14,7 @@ finding of non-causality at that level.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -219,25 +220,35 @@ def _row_views(x: np.ndarray, y: np.ndarray, rows) -> list[np.ndarray]:
     return [(x if ch == "x" else y)[..., off - lo : off - lo + n] for ch, off in rows]
 
 
-def _scaled_gram(rows, center: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Gram G of equal-length rows (a 2-D panel or row views), and scales s.
+def _scaled_gram(rows, center: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram G of equal-length rows (a 2-D panel or row views), and scales u, v.
 
-    Row i is centred if ``center``, divided by s_i, the power of two above its
-    largest deviation, and gathered in column chunks of ``_WINDOW_CHUNK_BYTES``.
-    G is O(M) at any floating-point scale, G_ij s_i s_j is the data-scale Gram
-    exactly, and a centred row of equal samples is zero, so the kernel names it.
+    Row i is divided by u_i, the power of two at or below its largest
+    magnitude, which is exact and leaves it in (-2, 2). There it is centred if
+    ``center`` and divided by v_i, the power of two above its largest
+    deviation, so its scale is s_i = u_i v_i. Rows are gathered in column
+    chunks of ``_WINDOW_CHUNK_BYTES``. No step overflows or inverts a scale,
+    so G is O(M) for any finite rows, subnormal or near the float maximum;
+    G_ij s_i s_j is the data-scale Gram exactly, and a centred row of equal
+    samples is zero, so the kernel names it.
     """
     lo, hi = (np.array([f(v) for v in rows]) for f in (np.min, np.max))
-    means = np.where(lo == hi, lo, [v.mean() for v in rows]) if center else np.zeros_like(lo)
-    scales = np.ldexp(1.0, np.frexp(np.maximum(hi - means, means - lo))[1])
+    unit = np.ldexp(1.0, np.frexp(np.maximum(np.abs(lo), np.abs(hi)))[1] - 1)
+    lo, hi = lo / unit, hi / unit
+    if center:
+        means = np.where(lo == hi, lo, [(v / u).mean() for v, u in zip(rows, unit)])
+    else:
+        means = np.zeros_like(lo)
+    spread = np.ldexp(1.0, np.frexp(np.maximum(hi - means, means - lo))[1])
     chunk = max(1, _WINDOW_CHUNK_BYTES // (len(rows) * 8))
     gram = np.zeros((len(rows), len(rows)))
     for c0 in range(0, len(rows[0]), chunk):
         D = np.array([v[c0 : c0 + chunk] for v in rows])
+        D /= unit[:, None]
         D -= means[:, None]
-        D *= 1.0 / scales[:, None]
+        D /= spread[:, None]
         gram += D @ D.T
-    return gram, scales
+    return gram, unit, spread
 
 
 def lag_embed(x_seq: np.ndarray, y_seq: np.ndarray, spec: LagSpec) -> DataPanel:
@@ -273,7 +284,8 @@ def sample_covariance(panel: DataPanel, center: bool = True) -> CompositeCovaria
     :func:`test_causal_influence` accounts for by using M - 1. S is the
     test's scaled-row Gram multiplied back by s s^T.
     """
-    gram, s = _scaled_gram(panel.data, center)
+    gram, unit, spread = _scaled_gram(panel.data, center)
+    s = unit * spread
     return CompositeCovariance.from_matrix(gram * s[:, None] * s, panel.dims)
 
 
@@ -342,18 +354,19 @@ def test_causal_influence(
     n_mc: int = DEFAULT_N_MC,
     seed: int = DEFAULT_SEED,
     center: bool = True,
-    jobs: int = 1,
 ) -> TestOutcome:
     """Run the partial-coherence causality test on a panel.
 
     ``method`` selects the null law: "wilks-mc" draws the exact
-    Beta-product law by Monte Carlo; "bartlett" uses the chi-squared
-    approximation (cheaper, adequate for large M). The decision fields
-    are mutually consistent: reject_null holds exactly when the
-    statistic exceeds the threshold, and (for continuous statistics and
-    non-integer alpha (n_mc + 1)) exactly when p_value < alpha. So
-    "wilks-mc" raises ``ValueError`` when fewer than 50 of the n_mc null
-    draws fall in a tail.
+    Beta-product law by Monte Carlo, in the calling process, from the
+    shorter of its two equal products (min(p, q) factors, one for the
+    default q = 1; see :func:`sample_null`); "bartlett" uses the
+    chi-squared approximation (cheaper, adequate for large M). The
+    decision fields are mutually consistent: reject_null holds exactly
+    when the statistic exceeds the threshold, and (for continuous
+    statistics and non-integer alpha (n_mc + 1)) exactly when
+    p_value < alpha. So "wilks-mc" raises ``ValueError`` when fewer than
+    50 of the n_mc null draws fall in a tail.
     """
     dims = panel.dims
     m_eff = panel.M - 1 if center else panel.M
@@ -362,7 +375,7 @@ def test_causal_influence(
     gram = _scaled_gram(panel.data, center)[0]
     stat = likelihood_ratio(CompositeCovariance.from_matrix(gram, dims))
     if method == "wilks-mc":
-        samples = sample_null(wspec, n_mc, seed=seed, jobs=jobs)
+        samples = sample_null(wspec, n_mc, seed=seed)
         threshold = _order_statistic_threshold(samples, alpha)
         pv = _mc_p_value(samples, stat)
     elif method == "bartlett":
@@ -391,6 +404,10 @@ def read_sequence_csv(path: str) -> dict[str, np.ndarray]:
     Returns a column-name -> array mapping. Parsing problems and
     non-finite cells (nan, inf) are reported with the 1-based line
     number at which they occur.
+
+    The body is parsed by one ``np.loadtxt`` call. A file it rejects, or
+    whose table has the wrong width, no rows or a non-finite cell, is
+    parsed again row by row, which names the offending line and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -402,7 +419,33 @@ def read_sequence_csv(path: str) -> dict[str, np.ndarray]:
         for required in ("t", "x", "y"):
             if required not in names:
                 raise ValueError(f"{path}: header must include column {required!r}")
-        columns: list[list[float]] = [[] for _ in names]
+        # Blank lines are skipped in both parsers; a body of only blank lines
+        # goes straight to the row-wise one, without loadtxt's no-data warning.
+        body = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
+        first = next(body, None)
+        try:
+            table = None if first is None else np.loadtxt(
+                itertools.chain([first], body), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError:
+            table = None
+    if table is None or table.shape[1] != len(names) or not np.isfinite(table).all():
+        table = _read_rows(path, names)
+    return dict(zip(names, table.T.copy()))
+
+
+def _read_rows(path: str, names: list[str]) -> np.ndarray:
+    """Parse a sequence file's body row by row into a (rows, columns) table.
+
+    Raises ``ValueError`` naming the line of the first ragged row or
+    unparseable cell, else of the first non-finite cell with its column,
+    or saying that there are no data rows.
+    """
+    rows: list[list[float]] = []
+    non_finite = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -410,31 +453,22 @@ def read_sequence_csv(path: str) -> dict[str, np.ndarray]:
                 raise ValueError(
                     f"{path}: line {line_no}: expected {len(names)} fields, got {len(row)}"
                 )
-            for j, cell in enumerate(row):
+            values = []
+            for name, cell in zip(names, row):
                 try:
-                    columns[j].append(float(cell))
+                    values.append(float(cell))
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {line_no}: cannot parse {cell!r} as a number"
                     ) from None
-    if not columns[0]:
-        raise ValueError(f"{path}: no data rows")
-    data = {name: np.asarray(col) for name, col in zip(names, columns)}
-    if not all(np.isfinite(col).all() for col in data.values()):
-        raise ValueError(_locate_non_finite(path, names))
-    return data
-
-
-def _locate_non_finite(path: str, names: list[str]) -> str:
-    """Name the line and column of a file's first nan/inf cell, re-reading it."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for line_no, row in enumerate(reader, start=2):
-            for name, cell in zip(names, row):
-                if not math.isfinite(float(cell)):
-                    return (
+                if non_finite is None and not math.isfinite(values[-1]):
+                    non_finite = (
                         f"{path}: line {line_no}: non-finite value {cell!r} "
                         f"in column {name!r}"
                     )
-    return f"{path}: non-finite value"
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if non_finite is not None:
+        raise ValueError(non_finite)
+    return np.array(rows)

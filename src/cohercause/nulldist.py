@@ -7,18 +7,21 @@ representation is a product of p independent Beta variables
 
     b_i ~ Beta((M - r - q - i + 1) / 2, q / 2),   i = 1..p.
 
-Thresholds and p-values come from Monte Carlo draws of that product;
+Lambda(p, m, q) has the law of Lambda(q, m + q - p, p) (Anderson, An
+Introduction to Multivariate Statistical Analysis, section 8.4), so the
+Monte Carlo draws take the shorter of the two products: min(p, q) Beta
+factors per draw, one for the default influence test (q = 1). Thresholds
+and p-values come from those draws, made in the calling process;
 Bartlett's large-M chi-squared approximation is available as a cheap
 alternative.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, chdtri
 
 from .streams import stream_rng
 
@@ -35,8 +38,8 @@ __all__ = [
 DEFAULT_N_MC = 200_000
 DEFAULT_SEED = 42
 
-# Fixed partition size for the sampling streams; chunk i always uses
-# stream index i, so results are identical for any worker count.
+# Draws come in chunks of this size, chunk i from stream index i, which
+# bounds the temporaries of a large draw.
 _CHUNK = 1 << 16
 
 
@@ -44,8 +47,9 @@ _CHUNK = 1 << 16
 class WilksLambdaSpec:
     """Parameters of the Wilks Lambda null law for given (p, q, r, M).
 
-    ``beta_params`` lists the (a_i, b_i) shape pairs of the independent
-    Beta factors. Requires M - r > p + q for the law to be proper.
+    ``beta_params`` lists the (a_i, b_i) shape pairs of the p independent
+    Beta factors of the paper's form. Requires M - r > p + q for the law
+    to be proper.
     """
 
     p: int
@@ -81,40 +85,30 @@ def _sample_chunk(spec: WilksLambdaSpec, n: int, seed: int, chunk_index: int) ->
     prod = np.ones(n)
     for a, b in spec.beta_params:
         # Two gamma draws per factor; valid for half-integer shapes
-        # (b = q/2 = 0.5 included), unlike some direct Beta samplers.
+        # (a shape of 0.5 included), unlike some direct Beta samplers.
         g1 = rng.gamma(a, size=n)
         g2 = rng.gamma(b, size=n)
         prod *= g1 / (g1 + g2)
     return 1.0 - prod
 
 
-def sample_null(
-    spec: WilksLambdaSpec, n: int, seed: int = DEFAULT_SEED, jobs: int = 1
-) -> np.ndarray:
+def sample_null(spec: WilksLambdaSpec, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Draw n i.i.d. samples of the null statistic 1 - prod b_i.
 
-    Deterministic in (spec, n, seed): the draw is partitioned into
-    fixed-size chunks with one derived stream each, so the result does
-    not depend on ``jobs``.
+    The product drawn is the shorter of the paper's p factors,
+    ``spec.beta_params``, and the q factors of the equal law
+    Lambda(q, m + q - p, p), ``make_spec(q, p, r, M).beta_params``.
+    Deterministic in (spec, n, seed): chunk i of ``_CHUNK`` draws comes
+    from stream (seed, i). The draws are made in the calling process.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sizes = [_CHUNK] * (n // _CHUNK)
-    if n % _CHUNK:
-        sizes.append(n % _CHUNK)
-    if jobs > 1 and len(sizes) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    _sample_chunk,
-                    [spec] * len(sizes),
-                    sizes,
-                    [seed] * len(sizes),
-                    range(len(sizes)),
-                )
-            )
-    else:
-        parts = [_sample_chunk(spec, size, seed, i) for i, size in enumerate(sizes)]
+    if spec.q < spec.p:
+        spec = make_spec(spec.q, spec.p, spec.r, spec.M)
+    parts = [
+        _sample_chunk(spec, min(_CHUNK, n - start), seed, i)
+        for i, start in enumerate(range(0, n, _CHUNK))
+    ]
     return np.concatenate(parts)
 
 
@@ -150,14 +144,13 @@ def critical_value(
     alpha: float,
     n_mc: int = DEFAULT_N_MC,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
 ) -> float:
     """Monte Carlo (1 - alpha)-quantile of the null statistic.
 
     Reject the null when the observed statistic exceeds the returned
     threshold.
     """
-    return _order_statistic_threshold(sample_null(spec, n_mc, seed=seed, jobs=jobs), alpha)
+    return _order_statistic_threshold(sample_null(spec, n_mc, seed=seed), alpha)
 
 
 def p_value(
@@ -165,10 +158,9 @@ def p_value(
     stat: float,
     n_mc: int = DEFAULT_N_MC,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
 ) -> float:
     """Add-one-smoothed Monte Carlo p-value, (k + 1) / (n + 1)."""
-    return _mc_p_value(sample_null(spec, n_mc, seed=seed, jobs=jobs), stat)
+    return _mc_p_value(sample_null(spec, n_mc, seed=seed), stat)
 
 
 def _bartlett_factor(spec: WilksLambdaSpec) -> float:
@@ -184,12 +176,12 @@ def bartlett_pvalue(spec: WilksLambdaSpec, stat: float) -> float:
     if not 0.0 <= stat < 1.0:
         raise ValueError(f"statistic must lie in [0, 1), got {stat}")
     transformed = -_bartlett_factor(spec) * math.log1p(-stat)
-    return float(stats.chi2.sf(transformed, spec.p * spec.q))
+    return float(chdtrc(spec.p * spec.q, transformed))
 
 
 def bartlett_critical_value(spec: WilksLambdaSpec, alpha: float) -> float:
     """Threshold on the statistic implied by the Bartlett approximation."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    chi2_crit = stats.chi2.isf(alpha, spec.p * spec.q)
+    chi2_crit = chdtri(spec.p * spec.q, alpha)
     return float(-math.expm1(-chi2_crit / _bartlett_factor(spec)))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -19,6 +20,7 @@ from cohercause import (
     likelihood_ratio,
     read_sequence_csv,
     sample_covariance,
+    write_sequence_csv,
 )
 from cohercause import test_causal_influence as causal_influence_test
 
@@ -330,6 +332,20 @@ class TestLikelihoodRatio:
             causal_influence_test(panel, method="bartlett").statistic, abs=2e-14
         )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-310, 1e307])
+    def test_causal_influence_beyond_normal_range(self, scale):
+        # Subnormal x rows (1 / s would overflow) and x rows near the float
+        # maximum (their sum would overflow). At 1e-310 the subnormal x
+        # samples keep about 44 significant bits.
+        panel = barnett_panel(length=5000)
+        data = panel.data.copy()
+        data[: panel.dims.p] *= scale
+        scaled = DataPanel(data=data, dims=panel.dims, meta=panel.meta)
+        assert causal_influence_test(scaled, method="bartlett").statistic == pytest.approx(
+            causal_influence_test(panel, method="bartlett").statistic, abs=2e-14
+        )
+
     def test_column_permutation_invariance(self):
         panel = barnett_panel(length=600, T=3)
         rng = np.random.default_rng(4)
@@ -476,3 +492,96 @@ class TestSequenceCsvErrors:
         message = "line 3: non-finite value 'inf' in column 'w'"
         with pytest.raises(ValueError, match=message):
             read_sequence_csv(str(f))
+
+
+def reference_read_sequence_csv(path):
+    """Reference: the row-wise reader that parsed every file before loadtxt."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        names = [h.strip() for h in header]
+        for required in ("t", "x", "y"):
+            if required not in names:
+                raise ValueError(f"{path}: header must include column {required!r}")
+        columns = [[] for _ in names]
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ValueError(
+                    f"{path}: line {line_no}: expected {len(names)} fields, got {len(row)}"
+                )
+            for j, cell in enumerate(row):
+                try:
+                    columns[j].append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {line_no}: cannot parse {cell!r} as a number"
+                    ) from None
+    if not columns[0]:
+        raise ValueError(f"{path}: no data rows")
+    data = {name: np.asarray(col) for name, col in zip(names, columns)}
+    if not all(np.isfinite(col).all() for col in data.values()):
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for line_no, row in enumerate(reader, start=2):
+                for name, cell in zip(names, row):
+                    if not math.isfinite(float(cell)):
+                        raise ValueError(
+                            f"{path}: line {line_no}: non-finite value {cell!r} "
+                            f"in column {name!r}"
+                        )
+    return data
+
+
+CSV_EDGE_FILES = {
+    "blank-lines": "t,x,y\n0,1,2\n\n1,2,3\n\n",
+    "leading-blank-lines": "t,x,y\n\n\r\n0,1,2\n",
+    "whitespace-only-line": "t,x,y\n0,1,2\n   \n1,2,3\n",
+    "spaces-around-cells": "t,x,y\n0, 1.5 ,2\n1,\t2\t, 3\n",
+    "quoted-cells": 't,x,y\n0,"1.5",2\n1,2,"3"\n',
+    "underscore-digits": "t,x,y\n0,1_0,2\n",
+    "crlf": "t,x,y\r\n0,1,2\r\n1,2,3\r\n",
+    "no-final-newline": "t,x,y\n0,1,2\n1,2,3",
+    "trailing-comma": "t,x,y\n0,1,2,\n",
+    "hash-cell": "t,x,y\n0,1,2\n1,#,3\n",
+    "infinity": "t,x,y\n0,1,2\n1,Infinity,3\n",
+    "overflow": "t,x,y\n0,1e400,2\n",
+    "nan-before-parse-error": "t,x,y\n0,nan,2\n1,oops,3\n",
+    "header-only": "t,x,y\n",
+    "header-and-blank-lines": "t,x,y\n\n\r\n",
+    "extra-channels": "t,x,y,w\n0,1,2,9\n1,1.5,2.5,8\n",
+    "too-few-fields-throughout": "t,x,y\n0,1\n1,2\n",
+    "padded-header": " t , x ,y\n0,1,2\n",
+    "one-row": "t,x,y\n0,-1.25e-3,7\n",
+}
+
+
+class TestSequenceCsvReference:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(CSV_EDGE_FILES))
+    def test_matches_row_wise_reader(self, tmp_path, name):
+        f = tmp_path / f"{name}.csv"
+        f.write_bytes(CSV_EDGE_FILES[name].encode())
+        try:
+            expected = reference_read_sequence_csv(str(f))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                read_sequence_csv(str(f))
+            assert str(info.value) == str(exc)
+            return
+        data = read_sequence_csv(str(f))
+        assert list(data) == list(expected)
+        for key, col in expected.items():
+            assert np.array_equal(data[key], col)
+
+    def test_simulated_pair_matches_row_wise_reader(self, tmp_path):
+        x, y = gen_barnett(BarnettModelSpec(transfer_entropy=0.02, ma_order=1), 2000, 3)
+        f = tmp_path / "pair.csv"
+        write_sequence_csv(str(f), x, y)
+        data, expected = read_sequence_csv(str(f)), reference_read_sequence_csv(str(f))
+        assert all(np.array_equal(data[k], expected[k]) for k in ("t", "x", "y"))

@@ -13,6 +13,42 @@ from cohercause import (
 )
 from cohercause.nulldist import _CHUNK, _order_statistic_threshold
 
+# Every (p, q) with min(p, q) <= 2 has a closed-form law; (r, M) is shared.
+EXACT_DIMS = [(10, 1), (1, 1), (3, 2), (2, 5)]
+EXACT_R_M = (4, 50)
+
+
+class _LambdaFromF:
+    """Law of Lambda = (1 + f / c)^-2 with f ~ F(d1, d2)."""
+
+    def __init__(self, c, d1, d2):
+        self.c, self.f = c, stats.f(d1, d2)
+
+    def cdf(self, lam):
+        return self.f.sf(self.c * (np.asarray(lam) ** -0.5 - 1.0))
+
+    def ppf(self, prob):
+        return (1.0 + self.f.isf(prob) / self.c) ** -2
+
+    def pdf(self, lam):
+        return self.f.pdf(self.c * (lam**-0.5 - 1.0)) * self.c / 2.0 * lam**-1.5
+
+
+def exact_lambda_law(p, q, r, M):
+    """Closed-form law of Lambda(p, m, q) = 1 - statistic, m = M - r - q.
+
+    Lambda(p, m, q) has the law of Lambda(q, m + q - p, p), so write it as
+    Lambda(P, N, Q) with Q = min(p, q) (Anderson, section 8.4). Q = 1 gives
+    Beta((N - P + 1)/2, P/2); Q = 2 gives (1 - sqrt L)/sqrt L (N - P + 1)/P
+    ~ F(2P, 2(N - P + 1)).
+    """
+    m = M - r - q
+    P, N, Q = (p, m, q) if q <= p else (q, m + q - p, p)
+    if Q == 1:
+        return stats.beta((N - P + 1) / 2, P / 2)
+    assert Q == 2
+    return _LambdaFromF((N - P + 1) / P, 2 * P, 2 * (N - P + 1))
+
 
 class TestMakeSpec:
     def test_simple_substitution(self):
@@ -58,19 +94,19 @@ class TestSampleNull:
 
     def test_deterministic_given_seed(self):
         spec = make_spec(2, 1, 1, 25)
-        assert_allclose(
-            sample_null(spec, 500, seed=9), sample_null(spec, 500, seed=9)
-        )
+        n = _CHUNK + 17  # spans two chunks
+        assert_allclose(sample_null(spec, n, seed=9), sample_null(spec, n, seed=9))
         assert not np.allclose(
-            sample_null(spec, 500, seed=9), sample_null(spec, 500, seed=10)
+            sample_null(spec, n, seed=9), sample_null(spec, n, seed=10)
         )
 
-    def test_worker_count_does_not_change_samples(self):
-        spec = make_spec(1, 1, 0, 9)
-        n = _CHUNK + 17  # spans two chunks
-        assert_allclose(
-            sample_null(spec, n, seed=4, jobs=1), sample_null(spec, n, seed=4, jobs=2)
-        )
+    @pytest.mark.parametrize("p, q", EXACT_DIMS)
+    def test_matches_closed_form_law(self, p, q):
+        # (10, 1) and (3, 2) draw the swapped product, (1, 1) and (2, 5)
+        # the paper's own.
+        samples = sample_null(make_spec(p, q, *EXACT_R_M), 200_000, seed=31)
+        ks = stats.kstest(1.0 - samples, exact_lambda_law(p, q, *EXACT_R_M).cdf)
+        assert ks.pvalue > 1e-3
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -102,6 +138,15 @@ class TestCriticalValue:
             for M in (100, 300, 1000)
         ]
         assert thresholds[0] > thresholds[1] > thresholds[2]
+
+    @pytest.mark.parametrize("p, q", EXACT_DIMS)
+    def test_threshold_within_five_standard_errors(self, p, q):
+        n_mc, alpha = 200_000, 0.05
+        law = exact_lambda_law(p, q, *EXACT_R_M)
+        lam = law.ppf(alpha)
+        se = np.sqrt(alpha * (1 - alpha) / n_mc) / law.pdf(lam)
+        thr = critical_value(make_spec(p, q, *EXACT_R_M), alpha, n_mc=n_mc, seed=37)
+        assert abs(thr - (1.0 - lam)) < 5 * se
 
     def test_insufficient_tail_resolution(self):
         with pytest.raises(ValueError, match="tail resolution"):
