@@ -5,14 +5,18 @@ offsets (for data, the test's scaled-row Gram over the columns they share)
 and hands every offset's composite, a principal sub-matrix of it, to the
 Cholesky kernel in one batched call. Monte Carlo replications, O(1) by
 construction, hand whole stacks of unscaled sample covariances to the same
-kernel, one call per chunk of panels. Each study computes its null
+kernel, one call per chunk of replications. Each study computes its null
 threshold once per call, from the same seeded null law that the test uses.
 
 Two replication modes mirror the two window modes of the embedding:
-"independent-realizations" draws panel columns i.i.d. from the exact
-population covariance of the lag window (the model is Gaussian linear,
-so this is the distribution of fully independent realizations, without
-simulating and mostly discarding millions of burn-in samples);
+"independent-realizations" treats the M panel columns as i.i.d. draws from
+the exact population covariance of the lag window (the model is Gaussian
+linear, so this is the distribution of fully independent realizations,
+without simulating and mostly discarding millions of burn-in samples). The
+statistic sees the panel only through its Gram, which is then Wishart with
+M - 1 degrees of freedom (M uncentred), so each replication draws the Gram
+by the Bartlett decomposition and no panel is formed. Chunk i of
+replications consumes stream (seed, stream, i) whatever the worker count.
 "consecutive-windows" simulates one long sequence and carves it into
 back-to-back windows, reproducing the original experimental protocol
 with its weakly dependent columns. Its panel rows are laid out by
@@ -134,8 +138,18 @@ def _mvn_chunk_stats(
     chol: np.ndarray, p: int, q: int, r: int, M: int, n: int, seed: int, stream: int,
     index: int, center: bool,
 ) -> np.ndarray:
-    D = chol @ stream_rng(seed, stream, index).standard_normal((n, p + q + r, M))
-    return _panel_statistic(D, p, q, r, center)
+    # Bartlett: A A^T ~ W(df, I) for lower-triangular A with N(0, 1) below
+    # the diagonal and sqrt(chi2(df - i)) at (i, i), so the k-column panel
+    # chol A has a Gram with the law of the M-column panel's.
+    k = p + q + r
+    df = M - 1 if center else M
+    rng = stream_rng(seed, stream, index)
+    i, j = np.tril_indices(k, -1)
+    d = np.arange(k)
+    A = np.zeros((n, k, k))
+    A[:, i, j] = rng.standard_normal((n, i.size))
+    A[:, d, d] = np.sqrt(rng.chisquare(df - d, (n, k)))
+    return _panel_statistic(chol @ A, p, q, r, center=False)
 
 
 def _independent_stats(
@@ -152,6 +166,10 @@ def _independent_stats(
 ) -> np.ndarray:
     """Statistics from panels of M i.i.d. N(0, population) columns.
 
+    Only the panel Gram enters the statistic, and its law is Wishart:
+    W(M - 1, population) centred, W(M, population) uncentred. Each
+    replication draws that Gram directly by the Bartlett decomposition,
+    k(k + 1)/2 numbers for k = p + q + r rows instead of the panel's k M.
     Chunk i always consumes stream (seed, stream, i), so the result is
     independent of the worker count.
     """
@@ -219,6 +237,8 @@ def _model_statistics(
     center: bool = True,
     jobs: int = 1,
 ) -> np.ndarray:
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
     if window_mode == "independent-realizations":
         population = lag_window_covariance(spec, T).entries
         return _independent_stats(
@@ -352,20 +372,22 @@ def power_curve(
     jobs: int = 1,
 ) -> list[PowerPoint]:
     """Rejection rate versus MA order at fixed transfer entropy F."""
+    ma_orders = [int(order) for order in ma_orders]
+    if not ma_orders:
+        raise ValueError("ma_orders is empty; give at least one MA order")
     threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
     points = []
     for order in ma_orders:
-        spec = BarnettModelSpec(transfer_entropy=F, ma_order=int(order))
+        spec = BarnettModelSpec(transfer_entropy=F, ma_order=order)
         # One independent substream per MA order.
         stats = _model_statistics(
-            spec, replications, M, T, window_mode, seed,
-            stream=int(order) + 1, jobs=jobs,
+            spec, replications, M, T, window_mode, seed, stream=order + 1, jobs=jobs
         )
         power = float(np.mean(stats > threshold))
         se = math.sqrt(max(power * (1 - power), 1e-12) / replications)
         points.append(
             PowerPoint(
-                ma_order=int(order),
+                ma_order=order,
                 power=power,
                 std_error=se,
                 alpha=alpha,

@@ -203,6 +203,36 @@ class TestPowerRocCalibrate:
         assert 0.0 <= payload["achieved_size"] <= 0.15
         assert payload["window_mode"] == "independent-realizations"
 
+    @pytest.mark.parametrize("window_mode", ["consecutive-windows", "independent-realizations"])
+    @pytest.mark.parametrize(
+        "command, replications",
+        [("power", "0"), ("power", "-5"), ("roc", "0")],
+    )
+    def test_no_replications_names_replications(
+        self, tmp_path, capsys, command, replications, window_mode
+    ):
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--replications", replications, "--M", "150", "--T", "2",
+            "--n-mc", "20000", "--window-mode", window_mode, "--output", str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"cohercause: error: replications must be >= 1, got {replications}\n"
+        )
+        assert not out_csv.exists()
+
+    def test_empty_order_range_rejected(self, tmp_path, capsys):
+        out_csv = tmp_path / "power.csv"
+        code, out, err = run_cli(
+            capsys, "power", "--orders", "5..2", "--output", str(out_csv)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "cohercause: error: ma_orders is empty; give at least one MA order\n"
+        assert not out_csv.exists()
+
 
 class TestParser:
     def test_usage_error_exits_two(self):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from cohercause import (
     BarnettModelSpec,
@@ -29,6 +30,7 @@ from cohercause.coherence import _log_det_q
 from cohercause.experiments import (
     _consecutive_stats,
     _independent_stats,
+    _panel_statistic,
     write_map_csv,
     write_power_csv,
     write_roc_csv,
@@ -64,6 +66,25 @@ def per_window_consecutive_stats(x, y, T, M, n_windows, center=True, chunk=250):
         S = D @ np.swapaxes(D, 1, 2)
         out[w0 : w0 + len(batch)] = -np.expm1(_log_det_q(S, T, 1, T))
     return out
+
+
+def panel_independent_stats(population, p, q, r, M, replications, seed, center):
+    """Reference: each replication's Gram formed from an i.i.d. panel.
+
+    Chunk i draws its (n, k, M) panel of M i.i.d. N(0, population) columns
+    from stream (seed, i) and hands it to ``_panel_statistic``.
+    """
+    chol = np.linalg.cholesky(population)
+    parts = [
+        _panel_statistic(
+            chol @ np.random.default_rng([seed, i]).standard_normal(
+                (min(200, replications - s), p + q + r, M)
+            ),
+            p, q, r, center,
+        )
+        for i, s in enumerate(range(0, replications, 200))
+    ]
+    return np.concatenate(parts)
 
 
 def per_cell_analytic_map(model, s_range, t_range, conditioning, T_cond):
@@ -265,6 +286,49 @@ class TestBatchedFastPath:
         a = _independent_stats(population, 3, 1, 3, 80, 450, seed=3, jobs=1)
         b = _independent_stats(population, 3, 1, 3, 80, 450, seed=3, jobs=2)
         assert_allclose(a, b)
+
+
+def random_population(k, seed):
+    a = np.random.default_rng(seed).standard_normal((k, 3 * k))
+    return a @ a.T / (3 * k)
+
+
+class TestWishartDraw:
+    """The Bartlett draw of each Gram has the law of the i.i.d.-panel Gram.
+
+    Fixed seeds; each KS gate sits at the 0.999 critical value (p > 1e-3).
+    """
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize(
+        "p, q, r, M, population",
+        [
+            pytest.param(3, 1, 3, 80, lag_window_covariance(
+                BarnettModelSpec(transfer_entropy=0.1, ma_order=2), 3
+            ).entries, id="barnett-T3"),
+            pytest.param(2, 2, 1, 30, random_population(5, 4), id="random-q2"),
+            # condition number ~1.2e9
+            pytest.param(10, 1, 10, 200, lag_window_covariance(
+                BarnettModelSpec(transfer_entropy=0.02, ma_order=10), 10
+            ).entries, id="barnett-ma10-T10"),
+        ],
+    )
+    def test_matches_panel_reference(self, p, q, r, M, population, center):
+        drawn = _independent_stats(population, p, q, r, M, 4000, seed=1, center=center)
+        panels = panel_independent_stats(population, p, q, r, M, 4000, 2, center)
+        assert stats.ks_2samp(drawn, panels).pvalue > 1e-3
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("T, M, ma_order", [(3, 12, 1), (3, 80, 1), (10, 200, 10)])
+    def test_null_matches_closed_form(self, T, M, ma_order, center):
+        population = lag_window_covariance(
+            BarnettModelSpec(transfer_entropy=0.0, ma_order=ma_order), T
+        ).entries
+        drawn = _independent_stats(population, T, 1, T, M, 4000, seed=3, center=center)
+        # q = 1: 1 - rho2 ~ Beta((m - p + 1)/2, p/2), m = df - r - q.
+        m = (M - 1 if center else M) - T - 1
+        law = stats.beta((m - T + 1) / 2, T / 2)
+        assert stats.kstest(1.0 - drawn, law.cdf).pvalue > 1e-3
 
 
 class TestCoherenceMap:
