@@ -2,11 +2,11 @@
 
 One binary, subcommand style. All randomness flows from a single --seed
 flag (default 42, never time-based); the same configuration and seed
-produce byte-identical output files. --jobs (default: all cores), which
-the COHERCAUSE_JOBS environment variable overrides as a default, sizes
-the process pool of the independent-realization study replications; the
-null law is drawn in the calling process. Exit codes: 0 success, 1
-runtime error, 2 usage error.
+produce byte-identical output files. --jobs (at least 1; default: all
+cores), which the COHERCAUSE_JOBS environment variable overrides as a
+default, sizes the process pool of the independent-realization study
+replications; the null law is drawn in the calling process. Exit codes:
+0 success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -397,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", None) is None:
         args.jobs = _default_jobs()
+    elif args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     if getattr(args, "fast", False):
         args.replications = FAST_REPLICATIONS
     try:

@@ -18,10 +18,10 @@ Every production caller (the test statistic, both kinds of map, the
 Monte Carlo studies) reaches rho2 through one batched kernel,
 ``_log_det_q``: a single Cholesky factorization of the composite
 reordered to (z, x, y), from which log(1 - rho2) follows without
-subtracting log-determinants. The other routes to the same number (the
-singular values of the coherence matrix, x regressed onto (y, z), the
-inverse-block readout) are kept as public functions and compared
-against the kernel in the tests.
+subtracting log-determinants; ``partial_coherence`` reads every field
+from that factor. The other routes (the singular values of the
+symmetric-root coherence matrix, x regressed onto (y, z), the
+inverse-block readout) are public and checked against it in the tests.
 """
 from __future__ import annotations
 
@@ -35,9 +35,7 @@ from .covariance import (
     CompositeCovariance,
     CovarianceError,
     _checked_cholesky,
-    conditional_covariances,
     inv_sqrt_spd,
-    log_det_spd,
     schur_complement,
 )
 
@@ -73,7 +71,9 @@ class PartialCoherenceResult:
     canonical_correlations : ndarray
         Partial canonical correlations k_i, descending, length min(p, q).
     coherence_matrix : ndarray
-        The p-by-q whitened conditional cross-covariance.
+        The p-by-q whitened cross-covariance W^T (I + W W^T)^{-1/2} of the
+        kernel's factor. Its singular values are exactly the canonical
+        correlations; it equals :func:`coherence_matrix` up to rotations.
     det_q : float
         Determinant of the normalized error covariance, 1 - rho2.
     """
@@ -115,14 +115,13 @@ class SpectralCoherence:
     broadband_rho2: float
 
 
-def _log_det_q(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
-    """log(1 - rho2) for each (x, y, z)-ordered Gram of a (..., n, n) stack.
+def _whitened_cross(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
+    """W = L_yy^{-1} L_yx for each (x, y, z)-ordered Gram of a (..., n, n) stack.
 
-    The Gram is reordered to (z, x, y) and factored once, S = L L^T. With
-    W = L_yy^{-1} L_yx, 1 - rho2 = det S_yy|xz / det S_yy|z
-    = 1 / det(I_q + W W^T), so no two log-determinants are subtracted.
-    The log is returned because 1 - rho2 itself can round to zero for
-    large blocks; callers take rho2 = -expm1(log) and det_q = exp(log).
+    The Gram is reordered to (z, x, y) and factored once, S = L L^T. Then
+    S_yy|xz = L_yy L_yy^T and S_yy|z = L_yy (I_q + W W^T) L_yy^T, so
+    1 - rho2 = det S_yy|xz / det S_yy|z = 1 / det(I_q + W W^T), and with
+    lam the eigenvalues of W W^T, k^2 = lam / (1 + lam).
 
     Raises
     ------
@@ -142,7 +141,16 @@ def _log_det_q(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
             "y given (x, z)",
         )
         raise CovarianceError(f"{name} is rank-deficient")
-    W = np.linalg.solve(L[..., r + p :, r + p :], L[..., r + p :, r : r + p])
+    return np.linalg.solve(L[..., r + p :, r + p :], L[..., r + p :, r : r + p])
+
+
+def _log_det_q(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
+    """log(1 - rho2) = -log det(I_q + W W^T) for each (x, y, z)-ordered Gram.
+
+    The log is returned because 1 - rho2 itself can round to zero for
+    large blocks; callers take rho2 = -expm1(log) and det_q = exp(log).
+    """
+    W = _whitened_cross(S, p, q, r)
     k2 = np.linalg.eigvalsh(W @ np.swapaxes(W, -1, -2))
     # Rounding can leave an eigenvalue marginally below zero.
     return np.minimum(-np.sum(np.log1p(k2), axis=-1), 0.0)
@@ -154,13 +162,14 @@ def coherence_matrix(R: CompositeCovariance) -> np.ndarray:
     Here A = R_xx|z, B = R_xy|z, D = R_yy|z. All singular values of the
     result lie in [0, 1] up to rounding.
     """
-    cond = conditional_covariances(R)
+    p = R.dims.p
+    uu = schur_complement(R, "uu")
     try:
-        wx = inv_sqrt_spd(cond.xx_z)
-        wy = inv_sqrt_spd(cond.yy_z)
+        wx = inv_sqrt_spd(uu[:p, :p])
+        wy = inv_sqrt_spd(uu[p:, p:])
     except CovarianceError as exc:
         raise CovarianceError(f"degenerate conditional covariance: {exc}") from None
-    return wx @ cond.xy_z @ wy
+    return wx @ uu[:p, p:] @ wy
 
 
 def partial_canonical_correlations(C: np.ndarray) -> np.ndarray:
@@ -175,29 +184,27 @@ def partial_canonical_correlations(C: np.ndarray) -> np.ndarray:
 def partial_coherence(R: CompositeCovariance) -> PartialCoherenceResult:
     """Partial coherence of x and y given z, with full diagnostics.
 
-    rho2 and det_q come from the Cholesky kernel; the canonical
-    correlations are the singular values of :func:`coherence_matrix`.
-
-    Returns
-    -------
-    PartialCoherenceResult
-        rho2, the partial canonical correlations, the coherence matrix
-        and det_q = 1 - rho2.
+    Every field of the result comes from the kernel's one Cholesky
+    factor: with lam the eigenvalues of W W^T (:func:`_whitened_cross`),
+    clamped at 0, det_q = 1 / prod(1 + lam) and k^2 = lam / (1 + lam).
 
     Raises
     ------
     CovarianceError
-        If a block is rank-deficient (the message names it), or a
-        conditional covariance is not positive definite after the
-        jitter policy.
+        If a block is rank-deficient; the message names it (z, x given z
+        or y given (x, z)).
     """
     dims = R.dims
-    log_det_q = float(_log_det_q(R.entries, dims.p, dims.q, dims.r))
-    C = coherence_matrix(R)
+    W = _whitened_cross(R.entries, dims.p, dims.q, dims.r)
+    lam, V = np.linalg.eigh(W @ W.T)
+    # When p < q, q - p eigenvalues are zero and can round below it.
+    lam = np.maximum(lam, 0.0)
+    log_det_q = -float(np.sum(np.log1p(lam)))
+    k = np.sqrt(lam / (1.0 + lam))[::-1][: min(dims.p, dims.q)]
     return PartialCoherenceResult(
         rho2=-math.expm1(log_det_q),
-        canonical_correlations=partial_canonical_correlations(C),
-        coherence_matrix=C,
+        canonical_correlations=np.minimum(k, K_CLAMP),
+        coherence_matrix=W.T @ (V / np.sqrt(1.0 + lam)) @ V.T,
         det_q=math.exp(log_det_q),
     )
 
@@ -207,12 +214,16 @@ def partial_coherence_one_onto_two(R: CompositeCovariance) -> float:
 
     Normalizes the error covariance of x given v by the error covariance
     of x given z alone. Equal to ``partial_coherence(R).rho2``; kept as
-    an independent route, which the tests hold the kernel against.
+    an independent route, which the tests hold the kernel against. A
+    rank-deficient x given z or x given (y, z) raises, by name.
     """
-    xx_v = schur_complement(R, "xx_v")
-    xx_z = schur_complement(R, "xx")
-    log_det_p = log_det_spd(xx_v) - log_det_spd(xx_z)
-    return 1.0 - min(math.exp(log_det_p), 1.0)
+    log_det = {}
+    for name, target in (("x given z", "xx"), ("x given (y, z)", "xx_v")):
+        L = _checked_cholesky(schur_complement(R, target))
+        if L is None:
+            raise CovarianceError(f"{name} is rank-deficient")
+        log_det[target] = 2.0 * np.sum(np.log(np.diag(L)))
+    return 1.0 - min(math.exp(log_det["xx_v"] - log_det["xx"]), 1.0)
 
 
 def conditional_estimator_gain(R: CompositeCovariance) -> np.ndarray:
@@ -222,12 +233,13 @@ def conditional_estimator_gain(R: CompositeCovariance) -> np.ndarray:
     x̂(v) = x̂(z) + G (y - ŷ(z)) with G = R_xy|z R_yy|z^{-1}; a zero gain
     means y contributes nothing once z is accounted for.
     """
-    cond = conditional_covariances(R)
+    p = R.dims.p
+    uu = schur_complement(R, "uu")
     try:
-        cf = la.cho_factor(cond.yy_z, lower=True)
+        cf = la.cho_factor(uu[p:, p:], lower=True)
     except la.LinAlgError:
         raise CovarianceError("degenerate conditional covariance of y given z") from None
-    return la.cho_solve(cf, cond.xy_z.T).T
+    return la.cho_solve(cf, uu[:p, p:].T).T
 
 
 def information_measures(result: PartialCoherenceResult | float) -> InformationMeasures:

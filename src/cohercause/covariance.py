@@ -4,13 +4,9 @@ Covariance matrices over three stacked random vectors x (dim p), y (dim q)
 and z (dim r) are stored whole, with named block accessors. The module
 provides the conditional (Schur-complement) covariances obtained by
 regressing out z or (y, z), the inverse-block readout that recovers the
-same quantities from the precision matrix, and the SPD primitives
-(inverse square root, log-determinant) everything downstream is built on.
-
-All determinants are taken in the log domain through Cholesky factors;
-determinant ratios are formed by subtracting log-determinants, never by
-dividing determinants, so that high-dimensional sample covariances do not
-underflow.
+same quantities from the precision matrix, and SPD primitives (inverse
+square root, log-determinant). Determinants are taken in the log domain
+through Cholesky factors, so high-dimensional covariances do not underflow.
 """
 from __future__ import annotations
 
@@ -36,18 +32,15 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 
-# Ill-conditioning rule: a Cholesky factorization fails it when LAPACK
-# fails or a relative pivot L_ii^2 / S_ii falls below 1 / COND_LIMIT. The
-# statistic kernel in coherence.py reports such a block as rank-deficient;
-# the conditional covariances here add JITTER_SCALE * mean(diag) to the
-# diagonal and retry once.
+# Ill-conditioning rule: a Cholesky factorization fails it when LAPACK fails
+# or a relative pivot L_ii^2 / S_ii falls below 1 / COND_LIMIT. Every route
+# reports such a block as rank-deficient, by name; none is regularized.
 COND_LIMIT = 1e12
-JITTER_SCALE = 1e-10
 
 
 class CovarianceError(ValueError):
     """Raised when a matrix violates a covariance contract (shape, symmetry,
-    positive semidefiniteness, or singularity beyond the jitter policy)."""
+    positive semidefiniteness) or a block fails the ill-conditioning rule."""
 
 
 @dataclass(frozen=True)
@@ -262,23 +255,18 @@ def _checked_cholesky(S: np.ndarray) -> np.ndarray | None:
     return L if np.all(pivots >= 1.0 / COND_LIMIT) else None
 
 
-def _solve_conditioning(rbb: np.ndarray, rab: np.ndarray) -> np.ndarray:
-    """Return ``rab @ rbb^{-1} @ rab.T`` with the diagonal-jitter retry.
+def _solve_conditioning(rbb: np.ndarray, rab: np.ndarray, block: str) -> np.ndarray:
+    """``rab @ rbb^{-1} @ rab.T`` through one checked Cholesky factor of ``rbb``.
 
-    ``rbb`` is the covariance of the conditioning block; an empty block
-    yields a zero correction (conditioning on nothing). The jitter is
-    added only when the Cholesky factor of ``rbb`` fails the relative
-    pivot rule of the statistic kernel.
+    An empty ``rbb`` gives a zero correction (conditioning on nothing); a
+    factor that fails the pivot rule raises ``"<block> is rank-deficient"``.
     """
     if rbb.shape[0] == 0:
         return np.zeros((rab.shape[0], rab.shape[0]))
-    if _checked_cholesky(rbb) is None:
-        rbb = rbb + JITTER_SCALE * np.mean(np.diag(rbb)) * np.eye(rbb.shape[0])
-        if _checked_cholesky(rbb) is None:
-            raise CovarianceError(
-                "conditioning block is singular beyond the jitter policy"
-            )
-    return rab @ la.cho_solve(la.cho_factor(rbb, lower=True), rab.T)
+    L = _checked_cholesky(rbb)
+    if L is None:
+        raise CovarianceError(f"{block} is rank-deficient")
+    return rab @ la.cho_solve((L, True), rab.T)
 
 
 def schur_complement(R: CompositeCovariance, target: str) -> np.ndarray:
@@ -299,13 +287,13 @@ def schur_complement(R: CompositeCovariance, target: str) -> np.ndarray:
         unchanged (conditioning on nothing).
     """
     if target == "uu":
-        m = R.uu - _solve_conditioning(R.zz, R.uz)
+        m = R.uu - _solve_conditioning(R.zz, R.uz, "z")
     elif target == "xx":
-        m = R.xx - _solve_conditioning(R.zz, R.xz)
+        m = R.xx - _solve_conditioning(R.zz, R.xz, "z")
     elif target == "yy":
-        m = R.yy - _solve_conditioning(R.zz, R.yz)
+        m = R.yy - _solve_conditioning(R.zz, R.yz, "z")
     elif target == "xx_v":
-        m = R.xx - _solve_conditioning(R.vv, R.xv)
+        m = R.xx - _solve_conditioning(R.vv, R.xv, "(y, z)")
     else:
         raise ValueError(f"unknown target {target!r}; expected uu, xx, yy or xx_v")
     return 0.5 * (m + m.T)

@@ -3,7 +3,9 @@ import numpy as np
 
 from cohercause import BlockDims, CompositeCovariance
 
-CORPUS_DIMS = (BlockDims(1, 1, 1), BlockDims(3, 2, 4), BlockDims(5, 5, 2))
+CORPUS_DIMS = (
+    BlockDims(1, 1, 1), BlockDims(3, 2, 4), BlockDims(5, 5, 2), BlockDims(2, 5, 3),
+)
 
 
 def random_pd(rng, n, jitter=0.5):

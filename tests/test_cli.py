@@ -260,6 +260,13 @@ class TestParser:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--fast", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+
     def test_bad_jobs_env(self, monkeypatch):
         monkeypatch.setenv("COHERCAUSE_JOBS", "lots")
         with pytest.raises(SystemExit):

@@ -167,6 +167,30 @@ class TestKernelAgainstReferenceRoutes:
         assert abs(res.rho2 - (1.0 - det_q_svd)) <= allowance
         assert abs(res.rho2 - partial_coherence_one_onto_two(R)) <= 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(CORPUS_DIMS),
+        st.sampled_from([0.5, 1e-3, 1e-6]),
+    )
+    def test_canonical_correlations_match_svd_route(self, seed, dims, jitter):
+        # The kernel reads k from the eigenvalues of W W^T; the reference
+        # takes the singular values of the symmetric-root coherence matrix.
+        # k^2 is compared: a small k carries the error of k^2 over 2k.
+        R = CompositeCovariance.from_matrix(
+            random_pd(np.random.default_rng(seed), dims.total, jitter), dims
+        )
+        res = partial_coherence(R)
+        cond = conditional_covariances(R)
+        kappa = max(condition_number(cond.xx_z), condition_number(cond.yy_z))
+        allowance = max(1e-9, math.sqrt(kappa) * 1e-12)
+        k_svd = partial_canonical_correlations(coherence_matrix(R))
+        k2 = res.canonical_correlations**2
+        assert_allclose(k2, k_svd**2, rtol=0, atol=allowance)
+        # The result's matrix differs from the reference by rotations only.
+        sv = np.linalg.svd(res.coherence_matrix, compute_uv=False)
+        assert_allclose(sv**2, k2, rtol=0, atol=allowance)
+
 
 class TestOneOntoTwo:
     def test_zero_cross(self):

@@ -14,6 +14,7 @@ from cohercause import (
     lag_window_covariance,
     log_det_spd,
     northwest_readout,
+    partial_coherence,
     schur_complement,
 )
 from cohercause.simulate import BarnettModelSpec
@@ -133,23 +134,25 @@ class TestSchurComplement:
         assert np.linalg.eigvalsh(cond.xx_z - cond.xx_v).min() > -1e-10
         assert np.linalg.eigvalsh(R.xx - cond.xx_z).min() > -1e-10
 
-    def test_jitter_rescues_consistent_singular_conditioning(self):
-        # z repeats one variable twice: R_zz is exactly rank one, but the
-        # system is consistent, so the jitter retry recovers the answer.
+    def test_rank_one_conditioning_raises(self):
+        # z repeats one variable twice: R_zz is exactly rank one. The
+        # system is consistent, but no route regularizes it: the reference
+        # Schur complement and the kernel both name z.
         dims = BlockDims(1, 1, 2)
         m = np.eye(4)
         m[2, 3] = m[3, 2] = 1.0
         m[0, 2] = m[2, 0] = m[0, 3] = m[3, 0] = 0.3
         R = CompositeCovariance.from_matrix(m, dims)
-        out = schur_complement(R, "uu")
-        assert_allclose(out, [[1 - 0.09, 0.0], [0.0, 1.0]], atol=1e-6)
+        with pytest.raises(CovarianceError, match="^z is rank-deficient$"):
+            schur_complement(R, "uu")
+        with pytest.raises(CovarianceError, match="^z is rank-deficient$"):
+            partial_coherence(R)
 
-    def test_degenerate_conditioning_beyond_jitter_raises(self):
-        # an all-zero conditioning block cannot be rescued by jitter
+    def test_zero_conditioning_block_raises(self):
         dims = BlockDims(1, 1, 1)
         m = np.diag([1.0, 1.0, 0.0])
         R = CompositeCovariance.from_matrix(m, dims)
-        with pytest.raises(CovarianceError, match="singular"):
+        with pytest.raises(CovarianceError, match="^z is rank-deficient$"):
             schur_complement(R, "uu")
 
     def test_non_finite_entries_rejected(self):

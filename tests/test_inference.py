@@ -18,6 +18,7 @@ from cohercause import (
     gen_barnett,
     lag_embed,
     likelihood_ratio,
+    partial_coherence_one_onto_two,
     read_sequence_csv,
     sample_covariance,
     write_sequence_csv,
@@ -367,6 +368,15 @@ class TestDegenerateInputs:
             CovarianceError, match=f"^{DEGENERATE_BLOCKS[case]} is rank-deficient$"
         ):
             likelihood_ratio(sample_covariance(panel))
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_BLOCKS))
+    def test_one_onto_two_names_block(self, case):
+        x, y = degenerate_pair(case)
+        panel = lag_embed(x, y, LagSpec.influence_test(T=4))
+        with pytest.raises(
+            CovarianceError, match=f"^{DEGENERATE_BLOCKS[case]} is rank-deficient$"
+        ):
+            partial_coherence_one_onto_two(sample_covariance(panel))
 
 
 class TestCausalInfluence:
