@@ -5,8 +5,9 @@ flag (default 42, never time-based); the same configuration and seed
 produce byte-identical output files. --jobs (at least 1; default: all
 cores), which the COHERCAUSE_JOBS environment variable overrides as a
 default, sizes the process pool of the independent-realization study
-replications; the null law is drawn in the calling process. Exit codes:
-0 success, 1 runtime error, 2 usage error.
+replications; the null law is drawn in the calling process. A --jobs or
+COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error. Exit
+codes: 0 success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -53,14 +54,16 @@ DEFAULT_M = 1000
 DEFAULT_F = 0.02
 
 
-def _default_jobs() -> int:
+def _default_jobs(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("COHERCAUSE_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SystemExit(f"COHERCAUSE_JOBS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        if int(env) >= 1:
+            return int(env)
+    except ValueError:
+        pass
+    parser.error(f"COHERCAUSE_JOBS must be an integer >= 1, got {env!r}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -396,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "jobs", None) is None:
-        args.jobs = _default_jobs()
+        args.jobs = _default_jobs(parser)
     elif args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     if getattr(args, "fast", False):

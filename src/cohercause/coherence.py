@@ -156,20 +156,40 @@ def _log_det_q(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
     return np.minimum(-np.sum(np.log1p(k2), axis=-1), 0.0)
 
 
+def _given_z(R: CompositeCovariance) -> tuple[np.ndarray, np.ndarray]:
+    """R_uu|z and the Cholesky factor of R_yy|z, under the kernel's pivot rule.
+
+    x given z and y given z are each checked by factoring the (z, x) or
+    (z, y) principal sub-matrix of R, so a pivot is measured against the
+    block's unconditional variance, as in :func:`_whitened_cross`; the
+    trailing block of the (z, y) factor is the factor of R_yy|z.
+
+    Raises
+    ------
+    CovarianceError
+        Naming z, x given z or y given z as rank-deficient.
+    """
+    dims = R.dims
+    uu = schur_complement(R, "uu")
+    for name, block in (("x", dims.x_slice), ("y", dims.y_slice)):
+        order = np.r_[dims.z_slice, block]
+        L = _checked_cholesky(R.entries[order[:, None], order])
+        if L is None:
+            raise CovarianceError(f"{name} given z is rank-deficient")
+    return uu, L[dims.r :, dims.r :]  # L is the (z, y) factor, y checked last
+
+
 def coherence_matrix(R: CompositeCovariance) -> np.ndarray:
     """The whitened conditional cross-covariance C = A^{-1/2} B D^{-1/2}.
 
     Here A = R_xx|z, B = R_xy|z, D = R_yy|z. All singular values of the
-    result lie in [0, 1] up to rounding.
+    result lie in [0, 1] up to rounding. It is the symmetric-root reference
+    for the kernel's coherence matrix; a rank-deficient block raises, by
+    name (z, x given z or y given z).
     """
     p = R.dims.p
-    uu = schur_complement(R, "uu")
-    try:
-        wx = inv_sqrt_spd(uu[:p, :p])
-        wy = inv_sqrt_spd(uu[p:, p:])
-    except CovarianceError as exc:
-        raise CovarianceError(f"degenerate conditional covariance: {exc}") from None
-    return wx @ uu[:p, p:] @ wy
+    uu, _ = _given_z(R)
+    return inv_sqrt_spd(uu[:p, :p]) @ uu[:p, p:] @ inv_sqrt_spd(uu[p:, p:])
 
 
 def partial_canonical_correlations(C: np.ndarray) -> np.ndarray:
@@ -231,15 +251,12 @@ def conditional_estimator_gain(R: CompositeCovariance) -> np.ndarray:
 
     The minimum mean-squared-error estimate is
     x̂(v) = x̂(z) + G (y - ŷ(z)) with G = R_xy|z R_yy|z^{-1}; a zero gain
-    means y contributes nothing once z is accounted for.
+    means y contributes nothing once z is accounted for. A rank-deficient
+    block raises, by name (z, x given z or y given z).
     """
+    uu, L_yy = _given_z(R)
     p = R.dims.p
-    uu = schur_complement(R, "uu")
-    try:
-        cf = la.cho_factor(uu[p:, p:], lower=True)
-    except la.LinAlgError:
-        raise CovarianceError("degenerate conditional covariance of y given z") from None
-    return la.cho_solve(cf, uu[:p, p:].T).T
+    return la.cho_solve((L_yy, True), uu[:p, p:].T).T
 
 
 def information_measures(result: PartialCoherenceResult | float) -> InformationMeasures:

@@ -3,8 +3,8 @@
 A coherence map forms one covariance of the distinct rows of all its
 offsets (for data, the test's scaled-row Gram over the columns they share)
 and hands every offset's composite, a principal sub-matrix of it, to the
-Cholesky kernel in one batched call. Monte Carlo replications, O(1) by
-construction, hand whole stacks of unscaled sample covariances to the same
+Cholesky kernel in one batched call. Monte Carlo replications, O(1) and
+zero-mean by construction, hand whole stacks of unscaled Grams to the same
 kernel, one call per chunk of replications. Each study computes its null
 threshold once per call, from the same seeded null law that the test uses.
 
@@ -22,7 +22,11 @@ back-to-back windows, reproducing the original experimental protocol
 with its weakly dependent columns. Its panel rows are laid out by
 ``LagSpec.rows``, as in ``lag_embed``: one zero-copy view per row over the
 sequences reshaped to one window per row, gathered chunk by chunk into one
-reused panel buffer of about 10 MB.
+reused panel buffer of about 10 MB. Its windows are centred by conditioning:
+removing each row's mean is the projection onto a constant regressor
+(Frisch-Waugh-Lovell), so a row of ones written once at the end of z, which
+the kernel's one Cholesky factor projects out, replaces a centring pass over
+the data.
 """
 from __future__ import annotations
 
@@ -127,10 +131,14 @@ class SizeEstimate:
 # Batched statistic
 
 
-def _panel_statistic(D: np.ndarray, p: int, q: int, r: int, center: bool) -> np.ndarray:
-    """Statistic of each panel in a (B, n, M) stack, centred in place if asked."""
-    if center:
-        D -= D.mean(axis=2, keepdims=True)
+def _panel_statistic(D: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
+    """Statistic of each panel in a (B, n, M) stack, from its uncentred Gram.
+
+    A panel whose last z row is all ones gives the statistic of its other
+    rows centred: conditioning on a constant regressor removes each row's
+    mean (Frisch-Waugh-Lovell), and the kernel's one Cholesky factor does
+    that projection. ``D`` is not written to.
+    """
     return -np.expm1(_log_det_q(D @ np.swapaxes(D, 1, 2), p, q, r))
 
 
@@ -154,7 +162,7 @@ def _mvn_chunk_stats(
     # so the heap reuses each chunk's memory instead of returning it to the
     # system and page-faulting it back (~40k minor faults per 10k replications).
     del A
-    return _panel_statistic(D, p, q, r, center=False)
+    return _panel_statistic(D, p, q, r)
 
 
 def _independent_stats(
@@ -205,7 +213,11 @@ def _consecutive_stats(
     the influence-test embedding. Its rows are zero-copy views of the
     sequences reshaped to one window per row, copied chunk by chunk into one
     reused panel of about ``_WINDOW_CHUNK_BYTES``, which stays cache-resident
-    for any M and T.
+    for any M and T. With ``center`` the panel has one more row, all ones,
+    written once and kept at the end of z: conditioning on it centres every
+    window without a pass over the data. That holds for O(1), zero-mean
+    sequences such as the studies simulate; ``inference._scaled_gram``
+    centres explicitly for data at any scale.
     """
     window = M + T
     n = n_windows * window
@@ -220,14 +232,16 @@ def _consecutive_stats(
         y[:n].reshape(n_windows, window),
         LagSpec.influence_test(T).rows,
     )
-    chunk = max(1, _WINDOW_CHUNK_BYTES // ((2 * T + 1) * M * 8))
-    D = np.empty((min(chunk, n_windows), 2 * T + 1, M))
+    height = len(views) + center
+    chunk = max(1, _WINDOW_CHUNK_BYTES // (height * M * 8))
+    D = np.empty((min(chunk, n_windows), height, M))
+    D[:, len(views) :] = 1.0
     out = np.empty(n_windows)
     for w0 in range(0, n_windows, chunk):
         D = D[: min(chunk, n_windows - w0)]  # shrinks only for the last chunk
         for i, v in enumerate(views):
             D[:, i] = v[w0 : w0 + chunk]
-        out[w0 : w0 + chunk] = _panel_statistic(D, T, 1, T, center)
+        out[w0 : w0 + chunk] = _panel_statistic(D, T, 1, T + center)
     return out
 
 

@@ -267,7 +267,11 @@ class TestParser:
         assert exc.value.code == 2
         assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
 
-    def test_bad_jobs_env(self, monkeypatch):
-        monkeypatch.setenv("COHERCAUSE_JOBS", "lots")
-        with pytest.raises(SystemExit):
-            main(["nulldist", "--p", "1", "--q", "1", "--r", "0", "--M", "20"])
+    def test_bad_jobs_env(self, monkeypatch, capsys):
+        for jobs in ("lots", "0", "-3"):
+            monkeypatch.setenv("COHERCAUSE_JOBS", jobs)
+            with pytest.raises(SystemExit) as exc:
+                main(["nulldist", "--p", "1", "--q", "1", "--r", "0", "--M", "20"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"COHERCAUSE_JOBS must be an integer >= 1, got '{jobs}'" in err

@@ -74,8 +74,22 @@ class TestCoherenceMatrix:
         # y is an exact function of z, so R_yy|z = 0
         m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         R = CompositeCovariance.from_matrix(m, D111)
-        with pytest.raises(CovarianceError, match="degenerate"):
+        with pytest.raises(CovarianceError, match="^y given z is rank-deficient$"):
             coherence_matrix(R)
+
+    @pytest.mark.parametrize("fn", [coherence_matrix, conditional_estimator_gain])
+    @pytest.mark.parametrize(
+        "rxy, rxz, ryz, block",
+        [(0.0, 0.0, 1.0 - 1e-14, "y"), (0.0, 1.0 - 1e-14, 0.0, "x")],
+    )
+    def test_ill_conditioned_given_z_follows_kernel_rule(self, fn, rxy, rxz, ryz, block):
+        # The conditional variance is ~2e-14 of the unconditional one: the
+        # kernel's pivot rule, as in partial_coherence, not a silent [[0.]].
+        R = triple_composite(rxy, rxz, ryz)
+        with pytest.raises(CovarianceError, match=f"^{block} given z is rank-deficient$"):
+            fn(R)
+        with pytest.raises(CovarianceError, match="is rank-deficient$"):
+            partial_coherence(R)
 
 
 class TestCanonicalCorrelations:

@@ -59,12 +59,12 @@ def per_window_consecutive_stats(x, y, T, M, n_windows, center=True, chunk=250):
             rows = [xs[T - 1 - k : T - 1 - k + M] for k in range(T)]
             rows.append(ys[T : T + M])
             rows += [ys[T - 1 - k : T - 1 - k + M] for k in range(T)]
+            if center:
+                rows.append(np.ones(M))  # conditioning on it centres the rest
             batch.append(np.array(rows))
         D = np.array(batch)
-        if center:
-            D = D - D.mean(axis=2, keepdims=True)
         S = D @ np.swapaxes(D, 1, 2)
-        out[w0 : w0 + len(batch)] = -np.expm1(_log_det_q(S, T, 1, T))
+        out[w0 : w0 + len(batch)] = -np.expm1(_log_det_q(S, T, 1, T + center))
     return out
 
 
@@ -75,15 +75,14 @@ def panel_independent_stats(population, p, q, r, M, replications, seed, center):
     from stream (seed, i) and hands it to ``_panel_statistic``.
     """
     chol = np.linalg.cholesky(population)
-    parts = [
-        _panel_statistic(
-            chol @ np.random.default_rng([seed, i]).standard_normal(
-                (min(200, replications - s), p + q + r, M)
-            ),
-            p, q, r, center,
+    parts = []
+    for i, s in enumerate(range(0, replications, 200)):
+        D = chol @ np.random.default_rng([seed, i]).standard_normal(
+            (min(200, replications - s), p + q + r, M)
         )
-        for i, s in enumerate(range(0, replications, 200))
-    ]
+        if center:
+            D = D - D.mean(axis=2, keepdims=True)
+        parts.append(_panel_statistic(D, p, q, r))
     return np.concatenate(parts)
 
 
@@ -232,7 +231,7 @@ class TestConsecutiveCarving:
     def test_bit_identical_to_per_window_loop(
         self, center, T, M, n_windows, extra, chunks
     ):
-        chunk = experiments._WINDOW_CHUNK_BYTES // ((2 * T + 1) * M * 8)
+        chunk = experiments._WINDOW_CHUNK_BYTES // ((2 * T + 1 + center) * M * 8)
         assert -(-n_windows // chunk) == chunks
         assert chunks == 1 or n_windows % chunk != 0
         spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
@@ -278,6 +277,22 @@ class TestBatchedFastPath:
             panel = lag_embed(x[seg], y[seg], LagSpec.influence_test(T=T))
             slow = likelihood_ratio(sample_covariance(panel))
             assert fast[w] == pytest.approx(slow, abs=1e-12)
+
+    @pytest.mark.parametrize("ma_order", [0, 1])
+    def test_centring_by_conditioning_matches_extended_precision(self, ma_order):
+        # The ones row of z centres each window; the reference centres each
+        # window's rows and forms its Gram in extended precision.
+        T, M, n_win = 10, 1000, 200
+        spec = BarnettModelSpec(transfer_entropy=0.02, ma_order=ma_order)
+        x, y = gen_barnett(spec, n_win * (M + T), 42)
+        fast = _consecutive_stats(x, y, T, M, n_win, center=True)
+        windows = np.stack([x, y])[:, : n_win * (M + T)].reshape(2, n_win, M + T)
+        D = np.array([
+            lag_embed(xw, yw, LagSpec.influence_test(T)).data for xw, yw in zip(*windows)
+        ]).astype(np.longdouble)
+        D -= D.mean(axis=2, keepdims=True)
+        S = (D @ np.swapaxes(D, 1, 2)).astype(float)
+        assert_allclose(fast, -np.expm1(_log_det_q(S, T, 1, T)), rtol=1e-11, atol=0)
 
     def test_independent_stats_deterministic_across_jobs(self):
         population = lag_window_covariance(
