@@ -2,10 +2,11 @@
 
 One binary, subcommand style. All randomness flows from a single --seed
 flag (default 42, never time-based); the same configuration and seed
-produce byte-identical output files. --jobs (at least 1; default: all
-cores), which the COHERCAUSE_JOBS environment variable overrides as a
-default, sizes the process pool of the independent-realization study
-replications; the null law is drawn in the calling process. A --jobs or
+produce byte-identical output files. --jobs (at least 1; default: the
+CPUs this process may run on), which the COHERCAUSE_JOBS environment
+variable overrides as a default, sizes the thread pool of the
+independent-realization study replications, whose chunk work runs inside
+numpy calls; the null law is drawn in the calling thread. A --jobs or
 COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error. Exit
 codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -57,6 +58,8 @@ DEFAULT_F = 0.02
 def _default_jobs(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("COHERCAUSE_JOBS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         if int(env) >= 1:
@@ -73,7 +76,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--jobs", type=int, default=None,
-        help="study replication workers (default: COHERCAUSE_JOBS or all cores)",
+        help="threads for the independent-realization study replications "
+             "(default: COHERCAUSE_JOBS or the CPUs this process may use)",
     )
 
 

@@ -223,6 +223,43 @@ class TestPowerRocCalibrate:
         )
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("command", ["power", "roc", "calibrate"])
+    def test_too_small_M_names_sample_count(self, tmp_path, capsys, command):
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--M", "15", "--T", "10", "--output", str(out_csv)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "cohercause: error: insufficient samples: need M - r > p + q, "
+            "got M=14, r=10, p=10, q=1\n"
+        )
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("calibrate", ("--replications", "1000")),
+            ("roc", ("--replications", "450", "--sizes", "0.05,0.2")),
+            ("power", ("--replications", "450", "--orders", "0..1")),
+        ],
+    )
+    def test_independent_outputs_identical_across_jobs(
+        self, tmp_path, capsys, command, extra
+    ):
+        outputs = []
+        for jobs in ("1", "2"):
+            out_file = tmp_path / f"{jobs}.out"
+            code, out, _ = run_cli(
+                capsys, command, *extra, "--M", "150", "--T", "2", "--n-mc", "20000",
+                "--window-mode", "independent-realizations", "--jobs", jobs,
+                "--output", str(out_file),
+            )
+            assert code == 0
+            outputs.append((out, out_file.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_empty_order_range_rejected(self, tmp_path, capsys):
         out_csv = tmp_path / "power.csv"
         code, out, err = run_cli(
@@ -259,6 +296,16 @@ class TestParser:
             "--n-mc", "20000",
         )
         assert code == 0
+
+    def test_default_jobs_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("COHERCAUSE_JOBS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._default_jobs(build_parser()) == 2
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._default_jobs(build_parser()) == 8
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._default_jobs(build_parser()) == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, jobs, capsys):

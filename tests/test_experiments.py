@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from cohercause import (
@@ -298,9 +298,26 @@ class TestBatchedFastPath:
         population = lag_window_covariance(
             BarnettModelSpec(transfer_entropy=0.0, ma_order=1), 3
         ).entries
-        a = _independent_stats(population, 3, 1, 3, 80, 450, seed=3, jobs=1)
-        b = _independent_stats(population, 3, 1, 3, 80, 450, seed=3, jobs=2)
-        assert_allclose(a, b)
+        # 850 replications are 5 chunks, not a multiple of either worker count.
+        for center in (True, False):
+            a = _independent_stats(
+                population, 3, 1, 3, 80, 850, seed=3, center=center, jobs=1
+            )
+            for jobs in (2, 3):
+                b = _independent_stats(
+                    population, 3, 1, 3, 80, 850, seed=3, center=center, jobs=jobs
+                )
+                assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_independent_stats_worker_error_surfaces(self, jobs):
+        # The last z row is the one before it up to 1e-7: the population
+        # factors, but every drawn Gram fails the kernel's pivot rule on z.
+        B = np.tril(np.random.default_rng(5).standard_normal((7, 7))) + 3 * np.eye(7)
+        B[6] = B[5]
+        B[6, 6] = 1e-7
+        with pytest.raises(CovarianceError, match=r"^z is rank-deficient$"):
+            _independent_stats(B @ B.T, 3, 1, 3, 80, 450, seed=3, jobs=jobs)
 
 
 def random_population(k, seed):
