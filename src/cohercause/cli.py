@@ -7,8 +7,9 @@ CPUs this process may run on), which the COHERCAUSE_JOBS environment
 variable overrides as a default, sizes the thread pool of the
 independent-realization study replications, whose chunk work runs inside
 numpy calls; the null law is drawn in the calling thread. A --jobs or
-COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error. Exit
-codes: 0 success, 1 runtime error, 2 usage error.
+COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error, as is
+a malformed --orders, --s-range, --t-range or --sizes value. Exit codes:
+0 success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from . import experiments
 from .experiments import (
     DEFAULT_SIZE_GRID,
     FAST_REPLICATIONS,
-    atomic_write,
     calibrate_size,
     coherence_map,
     power_curve,
@@ -31,7 +31,7 @@ from .experiments import (
     write_roc_csv,
     write_summary_json,
 )
-from .inference import LagSpec, lag_embed, read_sequence_csv, test_causal_influence
+from .inference import LagSpec, atomic_write, lag_embed, read_sequence_csv, test_causal_influence
 from .nulldist import (
     DEFAULT_N_MC,
     _mc_p_value,
@@ -96,11 +96,28 @@ def _add_study_flags(sub: argparse.ArgumentParser) -> None:
 
 def _parse_range(text: str) -> range:
     """Parse 'a..b' (inclusive) or a single integer into a range."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    lo, sep, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or an inclusive range a..b, got {text!r}"
+        ) from None
+
+
+def _parse_sizes(text: str) -> tuple[float, ...]:
+    """Parse a comma-separated list of numbers."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
+def _study_args(args) -> dict:
+    """The arguments that power, roc and calibrate pass to their study and record."""
+    return {k: getattr(args, k) for k in ("replications", "M", "T", "window_mode", "n_mc", "seed")}
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
@@ -146,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="CSV pair for an estimated map")
     m.add_argument("--conditioning", choices=["past-of-x", "past-of-y"],
                    default="past-of-x", help="prima facie conditioning past")
-    m.add_argument("--s-range", default="0..19", help="inclusive a..b")
-    m.add_argument("--t-range", default="0..19", help="inclusive a..b")
+    m.add_argument("--s-range", type=_parse_range, default="0..19", help="inclusive a..b")
+    m.add_argument("--t-range", type=_parse_range, default="0..19", help="inclusive a..b")
     m.add_argument("--t-cond", type=int, default=20, help="conditioning depth")
     m.add_argument("--transfer-entropy", type=float, default=DEFAULT_F,
                    help="coupling strength of the ARMA pair")
@@ -178,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(n)
 
     p = add_parser("power", help="power versus MA order at fixed transfer entropy")
-    p.add_argument("--orders", default="0..10", help="inclusive a..b")
+    p.add_argument("--orders", type=_parse_range, default="0..10", help="inclusive a..b")
     p.add_argument("--transfer-entropy", "--F", dest="transfer_entropy",
                    type=float, default=DEFAULT_F, help="coupling strength")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
@@ -191,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--transfer-entropy", "--F", dest="transfer_entropy",
                    type=float, default=DEFAULT_F, help="coupling strength")
     r.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
-    r.add_argument("--sizes", default=",".join(str(v) for v in DEFAULT_SIZE_GRID),
+    r.add_argument("--sizes", type=_parse_sizes,
+                   default=",".join(str(v) for v in DEFAULT_SIZE_GRID),
                    help="comma-separated size grid")
     _add_study_flags(r)
     r.add_argument("--output", required=True, help="CSV ROC curve")
@@ -228,8 +246,6 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    s_range = _parse_range(args.s_range)
-    t_range = _parse_range(args.t_range)
     if args.input:
         data = read_sequence_csv(args.input)
         model = (data["x"], data["y"])
@@ -243,15 +259,15 @@ def _cmd_map(args) -> int:
         model = MAFilterSpec.from_case(args.case)
         case = args.case
     cmap = coherence_map(
-        model, s_range, t_range, conditioning=args.conditioning, T_cond=args.t_cond
+        model, args.s_range, args.t_range, conditioning=args.conditioning, T_cond=args.t_cond
     )
     write_map_csv(args.output, cmap)
     summary = {
         "command": "map",
         "case": case,
         "conditioning": args.conditioning,
-        "s_range": [s_range.start, s_range.stop - 1],
-        "t_range": [t_range.start, t_range.stop - 1],
+        "s_range": [args.s_range.start, args.s_range.stop - 1],
+        "t_range": [args.t_range.start, args.t_range.stop - 1],
         "t_cond": args.t_cond,
         "transfer_entropy": args.transfer_entropy,
         "ma_order": args.ma_order,
@@ -297,17 +313,9 @@ def _cmd_nulldist(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    study = _study_args(args)
     points = power_curve(
-        _parse_range(args.orders),
-        F=args.transfer_entropy,
-        alpha=args.alpha,
-        replications=args.replications,
-        M=args.M,
-        T=args.T,
-        seed=args.seed,
-        window_mode=args.window_mode,
-        n_mc=args.n_mc,
-        jobs=args.jobs,
+        args.orders, F=args.transfer_entropy, alpha=args.alpha, jobs=args.jobs, **study
     )
     write_power_csv(args.output, points)
     summary = {
@@ -315,74 +323,45 @@ def _cmd_power(args) -> int:
         "orders": [pt.ma_order for pt in points],
         "transfer_entropy": args.transfer_entropy,
         "alpha": args.alpha,
-        "replications": args.replications,
-        "M": args.M,
-        "T": args.T,
-        "window_mode": args.window_mode,
-        "n_mc": args.n_mc,
-        "seed": args.seed,
         "output": args.output,
+        **study,
     }
     write_summary_json(args.summary or args.output + ".json", summary)
     return 0
 
 
 def _cmd_roc(args) -> int:
-    sizes = tuple(float(v) for v in args.sizes.split(","))
+    study = _study_args(args)
     points = roc_curve(
-        F=args.transfer_entropy,
-        ma_order=args.ma_order,
-        replications=args.replications,
-        M=args.M,
-        T=args.T,
-        size_grid=sizes,
-        seed=args.seed,
-        window_mode=args.window_mode,
-        n_mc=args.n_mc,
-        jobs=args.jobs,
+        F=args.transfer_entropy, ma_order=args.ma_order, size_grid=args.sizes,
+        jobs=args.jobs, **study,
     )
     write_roc_csv(args.output, points)
     summary = {
         "command": "roc",
         "transfer_entropy": args.transfer_entropy,
         "ma_order": args.ma_order,
-        "sizes": list(sizes),
-        "replications": args.replications,
-        "M": args.M,
-        "T": args.T,
-        "window_mode": args.window_mode,
-        "n_mc": args.n_mc,
-        "seed": args.seed,
+        "sizes": list(args.sizes),
         "output": args.output,
+        **study,
     }
     write_summary_json(args.summary or args.output + ".json", summary)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
+    study = _study_args(args)
     est = calibrate_size(
         BarnettModelSpec(transfer_entropy=0.0, ma_order=args.ma_order),
-        alpha=args.alpha,
-        replications=args.replications,
-        M=args.M,
-        T=args.T,
-        window_mode=args.window_mode,
-        seed=args.seed,
-        n_mc=args.n_mc,
-        jobs=args.jobs,
+        alpha=args.alpha, jobs=args.jobs, **study,
     )
     payload = {
         "command": "calibrate",
         "achieved_size": est.achieved,
         "std_error": est.std_error,
         "alpha": est.alpha,
-        "replications": est.replications,
-        "window_mode": est.window_mode,
-        "M": args.M,
-        "T": args.T,
         "ma_order": args.ma_order,
-        "n_mc": args.n_mc,
-        "seed": args.seed,
+        **study,
     }
     _emit_json(payload, args.output)
     return 0

@@ -13,8 +13,8 @@ Two replication modes mirror the two window modes of the embedding:
 the exact population covariance of the lag window (the model is Gaussian
 linear, so this is the distribution of fully independent realizations,
 without simulating and mostly discarding millions of burn-in samples). The
-statistic sees the panel only through its Gram, which is then Wishart with
-M - 1 degrees of freedom (M uncentred), so each replication draws the Gram
+statistic sees the centred panel only through its Gram, which is then
+Wishart with M - 1 degrees of freedom, so each replication draws the Gram
 by the Bartlett decomposition and no panel is formed. With more than one
 job the chunks run on a thread pool, since their work runs inside numpy
 calls; chunk i of replications consumes stream (seed, stream, i) whatever
@@ -34,17 +34,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
 
 from .coherence import _log_det_q
 from .covariance import BlockDims, CompositeCovariance
-from .inference import _WINDOW_CHUNK_BYTES, LagSpec, _row_views, _scaled_gram
+from .inference import _WINDOW_CHUNK_BYTES, LagSpec, _row_views, _scaled_gram, atomic_write
 from .nulldist import (
     DEFAULT_N_MC,
     DEFAULT_SEED,
@@ -133,97 +131,63 @@ class SizeEstimate:
 # Batched statistic
 
 
-def _panel_statistic(D: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
-    """Statistic of each panel in a (B, n, M) stack, from its uncentred Gram.
-
-    A panel whose last z row is all ones gives the statistic of its other
-    rows centred: conditioning on a constant regressor removes each row's
-    mean (Frisch-Waugh-Lovell), and the kernel's one Cholesky factor does
-    that projection. ``D`` is not written to.
-    """
-    return -np.expm1(_log_det_q(D @ np.swapaxes(D, 1, 2), p, q, r))
-
-
-def _mvn_chunk_stats(
-    chol: np.ndarray, p: int, q: int, r: int, M: int, n: int, seed: int, stream: int,
-    index: int, center: bool,
-) -> np.ndarray:
-    # Bartlett: A A^T ~ W(df, I) for lower-triangular A with N(0, 1) below
-    # the diagonal and sqrt(chi2(df - i)) at (i, i), so the k-column panel
-    # chol A has a Gram with the law of the M-column panel's.
-    k = p + q + r
-    df = M - 1 if center else M
-    rng = stream_rng(seed, stream, index)
-    i, j = np.tril_indices(k, -1)
-    d = np.arange(k)
-    A = np.zeros((n, k, k))
-    A[:, i, j] = rng.standard_normal((n, i.size))
-    A[:, d, d] = np.sqrt(rng.chisquare(df - d, (n, k)))
-    D = chol @ A
-    del A
-    S = D @ np.swapaxes(D, 1, 2)
-    # A and D are freed before the kernel runs, so each worker thread's heap
-    # peaks one chunk-sized array lower (~2.5 MB less peak RSS at 2 jobs).
-    del D
-    return -np.expm1(_log_det_q(S, p, q, r))
-
-
 def _independent_stats(
-    population: np.ndarray,
-    p: int,
-    q: int,
-    r: int,
-    M: int,
-    replications: int,
-    seed: int,
-    stream: int = 0,
-    center: bool = True,
-    jobs: int = 1,
+    population: np.ndarray, p: int, q: int, r: int, M: int, replications: int, seed: int,
+    stream: int = 0, jobs: int = 1,
 ) -> np.ndarray:
-    """Statistics from panels of M i.i.d. N(0, population) columns.
+    """Statistics from centred panels of M i.i.d. N(0, population) columns.
 
-    Only the panel Gram enters the statistic, and its law is Wishart:
-    W(M - 1, population) centred, W(M, population) uncentred. Each
-    replication draws that Gram directly by the Bartlett decomposition,
-    k(k + 1)/2 numbers for k = p + q + r rows instead of the panel's k M.
-    With ``jobs`` > 1 the chunks run on a thread pool: their work is numpy
-    random draws, batched matmul and batched Cholesky, solve and eigvalsh
-    calls, which run outside the interpreter lock. Chunk i always consumes
-    stream (seed, stream, i), so the result is bit-identical for any
-    worker count.
+    Only the panel Gram enters the statistic, and its law is Wishart,
+    W(M - 1, population). Each replication draws that Gram directly by the
+    Bartlett decomposition, k(k + 1)/2 numbers for k = p + q + r rows
+    instead of the panel's k M. With ``jobs`` > 1 the chunks run on a thread
+    pool: their work is numpy random draws, batched matmul and batched
+    Cholesky, solve and eigvalsh calls, which run outside the interpreter
+    lock. Chunk i always consumes stream (seed, stream, i), so the result
+    is bit-identical for any worker count.
     """
     chol = la.cholesky(population, lower=True)
+    # Bartlett: A A^T ~ W(M - 1, I) for lower-triangular A with N(0, 1) below
+    # the diagonal and sqrt(chi2(M - 1 - i)) at (i, i), so the k-column panel
+    # chol A has a Gram with the law of the centred M-column panel's.
+    k = p + q + r
+    i, j = np.tril_indices(k, -1)
+    d = np.arange(k)
 
-    def chunk(i: int) -> np.ndarray:
-        n = min(_MVN_CHUNK, replications - i * _MVN_CHUNK)
-        return _mvn_chunk_stats(chol, p, q, r, M, n, seed, stream, i, center)
+    def chunk(index: int) -> np.ndarray:
+        n = min(_MVN_CHUNK, replications - index * _MVN_CHUNK)
+        rng = stream_rng(seed, stream, index)
+        A = np.zeros((n, k, k))
+        A[:, i, j] = rng.standard_normal((n, i.size))
+        A[:, d, d] = np.sqrt(rng.chisquare(M - 1 - d, (n, k)))
+        D = chol @ A
+        del A
+        S = D @ np.swapaxes(D, 1, 2)
+        # A and D are freed before the kernel runs, so each worker thread's heap
+        # peaks one chunk-sized array lower (~2.5 MB less peak RSS at 2 jobs).
+        del D
+        return -np.expm1(_log_det_q(S, p, q, r))
 
     chunks = range(math.ceil(replications / _MVN_CHUNK))
     if jobs > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return np.concatenate(list(pool.map(chunk, chunks)))
-    return np.concatenate([chunk(i) for i in chunks])
+    return np.concatenate([chunk(index) for index in chunks])
 
 
-def _consecutive_stats(
-    x: np.ndarray,
-    y: np.ndarray,
-    T: int,
-    M: int,
-    n_windows: int,
-    center: bool = True,
-) -> np.ndarray:
+def _consecutive_stats(x: np.ndarray, y: np.ndarray, T: int, M: int, n_windows: int) -> np.ndarray:
     """Statistics from back-to-back windows of one long sequence.
 
     Each window holds M + T samples and yields M full-context columns of
     the influence-test embedding. Its rows are zero-copy views of the
     sequences reshaped to one window per row, copied chunk by chunk into one
     reused panel of about ``_WINDOW_CHUNK_BYTES``, which stays cache-resident
-    for any M and T. With ``center`` the panel has one more row, all ones,
-    written once and kept at the end of z: conditioning on it centres every
-    window without a pass over the data. That holds for O(1), zero-mean
-    sequences such as the studies simulate; ``inference._scaled_gram``
-    centres explicitly for data at any scale.
+    for any M and T. The panel has one more row, all ones, written once and
+    kept at the end of z: conditioning on it centres every window without a
+    pass over the data (Frisch-Waugh-Lovell), and the kernel's one Cholesky
+    factor does that projection. That holds for O(1), zero-mean sequences
+    such as the studies simulate; ``inference._scaled_gram`` centres
+    explicitly for data at any scale.
     """
     window = M + T
     n = n_windows * window
@@ -238,7 +202,7 @@ def _consecutive_stats(
         y[:n].reshape(n_windows, window),
         LagSpec.influence_test(T).rows,
     )
-    height = len(views) + center
+    height = len(views) + 1
     chunk = max(1, _WINDOW_CHUNK_BYTES // (height * M * 8))
     D = np.empty((min(chunk, n_windows), height, M))
     D[:, len(views) :] = 1.0
@@ -247,33 +211,32 @@ def _consecutive_stats(
         D = D[: min(chunk, n_windows - w0)]  # shrinks only for the last chunk
         for i, v in enumerate(views):
             D[:, i] = v[w0 : w0 + chunk]
-        out[w0 : w0 + chunk] = _panel_statistic(D, T, 1, T + center)
+        S = D @ np.swapaxes(D, 1, 2)
+        out[w0 : w0 + chunk] = -np.expm1(_log_det_q(S, T, 1, T + 1))
     return out
 
 
 def _model_statistics(
-    spec: BarnettModelSpec,
-    replications: int,
-    M: int,
-    T: int,
-    window_mode: str,
-    seed: int,
-    stream: int = 0,
-    center: bool = True,
-    jobs: int = 1,
+    spec: BarnettModelSpec, replications: int, M: int, T: int, window_mode: str, seed: int,
+    stream: int = 0, jobs: int = 1,
 ) -> np.ndarray:
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     if window_mode == "independent-realizations":
         population = lag_window_covariance(spec, T).entries
         return _independent_stats(
-            population, T, 1, T, M, replications, seed, stream=stream,
-            center=center, jobs=jobs,
+            population, T, 1, T, M, replications, seed, stream=stream, jobs=jobs
         )
     if window_mode == "consecutive-windows":
         x, y = gen_barnett(spec, replications * (M + T), NoiseSpec(seed, stream))
-        return _consecutive_stats(x, y, T, M, replications, center=center)
+        return _consecutive_stats(x, y, T, M, replications)
     raise ValueError(f"unknown window mode {window_mode!r}")
+
+
+def _rejection_rate(stats: np.ndarray, threshold: float) -> tuple[float, float]:
+    """Share of statistics above the threshold, and its binomial standard error."""
+    rate = float(np.mean(stats > threshold))
+    return rate, math.sqrt(max(rate * (1 - rate), 1e-12) / stats.size)
 
 
 # ---------------------------------------------------------------------------
@@ -361,25 +324,12 @@ def calibrate_size(
     """
     if replications < 1000:
         raise ValueError(f"replications must be >= 1000, got {replications}")
-    null_spec = BarnettModelSpec(
-        transfer_entropy=0.0,
-        ma_order=spec.ma_order,
-        a=spec.a,
-        b=spec.b,
-        f1=spec.f1,
-        f2=spec.f2,
-    )
+    null_spec = replace(spec, transfer_entropy=0.0)
     threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
-    stats = _model_statistics(
-        null_spec, replications, M, T, window_mode, seed, jobs=jobs
-    )
-    achieved = float(np.mean(stats > threshold))
-    se = math.sqrt(max(achieved * (1 - achieved), 1e-12) / replications)
+    stats = _model_statistics(null_spec, replications, M, T, window_mode, seed, jobs=jobs)
+    achieved, se = _rejection_rate(stats, threshold)
     return SizeEstimate(
-        achieved=achieved,
-        std_error=se,
-        alpha=alpha,
-        replications=replications,
+        achieved=achieved, std_error=se, alpha=alpha, replications=replications,
         window_mode=window_mode,
     )
 
@@ -408,19 +358,11 @@ def power_curve(
         stats = _model_statistics(
             spec, replications, M, T, window_mode, seed, stream=order + 1, jobs=jobs
         )
-        power = float(np.mean(stats > threshold))
-        se = math.sqrt(max(power * (1 - power), 1e-12) / replications)
-        points.append(
-            PowerPoint(
-                ma_order=order,
-                power=power,
-                std_error=se,
-                alpha=alpha,
-                replications=replications,
-                T=T,
-                M=M,
-            )
-        )
+        power, se = _rejection_rate(stats, threshold)
+        points.append(PowerPoint(
+            ma_order=order, power=power, std_error=se, alpha=alpha,
+            replications=replications, T=T, M=M,
+        ))
     return points
 
 
@@ -455,27 +397,13 @@ def roc_curve(
     points = []
     for size in sizes:
         threshold = _order_statistic_threshold(null_samples, size)
-        power = float(np.mean(stats > threshold))
-        se = math.sqrt(max(power * (1 - power), 1e-12) / replications)
+        power, se = _rejection_rate(stats, threshold)
         points.append(ROCPoint(size=float(size), power=power, std_error=se))
     return points
 
 
 # ---------------------------------------------------------------------------
 # Plot-ready output files
-
-
-def atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _csv_text(header: list[str], rows) -> str:

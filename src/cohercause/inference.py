@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -396,6 +397,22 @@ def test_causal_influence(
         M=m_eff,
         seed=seed,
     )
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` by one ``os.replace`` of a temporary file
+    beside it, so a failed write leaves an existing file's bytes as they were."""
+    # Created with mode 0o666 less the umask, as a plain open() would be.
+    tmp = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_sequence_csv(path: str) -> dict[str, np.ndarray]:

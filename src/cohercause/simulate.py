@@ -29,7 +29,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .covariance import BlockDims, CompositeCovariance
-from .inference import LagSpec
+from .inference import LagSpec, atomic_write
 from .streams import stream_rng
 
 __all__ = [
@@ -420,5 +420,4 @@ def write_sequence_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be one-dimensional with equal length")
     rows = enumerate(zip(x.tolist(), y.tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,y\n" + "".join(f"{t},{a!r},{b!r}\n" for t, (a, b) in rows))
+    atomic_write(path, "t,x,y\n" + "".join(f"{t},{a!r},{b!r}\n" for t, (a, b) in rows))

@@ -260,6 +260,31 @@ class TestPowerRocCalibrate:
             outputs.append((out, out_file.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "command, extra, keys",
+        [
+            ("power", ("--orders", "0..1", "--replications", "400"),
+             {"command", "orders", "transfer_entropy", "alpha", "output"}),
+            ("roc", ("--sizes", "0.05,0.2", "--replications", "400"),
+             {"command", "transfer_entropy", "ma_order", "sizes", "output"}),
+            ("calibrate", ("--replications", "1000"),
+             {"command", "achieved_size", "std_error", "alpha", "ma_order"}),
+        ],
+        ids=["power", "roc", "calibrate"],
+    )
+    def test_summary_keys(self, tmp_path, capsys, command, extra, keys):
+        out_file = tmp_path / "out"
+        code, out, _ = run_cli(
+            capsys, command, *extra, "--M", "150", "--T", "2", "--n-mc", "20000",
+            "--output", str(out_file),
+        )
+        assert code == 0
+        summary = json.loads(
+            out if command == "calibrate" else (tmp_path / "out.json").read_text()
+        )
+        study = {"replications", "M", "T", "window_mode", "n_mc", "seed"}
+        assert set(summary) == keys | study
+
     def test_empty_order_range_rejected(self, tmp_path, capsys):
         out_csv = tmp_path / "power.csv"
         code, out, err = run_cli(
@@ -306,6 +331,22 @@ class TestParser:
         assert cli._default_jobs(build_parser()) == 8
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._default_jobs(build_parser()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["power", "--orders", "abc", "--output", "p.csv"], "--orders"),
+            (["map", "--case", "I", "--s-range", "0..x", "--output", "m.csv"], "--s-range"),
+            (["map", "--case", "I", "--t-range", "1..2..3", "--output", "m.csv"], "--t-range"),
+            (["roc", "--sizes", "0.05,x", "--output", "r.csv"], "--sizes"),
+        ],
+        ids=["orders", "s-range", "t-range", "sizes"],
+    )
+    def test_malformed_range_or_size_is_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected " in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, jobs, capsys):

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +33,6 @@ from cohercause.coherence import _log_det_q
 from cohercause.experiments import (
     _consecutive_stats,
     _independent_stats,
-    _panel_statistic,
     write_map_csv,
     write_power_csv,
     write_roc_csv,
@@ -46,7 +48,7 @@ from cohercause.simulate import (
 from helpers import DEGENERATE_BLOCKS, degenerate_pair
 
 
-def per_window_consecutive_stats(x, y, T, M, n_windows, center=True, chunk=250):
+def per_window_consecutive_stats(x, y, T, M, n_windows, chunk=250):
     """Reference: the window-by-window row-list carving of consecutive windows."""
     window = M + T
     out = np.empty(n_windows)
@@ -59,20 +61,19 @@ def per_window_consecutive_stats(x, y, T, M, n_windows, center=True, chunk=250):
             rows = [xs[T - 1 - k : T - 1 - k + M] for k in range(T)]
             rows.append(ys[T : T + M])
             rows += [ys[T - 1 - k : T - 1 - k + M] for k in range(T)]
-            if center:
-                rows.append(np.ones(M))  # conditioning on it centres the rest
+            rows.append(np.ones(M))  # conditioning on it centres the rest
             batch.append(np.array(rows))
         D = np.array(batch)
         S = D @ np.swapaxes(D, 1, 2)
-        out[w0 : w0 + len(batch)] = -np.expm1(_log_det_q(S, T, 1, T + center))
+        out[w0 : w0 + len(batch)] = -np.expm1(_log_det_q(S, T, 1, T + 1))
     return out
 
 
-def panel_independent_stats(population, p, q, r, M, replications, seed, center):
-    """Reference: each replication's Gram formed from an i.i.d. panel.
+def panel_independent_stats(population, p, q, r, M, replications, seed):
+    """Reference: each replication's Gram formed from a centred i.i.d. panel.
 
     Chunk i draws its (n, k, M) panel of M i.i.d. N(0, population) columns
-    from stream (seed, i) and hands it to ``_panel_statistic``.
+    from stream (seed, i), centres its rows and forms the Gram.
     """
     chol = np.linalg.cholesky(population)
     parts = []
@@ -80,9 +81,8 @@ def panel_independent_stats(population, p, q, r, M, replications, seed, center):
         D = chol @ np.random.default_rng([seed, i]).standard_normal(
             (min(200, replications - s), p + q + r, M)
         )
-        if center:
-            D = D - D.mean(axis=2, keepdims=True)
-        parts.append(_panel_statistic(D, p, q, r))
+        D = D - D.mean(axis=2, keepdims=True)
+        parts.append(-np.expm1(_log_det_q(D @ np.swapaxes(D, 1, 2), p, q, r)))
     return np.concatenate(parts)
 
 
@@ -218,7 +218,8 @@ class TestOneGramMap:
 class TestConsecutiveCarving:
     """The view-based carving is bit-identical to the per-window loop."""
 
-    @pytest.mark.parametrize("center", [True, False])
+    # The studies always centre; the one-value parameter keeps the test ids.
+    @pytest.mark.parametrize("center", [True])
     @pytest.mark.parametrize(
         "T, M, n_windows, extra, chunks",
         [
@@ -231,13 +232,13 @@ class TestConsecutiveCarving:
     def test_bit_identical_to_per_window_loop(
         self, center, T, M, n_windows, extra, chunks
     ):
-        chunk = experiments._WINDOW_CHUNK_BYTES // ((2 * T + 1 + center) * M * 8)
+        chunk = experiments._WINDOW_CHUNK_BYTES // ((2 * T + 2) * M * 8)
         assert -(-n_windows // chunk) == chunks
         assert chunks == 1 or n_windows % chunk != 0
         spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
         x, y = gen_barnett(spec, n_windows * (M + T) + extra, 11)
-        fast = _consecutive_stats(x, y, T, M, n_windows, center=center)
-        slow = per_window_consecutive_stats(x, y, T, M, n_windows, center=center)
+        fast = _consecutive_stats(x, y, T, M, n_windows)
+        slow = per_window_consecutive_stats(x, y, T, M, n_windows)
         assert np.array_equal(fast, slow)
 
     def test_too_short_sequence_rejected(self):
@@ -285,7 +286,7 @@ class TestBatchedFastPath:
         T, M, n_win = 10, 1000, 200
         spec = BarnettModelSpec(transfer_entropy=0.02, ma_order=ma_order)
         x, y = gen_barnett(spec, n_win * (M + T), 42)
-        fast = _consecutive_stats(x, y, T, M, n_win, center=True)
+        fast = _consecutive_stats(x, y, T, M, n_win)
         windows = np.stack([x, y])[:, : n_win * (M + T)].reshape(2, n_win, M + T)
         D = np.array([
             lag_embed(xw, yw, LagSpec.influence_test(T)).data for xw, yw in zip(*windows)
@@ -299,15 +300,10 @@ class TestBatchedFastPath:
             BarnettModelSpec(transfer_entropy=0.0, ma_order=1), 3
         ).entries
         # 850 replications are 5 chunks, not a multiple of either worker count.
-        for center in (True, False):
-            a = _independent_stats(
-                population, 3, 1, 3, 80, 850, seed=3, center=center, jobs=1
-            )
-            for jobs in (2, 3):
-                b = _independent_stats(
-                    population, 3, 1, 3, 80, 850, seed=3, center=center, jobs=jobs
-                )
-                assert_array_equal(a, b)
+        a = _independent_stats(population, 3, 1, 3, 80, 850, seed=3, jobs=1)
+        for jobs in (2, 3):
+            b = _independent_stats(population, 3, 1, 3, 80, 850, seed=3, jobs=jobs)
+            assert_array_equal(a, b)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_independent_stats_worker_error_surfaces(self, jobs):
@@ -318,6 +314,23 @@ class TestBatchedFastPath:
         B[6, 6] = 1e-7
         with pytest.raises(CovarianceError, match=r"^z is rank-deficient$"):
             _independent_stats(B @ B.T, 3, 1, 3, 80, 450, seed=3, jobs=jobs)
+
+
+def test_import_starts_no_process_machinery():
+    # The study pool is a thread pool; importing the package loads neither
+    # the process pool nor multiprocessing.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, cohercause; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def random_population(k, seed):
@@ -331,7 +344,8 @@ class TestWishartDraw:
     Fixed seeds; each KS gate sits at the 0.999 critical value (p > 1e-3).
     """
 
-    @pytest.mark.parametrize("center", [True, False])
+    # The draw always centres; the one-value parameter keeps the test ids.
+    @pytest.mark.parametrize("center", [True])
     @pytest.mark.parametrize(
         "p, q, r, M, population",
         [
@@ -346,19 +360,19 @@ class TestWishartDraw:
         ],
     )
     def test_matches_panel_reference(self, p, q, r, M, population, center):
-        drawn = _independent_stats(population, p, q, r, M, 4000, seed=1, center=center)
-        panels = panel_independent_stats(population, p, q, r, M, 4000, 2, center)
+        drawn = _independent_stats(population, p, q, r, M, 4000, seed=1)
+        panels = panel_independent_stats(population, p, q, r, M, 4000, 2)
         assert stats.ks_2samp(drawn, panels).pvalue > 1e-3
 
-    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("center", [True])
     @pytest.mark.parametrize("T, M, ma_order", [(3, 12, 1), (3, 80, 1), (10, 200, 10)])
     def test_null_matches_closed_form(self, T, M, ma_order, center):
         population = lag_window_covariance(
             BarnettModelSpec(transfer_entropy=0.0, ma_order=ma_order), T
         ).entries
-        drawn = _independent_stats(population, T, 1, T, M, 4000, seed=3, center=center)
-        # q = 1: 1 - rho2 ~ Beta((m - p + 1)/2, p/2), m = df - r - q.
-        m = (M - 1 if center else M) - T - 1
+        drawn = _independent_stats(population, T, 1, T, M, 4000, seed=3)
+        # q = 1: 1 - rho2 ~ Beta((m - p + 1)/2, p/2), m = df - r - q, df = M - 1.
+        m = M - 1 - T - 1
         law = stats.beta((m - T + 1) / 2, T / 2)
         assert stats.kstest(1.0 - drawn, law.cdf).pvalue > 1e-3
 
@@ -558,6 +572,13 @@ class TestWriters:
         assert payload == {"seed": 42, "alpha": 0.05}
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+    def test_output_mode_matches_plain_open(self, tmp_path):
+        # The temporary file is created under the umask, as open() creates one.
+        write_summary_json(str(tmp_path / "summary.json"), {"seed": 42})
+        (tmp_path / "plain.json").write_text("")
+        mode = (tmp_path / "summary.json").stat().st_mode
+        assert mode == (tmp_path / "plain.json").stat().st_mode
 
     def test_byte_identical_reruns(self, tmp_path):
         args = dict(F=0.05, ma_order=0, replications=600, M=150, T=2,

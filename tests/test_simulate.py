@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -387,6 +388,19 @@ class TestSequenceCsv:
         write_sequence_csv(str(tmp_path / "fast.csv"), x, y)
         csv_writer_sequence(str(tmp_path / "loop.csv"), x, y)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "pair.csv"
+        path.write_bytes(b"t,x,y\n0,1.0,2.0\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_sequence_csv(str(path), np.zeros(3), np.ones(3))
+        assert path.read_bytes() == b"t,x,y\n0,1.0,2.0\n"
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "pair.csv"
