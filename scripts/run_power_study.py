@@ -4,7 +4,8 @@
 Writes the size calibration, the power-versus-MA-order curve and the ROC
 curve as plot-ready CSVs plus a JSON summary holding every parameter and
 the master seed. The full run uses 10,000 replications per point;
---fast drops to 2,000 for a desk-scale pass.
+--fast drops to 2,000 for a desk-scale pass and may not be combined with
+--replications.
 """
 import argparse
 import os
@@ -27,15 +28,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--replications", type=int, default=10_000)
-    parser.add_argument("--fast", action="store_true")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--replications", type=int, default=10_000)
+    group.add_argument("--fast", dest="replications", action="store_const",
+                       const=FAST_REPLICATIONS, default=argparse.SUPPRESS)
     parser.add_argument("--transfer-entropy", type=float, default=0.02)
     parser.add_argument("--M", type=int, default=1000)
     parser.add_argument("--T", type=int, default=10)
     parser.add_argument("--alpha", type=float, default=0.05)
     args = parser.parse_args()
 
-    reps = FAST_REPLICATIONS if args.fast else args.replications
+    reps = args.replications
     os.makedirs(args.outdir, exist_ok=True)
     t0 = time.monotonic()
 

@@ -8,8 +8,9 @@ variable overrides as a default, sizes the thread pool of the
 independent-realization study replications, whose chunk work runs inside
 numpy calls; the null law is drawn in the calling thread. A --jobs or
 COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error, as is
-a malformed --orders, --s-range, --t-range or --sizes value. Exit codes:
-0 success, 1 runtime error, 2 usage error.
+a malformed --orders, --s-range, --t-range or --sizes value, and so is
+giving both --fast (a preset number of replications) and --replications.
+Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -83,10 +84,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_study_flags(sub: argparse.ArgumentParser) -> None:
     """The replication flags shared by power, roc and calibrate."""
-    sub.add_argument("--replications", type=int,
-                     default=experiments.DEFAULT_REPLICATIONS, help="Monte Carlo replications")
-    sub.add_argument("--fast", action="store_true",
-                     help=f"desk preset: {FAST_REPLICATIONS} replications")
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--replications", type=int,
+                       default=experiments.DEFAULT_REPLICATIONS, help="Monte Carlo replications")
+    group.add_argument("--fast", dest="replications", action="store_const",
+                       const=FAST_REPLICATIONS, default=argparse.SUPPRESS,
+                       help=f"desk preset: {FAST_REPLICATIONS} replications")
     sub.add_argument("--M", type=int, default=DEFAULT_M, help="samples per replication")
     sub.add_argument("--T", type=int, default=DEFAULT_T, help="lag depth")
     sub.add_argument("--n-mc", type=int, default=DEFAULT_N_MC, help="null-law draws")
@@ -385,8 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         args.jobs = _default_jobs(parser)
     elif args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
-    if getattr(args, "fast", False):
-        args.replications = FAST_REPLICATIONS
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

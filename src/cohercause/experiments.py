@@ -8,17 +8,16 @@ zero-mean by construction, hand whole stacks of unscaled Grams to the same
 kernel, one call per chunk of replications. Each study computes its null
 threshold once per call, from the same seeded null law that the test uses.
 
-Two replication modes mirror the two window modes of the embedding:
-"independent-realizations" treats the M panel columns as i.i.d. draws from
-the exact population covariance of the lag window (the model is Gaussian
-linear, so this is the distribution of fully independent realizations,
-without simulating and mostly discarding millions of burn-in samples). The
-statistic sees the centred panel only through its Gram, which is then
-Wishart with M - 1 degrees of freedom, so each replication draws the Gram
-by the Bartlett decomposition and no panel is formed. With more than one
-job the chunks run on a thread pool, since their work runs inside numpy
-calls; chunk i of replications consumes stream (seed, stream, i) whatever
-the worker count.
+The studies have two replication modes. "independent-realizations" treats
+the M panel columns as i.i.d. draws from the exact population covariance of
+the lag window (the model is Gaussian linear, so this is the distribution of
+fully independent realizations, without simulating and mostly discarding
+millions of burn-in samples). The statistic sees the centred panel only
+through its Gram, which is then Wishart with M - 1 degrees of freedom, so
+each replication draws the Gram by the Bartlett decomposition and no panel
+is formed. The chunks run on a thread pool of ``jobs`` workers, since their
+work runs inside numpy calls; chunk i of replications consumes stream
+(seed, stream, i) whatever the worker count.
 "consecutive-windows" simulates one long sequence and carves it into
 back-to-back windows, reproducing the original experimental protocol
 with its weakly dependent columns. Its panel rows are laid out by
@@ -55,7 +54,6 @@ from .simulate import (
     BarnettModelSpec,
     CovarianceSequences,
     MAFilterSpec,
-    NoiseSpec,
     analytic_covariances,
     composite_from_sequences,
     gen_barnett,
@@ -140,11 +138,11 @@ def _independent_stats(
     Only the panel Gram enters the statistic, and its law is Wishart,
     W(M - 1, population). Each replication draws that Gram directly by the
     Bartlett decomposition, k(k + 1)/2 numbers for k = p + q + r rows
-    instead of the panel's k M. With ``jobs`` > 1 the chunks run on a thread
-    pool: their work is numpy random draws, batched matmul and batched
-    Cholesky, solve and eigvalsh calls, which run outside the interpreter
-    lock. Chunk i always consumes stream (seed, stream, i), so the result
-    is bit-identical for any worker count.
+    instead of the panel's k M. The chunks run on a pool of ``jobs`` threads:
+    their work is numpy random draws, batched matmul and batched Cholesky,
+    solve and eigvalsh calls, which run outside the interpreter lock. Chunk i
+    always consumes stream (seed, stream, i), so the result is bit-identical
+    for any worker count.
     """
     chol = la.cholesky(population, lower=True)
     # Bartlett: A A^T ~ W(M - 1, I) for lower-triangular A with N(0, 1) below
@@ -169,10 +167,8 @@ def _independent_stats(
         return -np.expm1(_log_det_q(S, p, q, r))
 
     chunks = range(math.ceil(replications / _MVN_CHUNK))
-    if jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return np.concatenate(list(pool.map(chunk, chunks)))
-    return np.concatenate([chunk(index) for index in chunks])
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return np.concatenate(list(pool.map(chunk, chunks)))
 
 
 def _consecutive_stats(x: np.ndarray, y: np.ndarray, T: int, M: int, n_windows: int) -> np.ndarray:
@@ -228,7 +224,7 @@ def _model_statistics(
             population, T, 1, T, M, replications, seed, stream=stream, jobs=jobs
         )
     if window_mode == "consecutive-windows":
-        x, y = gen_barnett(spec, replications * (M + T), NoiseSpec(seed, stream))
+        x, y = gen_barnett(spec, replications * (M + T), seed, stream)
         return _consecutive_stats(x, y, T, M, replications)
     raise ValueError(f"unknown window mode {window_mode!r}")
 

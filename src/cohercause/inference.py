@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "read_sequence_csv",
 ]
 
-WINDOW_MODES = ("consecutive-windows", "independent-realizations")
 _WINDOW_CHUNK_BYTES = 10 * 2**20
 
 
@@ -75,18 +74,12 @@ class Role:
 class LagSpec:
     """Embedding recipe mapping two sequences onto (x, y, z) blocks."""
 
-    T: int
     x_role: Role
     y_role: Role
     z_role: Role
-    window_mode: str = "consecutive-windows"
     stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.window_mode not in WINDOW_MODES:
-            raise ValueError(f"window_mode must be one of {WINDOW_MODES}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         seen: set[tuple[str, int]] = set()
@@ -120,20 +113,13 @@ class LagSpec:
         )
 
     @classmethod
-    def influence_test(
-        cls, T: int = 10, window_mode: str = "consecutive-windows", stride: int = 1
-    ) -> "LagSpec":
+    def influence_test(cls, T: int = 10, stride: int = 1) -> "LagSpec":
         """The causality-test embedding: x = [x_{t-1}..x_{t-T}], y = y_t,
         z = [y_{t-1}..y_{t-T}]."""
+        if T < 1:
+            raise ValueError(f"T must be >= 1, got {T}")
         lags = tuple(range(-1, -T - 1, -1))
-        return cls(
-            T=T,
-            x_role=Role("x", lags),
-            y_role=Role("y", (0,)),
-            z_role=Role("y", lags),
-            window_mode=window_mode,
-            stride=stride,
-        )
+        return cls(Role("x", lags), Role("y", (0,)), Role("y", lags), stride)
 
     @classmethod
     def pairwise(
@@ -141,7 +127,6 @@ class LagSpec:
         offset: int,
         T_cond: int = 20,
         conditioning: str = "past-of-x",
-        window_mode: str = "consecutive-windows",
         stride: int = 1,
     ) -> "LagSpec":
         """The pairwise-map embedding: x = x_{t+offset}, y = y_t, and z the
@@ -162,14 +147,7 @@ class LagSpec:
             raise ValueError(
                 f"unknown conditioning {conditioning!r}; expected past-of-x or past-of-y"
             )
-        return cls(
-            T=T_cond,
-            x_role=Role("x", (offset,)),
-            y_role=Role("y", (0,)),
-            z_role=z_role,
-            window_mode=window_mode,
-            stride=stride,
-        )
+        return cls(Role("x", (offset,)), Role("y", (0,)), z_role, stride)
 
 
 @dataclass(frozen=True)
@@ -184,7 +162,6 @@ class DataPanel:
 
     data: np.ndarray
     dims: BlockDims
-    meta: LagSpec
 
     def __post_init__(self) -> None:
         d = np.array(self.data, dtype=float)
@@ -253,28 +230,19 @@ def _scaled_gram(rows, center: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def lag_embed(x_seq: np.ndarray, y_seq: np.ndarray, spec: LagSpec) -> DataPanel:
-    """Build the data panel for a lag spec.
+    """Build the data panel of two one-dimensional sequences for a lag spec.
 
-    In consecutive-windows mode the inputs are one-dimensional and
-    successive columns advance t by ``spec.stride``. In
-    independent-realizations mode the inputs are (n_realizations, length)
-    arrays and each realization contributes a single column, taken at
-    the last offset-feasible t of that realization.
+    Column k holds the spec's rows at t = t_0 + k ``spec.stride``, where t_0
+    is the first t at which every offset lies inside the sequences.
     """
     x_seq = np.asarray(x_seq, dtype=float)
     y_seq = np.asarray(y_seq, dtype=float)
     if x_seq.shape != y_seq.shape:
         raise ValueError("x and y sequences must have the same shape")
-    consecutive = spec.window_mode == "consecutive-windows"
-    if consecutive and x_seq.ndim != 1:
-        raise ValueError("consecutive-windows mode expects one-dimensional sequences")
-    if not consecutive and x_seq.ndim != 2:
-        raise ValueError(
-            "independent-realizations mode expects (n_realizations, length) arrays"
-        )
+    if x_seq.ndim != 1:
+        raise ValueError("lag_embed expects one-dimensional sequences")
     views = _row_views(x_seq, y_seq, spec.rows)
-    rows = [v[:: spec.stride] if consecutive else v[:, -1] for v in views]
-    return DataPanel(data=rows, dims=spec.dims, meta=spec)
+    return DataPanel(data=[v[:: spec.stride] for v in views], dims=spec.dims)
 
 
 def sample_covariance(panel: DataPanel, center: bool = True) -> CompositeCovariance:
@@ -325,19 +293,7 @@ class TestOutcome:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "method": self.method,
-            "reject_null": self.reject_null,
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "M": self.M,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)

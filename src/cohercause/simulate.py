@@ -35,7 +35,6 @@ from .streams import stream_rng
 __all__ = [
     "MAFilterSpec",
     "BarnettModelSpec",
-    "NoiseSpec",
     "CovarianceSequences",
     "gen_ma_case",
     "gen_barnett",
@@ -60,23 +59,6 @@ def _geometric(c0: float, ratio: float, tol: float = COEFF_TOL) -> np.ndarray:
     """One-sided sequence c0 * ratio^k truncated where |c0 ratio^K| < tol."""
     K = int(math.ceil(math.log(tol / abs(c0)) / math.log(abs(ratio))))
     return c0 * ratio ** np.arange(K + 1)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Seeded standard-normal noise source with a stream index."""
-
-    seed: int
-    stream: int = 0
-    distribution: str = "standard_normal"
-
-    def __post_init__(self) -> None:
-        if self.distribution != "standard_normal":
-            raise ValueError(f"unsupported noise distribution {self.distribution!r}")
-
-
-def _as_noise(noise: NoiseSpec | int) -> NoiseSpec:
-    return noise if isinstance(noise, NoiseSpec) else NoiseSpec(seed=int(noise))
 
 
 @dataclass(frozen=True)
@@ -202,25 +184,25 @@ class CovarianceSequences:
 
 
 def gen_ma_case(
-    case: str, length: int, noise: NoiseSpec | int
+    case: str, length: int, seed: int, stream: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one of the built-in MA demonstration cases.
 
     The geometric channels are run as exact AR(1) recursions; the finite
     coupling filter is applied by shifting, so future-coupling cases
     draw on samples beyond the returned range, which the trailing margin
-    covers. Samples inside the burn-in are discarded.
+    covers. Samples inside the burn-in are discarded. The channels' noise
+    is drawn from streams (seed, stream, 0) and (seed, stream, 1).
     """
     spec = MAFilterSpec.from_case(case)
     if length <= 2 * spec.truncation:
         raise ValueError(
             f"length {length} too short: need more than {2 * spec.truncation} samples"
         )
-    ns = _as_noise(noise)
     future = max(0, -min(spec.f_offsets))
     total = length + BURN_IN + future
-    mu = stream_rng(ns.seed, ns.stream, 0).standard_normal(total)
-    nu = stream_rng(ns.seed, ns.stream, 1).standard_normal(total)
+    mu = stream_rng(seed, stream, 0).standard_normal(total)
+    nu = stream_rng(seed, stream, 1).standard_normal(total)
     x_full = lfilter([spec.h0], [1.0, -spec.a], mu)
     y_full = lfilter([spec.g0], [1.0, -spec.b], nu)
     for off, coef in zip(spec.f_offsets, spec.f_coeffs):
@@ -235,19 +217,19 @@ def gen_ma_case(
 
 
 def gen_barnett(
-    spec: BarnettModelSpec, length: int, noise: NoiseSpec | int
+    spec: BarnettModelSpec, length: int, seed: int, stream: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the bivariate ARMA(r, 1) pair, burn-in discarded.
 
     The AR recursion is run directly (no truncation) and the finite MA
     polynomials are applied afterwards, as truncated full convolutions.
+    The noise is drawn as in :func:`gen_ma_case`.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    ns = _as_noise(noise)
     total = length + BURN_IN
-    mu = stream_rng(ns.seed, ns.stream, 0).standard_normal(total)
-    nu = stream_rng(ns.seed, ns.stream, 1).standard_normal(total)
+    mu = stream_rng(seed, stream, 0).standard_normal(total)
+    nu = stream_rng(seed, stream, 1).standard_normal(total)
     eta2 = lfilter([1.0], [1.0, -spec.b], nu)
     mu[1:] += spec.coupling * eta2[:-1]  # mu becomes the drive of eta1
     eta1 = lfilter([1.0], [1.0, -spec.a], mu)

@@ -33,8 +33,17 @@ class TestSimulateAndTest:
             "statistic", "threshold", "p_value", "alpha", "method",
             "reject_null", "p", "q", "r", "M", "seed",
         ]
+        assert out == json.dumps(payload, indent=2) + "\n"
         assert payload["reject_null"] is True  # F = 0.5 is a strong coupling
         assert payload["p"] == 5 and payload["r"] == 5
+
+    def test_lags_below_one_names_depth(self, tmp_path, capsys):
+        pair = tmp_path / "pair.csv"
+        run_cli(capsys, "simulate", "--case", "I", "--length", "200", "--output", str(pair))
+        code, out, err = run_cli(capsys, "test", "--input", str(pair), "--lags", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "cohercause: error: T must be >= 1, got 0\n"
 
     def test_output_file(self, tmp_path, capsys):
         pair = tmp_path / "pair.csv"
@@ -347,6 +356,20 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}: expected " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["power", "roc", "calibrate"])
+    def test_fast_and_replications_are_exclusive(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fast", "--replications", "5000", "--output", "o.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fast" in err and "--replications" in err
+        fast = build_parser().parse_args([command, "--fast", "--output", "o.csv"])
+        assert fast.replications == cli.FAST_REPLICATIONS
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        [line] = [ln for ln in capsys.readouterr().out.splitlines() if "--fast " in ln]
+        assert "(default:" not in line
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, jobs, capsys):

@@ -17,7 +17,6 @@ from cohercause import (
     DataPanel,
     LagSpec,
     MAFilterSpec,
-    Role,
     calibrate_size,
     coherence_map,
     gen_barnett,
@@ -115,7 +114,7 @@ def per_offset_data_map(x, y, s_range, t_range, conditioning, T_cond):
         own = [o for _, o in spec.rows]
         first = min(0, *own) - lo  # panel column of the first shared t
         panel = lag_embed(x, y, spec).data[:, first : first + n]
-        cut = DataPanel(data=panel, dims=spec.dims, meta=spec)
+        cut = DataPanel(data=panel, dims=spec.dims)
         values[off] = likelihood_ratio(sample_covariance(cut))
     return np.array([[values[s - t] for t in t_range] for s in s_range])
 
@@ -255,16 +254,8 @@ class TestBatchedFastPath:
         panels -= panels.mean(axis=2, keepdims=True)
         S = panels @ np.swapaxes(panels, 1, 2)
         fast = -np.expm1(_log_det_q(S, p, q, r))
-        spec = LagSpec(
-            T=1,
-            x_role=Role("x", tuple(range(-1, -p - 1, -1))),
-            y_role=Role("y", (0,)),
-            z_role=Role("y", tuple(range(-1 - p, -1 - p - r, -1))),
-        )
         for i in range(panels.shape[0]):
-            panel = DataPanel(
-                data=panels[i], dims=BlockDims(p, q, r), meta=spec
-            )
+            panel = DataPanel(data=panels[i], dims=BlockDims(p, q, r))
             slow = partial_coherence_one_onto_two(sample_covariance(panel, center=False))
             assert fast[i] == pytest.approx(slow, abs=1e-12)
 

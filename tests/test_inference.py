@@ -39,22 +39,15 @@ def row_loop_embed(x_seq, y_seq, spec):
     all_offsets = [off for role in roles for off in role.offsets]
     off_min, off_max = min(all_offsets), max(all_offsets)
     rows = []
-    if spec.window_mode == "consecutive-windows":
-        t_first = max(0, -off_min)
-        t_last = x_seq.size - 1 - max(0, off_max)
-        n_cols = (t_last - t_first) // spec.stride + 1
-        for role in roles:
-            seq = x_seq if role.channel == "x" else y_seq
-            for off in role.offsets:
-                start = t_first + off
-                stop = start + (n_cols - 1) * spec.stride + 1
-                rows.append(seq[start:stop:spec.stride])
-    else:
-        t_col = x_seq.shape[1] - 1 - max(0, off_max)
-        for role in roles:
-            seq = x_seq if role.channel == "x" else y_seq
-            for off in role.offsets:
-                rows.append(seq[:, t_col + off])
+    t_first = max(0, -off_min)
+    t_last = x_seq.size - 1 - max(0, off_max)
+    n_cols = (t_last - t_first) // spec.stride + 1
+    for role in roles:
+        seq = x_seq if role.channel == "x" else y_seq
+        for off in role.offsets:
+            start = t_first + off
+            stop = start + (n_cols - 1) * spec.stride + 1
+            rows.append(seq[start:stop:spec.stride])
     return np.array(rows)
 
 
@@ -72,7 +65,6 @@ class TestLagSpec:
     def test_duplicate_sample_across_roles_rejected(self):
         with pytest.raises(ValueError, match="more than one role"):
             LagSpec(
-                T=2,
                 x_role=Role("x", (-1, -2)),
                 y_role=Role("y", (0,)),
                 z_role=Role("x", (-2, -3)),
@@ -118,7 +110,6 @@ class TestLagEmbed:
     def test_hand_construction(self):
         # T = 1 on three-sample sequences gives exactly two columns
         spec = LagSpec(
-            T=1,
             x_role=Role("x", (-1,)),
             y_role=Role("y", (0,)),
             z_role=Role("y", (-1,)),
@@ -133,7 +124,6 @@ class TestLagEmbed:
 
     def test_stride(self):
         spec = LagSpec(
-            T=1,
             x_role=Role("x", (-1,)),
             y_role=Role("y", (0,)),
             z_role=Role("y", (-1,)),
@@ -155,34 +145,17 @@ class TestLagEmbed:
                                [y[t0 - 1], y[t0 - 2], y[t0 - 3]]])
         assert_allclose(panel.data[:, 0], col0)
 
-    def test_independent_mode(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((25, 30))
-        y = rng.standard_normal((25, 30))
-        spec = LagSpec.influence_test(T=4, window_mode="independent-realizations")
-        panel = lag_embed(x, y, spec)
-        assert panel.M == 25
-        # each column comes from its own realization at the last valid t
-        assert_allclose(panel.data[3, 7], x[7, 29 - 4])
-
     @pytest.mark.parametrize("roles", REFERENCE_ROLES.values(), ids=REFERENCE_ROLES.keys())
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("length", [23, 24, 25])
     def test_consecutive_matches_row_loop(self, roles, stride, length):
         rng = np.random.default_rng(length)
         x, y = rng.standard_normal((2, length))
-        spec = LagSpec(4, *roles, stride=stride)
+        spec = LagSpec(*roles, stride=stride)
         panel = lag_embed(x, y, spec)
         assert np.array_equal(panel.data, row_loop_embed(x, y, spec))
         assert not panel.data.flags.writeable
         assert not np.shares_memory(panel.data, x)
-
-    @pytest.mark.parametrize("roles", REFERENCE_ROLES.values(), ids=REFERENCE_ROLES.keys())
-    def test_independent_matches_row_loop(self, roles):
-        rng = np.random.default_rng(2)
-        x, y = rng.standard_normal((2, 9, 12))
-        spec = LagSpec(4, *roles, window_mode="independent-realizations")
-        assert np.array_equal(lag_embed(x, y, spec).data, row_loop_embed(x, y, spec))
 
     @pytest.mark.parametrize("roles", REFERENCE_ROLES.values(), ids=REFERENCE_ROLES.keys())
     def test_shortest_feasible_length(self, roles):
@@ -190,13 +163,10 @@ class TestLagEmbed:
         offsets = [off for role in roles for off in role.offsets]
         span = max(0, *offsets) - min(0, *offsets) + 1
         x, y = np.arange(2.0 * span).reshape(2, span)
-        spec = LagSpec(4, *roles)
+        spec = LagSpec(*roles)
         assert lag_embed(x, y, spec).M == 1
         with pytest.raises(ValueError, match="insufficient data"):
             lag_embed(x[:-1], y[:-1], spec)
-        realizations = LagSpec(4, *roles, window_mode="independent-realizations")
-        with pytest.raises(ValueError, match="too short for the offsets"):
-            lag_embed(x[None, :-1], y[None, :-1], realizations)
 
     def test_mode_and_shape_must_agree(self):
         spec = LagSpec.influence_test(T=2)
@@ -211,10 +181,7 @@ class TestLagEmbed:
 
 class TestSampleCovariance:
     def test_single_column_outer_product(self):
-        spec = LagSpec(
-            T=1, x_role=Role("x", (0,)), y_role=Role("y", (0,)),
-            z_role=Role("y", (-1,)),
-        )
+        spec = LagSpec(Role("x", (0,)), Role("y", (0,)), Role("y", (-1,)))
         panel = lag_embed([3.0, 2.0], [1.0, 4.0], spec)
         assert panel.M == 1
         d = np.array([2.0, 4.0, 1.0])
@@ -224,11 +191,7 @@ class TestSampleCovariance:
     def test_orthogonal_rows_give_diagonal(self):
         data = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
                          [1.0, 1.0, -1.0, -1.0]])
-        spec = LagSpec(
-            T=1, x_role=Role("x", (0,)), y_role=Role("y", (0,)),
-            z_role=Role("y", (-1,)),
-        )
-        panel = DataPanel(data=data, dims=BlockDims(1, 1, 1), meta=spec)
+        panel = DataPanel(data=data, dims=BlockDims(1, 1, 1))
         S = sample_covariance(panel, center=False)
         assert_allclose(S.entries, np.diag(np.diag(S.entries)))
 
@@ -255,22 +218,14 @@ class TestLikelihoodRatio:
                 [1.0, 1.0, -1.0, -1.0],
             ]
         )
-        spec = LagSpec(
-            T=1, x_role=Role("x", (0,)), y_role=Role("y", (0,)),
-            z_role=Role("y", (-1,)),
-        )
-        panel = DataPanel(data=data, dims=BlockDims(1, 1, 1), meta=spec)
+        panel = DataPanel(data=data, dims=BlockDims(1, 1, 1))
         S = sample_covariance(panel, center=False)
         assert likelihood_ratio(S) == pytest.approx(0.0, abs=1e-14)
 
     def test_scalar_matches_sample_partial_correlation(self):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((3, 200))
-        spec = LagSpec(
-            T=1, x_role=Role("x", (0,)), y_role=Role("y", (0,)),
-            z_role=Role("y", (-1,)),
-        )
-        panel = DataPanel(data=data, dims=BlockDims(1, 1, 1), meta=spec)
+        panel = DataPanel(data=data, dims=BlockDims(1, 1, 1))
         S = sample_covariance(panel, center=False).entries
         # scalar sample partial-correlation oracle from raw moments
         rxy = S[0, 1] / math.sqrt(S[0, 0] * S[1, 1])
@@ -300,9 +255,7 @@ class TestLikelihoodRatio:
         import scipy.linalg as la
 
         T = la.block_diag(tx, ty, tz)
-        transformed = DataPanel(
-            data=T @ panel.data, dims=panel.dims, meta=panel.meta
-        )
+        transformed = DataPanel(data=T @ panel.data, dims=panel.dims)
         stat2 = likelihood_ratio(sample_covariance(transformed))
         assert stat2 == pytest.approx(stat, abs=1e-8)
 
@@ -314,7 +267,7 @@ class TestLikelihoodRatio:
     def test_extreme_row_scale_invariance(self, seed, exponents):
         panel = barnett_panel(seed=seed % 1000, length=800, T=3)
         scales = 10.0 ** np.array(exponents)[:, None]
-        scaled = DataPanel(data=scales * panel.data, dims=panel.dims, meta=panel.meta)
+        scaled = DataPanel(data=scales * panel.data, dims=panel.dims)
         assert likelihood_ratio(sample_covariance(scaled)) == pytest.approx(
             likelihood_ratio(sample_covariance(panel)), abs=2e-14
         )
@@ -328,7 +281,7 @@ class TestLikelihoodRatio:
         # Scales whose data-scale Gram underflows or overflows.
         panel = barnett_panel(seed=seed % 1000, length=800, T=3)
         scales = 10.0 ** np.array(exponents)[:, None]
-        scaled = DataPanel(data=scales * panel.data, dims=panel.dims, meta=panel.meta)
+        scaled = DataPanel(data=scales * panel.data, dims=panel.dims)
         assert causal_influence_test(scaled, method="bartlett").statistic == pytest.approx(
             causal_influence_test(panel, method="bartlett").statistic, abs=2e-14
         )
@@ -342,7 +295,7 @@ class TestLikelihoodRatio:
         panel = barnett_panel(length=5000)
         data = panel.data.copy()
         data[: panel.dims.p] *= scale
-        scaled = DataPanel(data=data, dims=panel.dims, meta=panel.meta)
+        scaled = DataPanel(data=data, dims=panel.dims)
         assert causal_influence_test(scaled, method="bartlett").statistic == pytest.approx(
             causal_influence_test(panel, method="bartlett").statistic, abs=2e-14
         )
@@ -351,9 +304,7 @@ class TestLikelihoodRatio:
         panel = barnett_panel(length=600, T=3)
         rng = np.random.default_rng(4)
         perm = rng.permutation(panel.M)
-        permuted = DataPanel(
-            data=panel.data[:, perm], dims=panel.dims, meta=panel.meta
-        )
+        permuted = DataPanel(data=panel.data[:, perm], dims=panel.dims)
         assert likelihood_ratio(sample_covariance(permuted)) == pytest.approx(
             likelihood_ratio(sample_covariance(panel)), abs=1e-12
         )
@@ -388,11 +339,7 @@ class TestCausalInfluence:
                 [1.0, 1.0, -1.0, -1.0, 0.0],
             ]
         )
-        spec = LagSpec(
-            T=1, x_role=Role("x", (0,)), y_role=Role("y", (0,)),
-            z_role=Role("y", (-1,)),
-        )
-        panel = DataPanel(data=data, dims=BlockDims(1, 1, 1), meta=spec)
+        panel = DataPanel(data=data, dims=BlockDims(1, 1, 1))
         out = causal_influence_test(panel, alpha=0.5, n_mc=5000, center=False)
         assert out.statistic == pytest.approx(0.0, abs=1e-12)
         assert not out.reject_null

@@ -13,7 +13,6 @@ from cohercause import (
     CompositeCovariance,
     CovarianceSequences,
     MAFilterSpec,
-    NoiseSpec,
     analytic_covariances,
     composite_from_sequences,
     gen_barnett,
@@ -37,11 +36,11 @@ def csv_writer_sequence(path, x, y):
             writer.writerow([t, repr(float(xv)), repr(float(yv))])
 
 
-def lfilter_gen_barnett(spec, length, noise):
+def lfilter_gen_barnett(spec, length, seed, stream=0):
     """Reference: the Barnett pair with both MA polynomials run through lfilter."""
     total = length + BURN_IN
-    mu = stream_rng(noise.seed, noise.stream, 0).standard_normal(total)
-    nu = stream_rng(noise.seed, noise.stream, 1).standard_normal(total)
+    mu = stream_rng(seed, stream, 0).standard_normal(total)
+    nu = stream_rng(seed, stream, 1).standard_normal(total)
     eta2 = lfilter([1.0], [1.0, -spec.b], nu)
     drive = mu.copy()
     drive[1:] += spec.coupling * eta2[:-1]
@@ -104,10 +103,6 @@ class TestSpecs:
         with pytest.raises(ValueError, match="unstable"):
             BarnettModelSpec(a=1.1)
 
-    def test_noise_spec_distribution(self):
-        with pytest.raises(ValueError, match="distribution"):
-            NoiseSpec(seed=1, distribution="cauchy")
-
 
 class TestAnalyticCovariances:
     def test_zero_coupling_zero_cross(self):
@@ -131,7 +126,7 @@ class TestAnalyticCovariances:
     @pytest.mark.parametrize("case", ["I", "II", "III"])
     def test_sample_covariances_match_analytic(self, case):
         n = 1_000_000
-        x, y = gen_ma_case(case, n, NoiseSpec(seed=101))
+        x, y = gen_ma_case(case, n, 101)
         seqs = analytic_covariances(MAFilterSpec.from_case(case), 8)
         for lag in (0, 1, 3):
             est, se = batched_cross_cov(x, x, lag)
@@ -144,7 +139,7 @@ class TestAnalyticCovariances:
 
     def test_barnett_sample_covariances_match_analytic(self):
         spec = BarnettModelSpec(transfer_entropy=0.2, ma_order=2)
-        x, y = gen_barnett(spec, 1_000_000, NoiseSpec(seed=55))
+        x, y = gen_barnett(spec, 1_000_000, 55)
         seqs = analytic_covariances(spec, 6)
         for lag in (0, 2):
             est, se = batched_cross_cov(x, x, lag)
@@ -171,14 +166,14 @@ class TestAnalyticCovariances:
 
 class TestGenerators:
     def test_gen_ma_case_reproducible(self):
-        x1, y1 = gen_ma_case("I", 5000, NoiseSpec(seed=7))
-        x2, y2 = gen_ma_case("I", 5000, NoiseSpec(seed=7))
+        x1, y1 = gen_ma_case("I", 5000, 7)
+        x2, y2 = gen_ma_case("I", 5000, 7)
         assert_allclose(x1, x2)
         assert_allclose(y1, y2)
 
     def test_gen_ma_case_streams_differ(self):
-        x1, _ = gen_ma_case("I", 5000, NoiseSpec(seed=7, stream=0))
-        x2, _ = gen_ma_case("I", 5000, NoiseSpec(seed=7, stream=1))
+        x1, _ = gen_ma_case("I", 5000, 7, stream=0)
+        x2, _ = gen_ma_case("I", 5000, 7, stream=1)
         assert not np.allclose(x1, x2)
 
     def test_length_too_short(self):
@@ -194,13 +189,13 @@ class TestGenerators:
     @pytest.mark.parametrize("order", [0, 1, 10])
     def test_gen_barnett_matches_lfilter_reference(self, order):
         spec = BarnettModelSpec(transfer_entropy=0.3, ma_order=order)
-        x, y = gen_barnett(spec, 5000, NoiseSpec(seed=4, stream=2))
-        ref_x, ref_y = lfilter_gen_barnett(spec, 5000, NoiseSpec(seed=4, stream=2))
+        x, y = gen_barnett(spec, 5000, 4, stream=2)
+        ref_x, ref_y = lfilter_gen_barnett(spec, 5000, 4, stream=2)
         assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
 
     def test_decoupled_channels_uncorrelated(self):
         spec = BarnettModelSpec(transfer_entropy=0.0, ma_order=1)
-        x, y = gen_barnett(spec, 400_000, NoiseSpec(seed=21))
+        x, y = gen_barnett(spec, 400_000, 21)
         for lag in (-1, 0, 1, 3):
             est, se = batched_cross_cov(x, y, lag)
             assert abs(est) < 4 * se
