@@ -5,8 +5,9 @@ flag (default 42, never time-based); the same configuration and seed
 produce byte-identical output files. --jobs (at least 1; default: the
 CPUs this process may run on), which the COHERCAUSE_JOBS environment
 variable overrides as a default, sizes the thread pool of the
-independent-realization study replications, whose chunk work runs inside
-numpy calls; the null law is drawn in the calling thread. A --jobs or
+independent-realization study replications and of power's MA orders in
+consecutive-window mode, whose work runs inside numpy and scipy calls;
+the null law is drawn in the calling thread. A --jobs or
 COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error, as is
 a malformed --orders, --s-range, --t-range or --sizes value, and so is
 giving both --fast (a preset number of replications) and --replications.
@@ -70,6 +71,15 @@ def _default_jobs(parser: argparse.ArgumentParser) -> int:
     parser.error(f"COHERCAUSE_JOBS must be an integer >= 1, got {env!r}")
 
 
+class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends an option's default to its help unless the default is None."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
@@ -77,7 +87,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--jobs", type=int, default=None,
-        help="threads for the independent-realization study replications "
+        help="threads for the independent-realization study replications and for "
+             "power's MA orders in consecutive-window mode "
              "(default: COHERCAUSE_JOBS or the CPUs this process may use)",
     )
 
@@ -143,9 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parser(name, **kwargs):
         # every subcommand's --help shows the defaults
-        return subs.add_parser(
-            name, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs
-        )
+        return subs.add_parser(name, formatter_class=_DefaultsHelpFormatter, **kwargs)
 
     t = add_parser("test", help="test x -> y causal influence in a CSV sequence pair")
     t.add_argument("--input", required=True, help="CSV with header t,x,y")

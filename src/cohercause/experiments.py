@@ -18,11 +18,14 @@ each replication draws the Gram by the Bartlett decomposition and no panel
 is formed. The chunks run on a thread pool of ``jobs`` workers, since their
 work runs inside numpy calls; chunk i of replications consumes stream
 (seed, stream, i) whatever the worker count.
-"consecutive-windows" simulates one long sequence and carves it into
+"consecutive-windows" carves one long simulated sequence into
 back-to-back windows, reproducing the original experimental protocol
-with its weakly dependent columns. Its panel rows are laid out by
-``LagSpec.rows``, as in ``lag_embed``: one zero-copy view per row over the
-sequences reshaped to one window per row, gathered chunk by chunk into one
+with its weakly dependent columns. The sequence is streamed: the
+generator yields it in blocks of one panel's windows, so memory does not
+grow with the number of replications, and ``power_curve`` runs its MA
+orders on a thread pool of ``jobs`` workers. Each block's panel rows are
+laid out by ``LagSpec.rows``, as in ``lag_embed``: one zero-copy view per
+row over the block reshaped to one window per row, gathered into one
 reused panel buffer of about 10 MB. Its windows are centred by conditioning:
 removing each row's mean is the projection onto a constant regressor
 (Frisch-Waugh-Lovell), so a row of ones written once at the end of z, which
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -55,8 +59,8 @@ from .simulate import (
     CovarianceSequences,
     MAFilterSpec,
     analytic_covariances,
+    _barnett_blocks,
     composite_from_sequences,
-    gen_barnett,
     lag_window_covariance,
 )
 from .streams import stream_rng
@@ -171,45 +175,61 @@ def _independent_stats(
         return np.concatenate(list(pool.map(chunk, chunks)))
 
 
-def _consecutive_stats(x: np.ndarray, y: np.ndarray, T: int, M: int, n_windows: int) -> np.ndarray:
-    """Statistics from back-to-back windows of one long sequence.
+def _window_chunk(T: int, M: int) -> int:
+    """Windows per reused panel of about ``_WINDOW_CHUNK_BYTES``.
 
-    Each window holds M + T samples and yields M full-context columns of
-    the influence-test embedding. Its rows are zero-copy views of the
-    sequences reshaped to one window per row, copied chunk by chunk into one
-    reused panel of about ``_WINDOW_CHUNK_BYTES``, which stays cache-resident
-    for any M and T. The panel has one more row, all ones, written once and
-    kept at the end of z: conditioning on it centres every window without a
-    pass over the data (Frisch-Waugh-Lovell), and the kernel's one Cholesky
-    factor does that projection. That holds for O(1), zero-mean sequences
-    such as the studies simulate; ``inference._scaled_gram`` centres
-    explicitly for data at any scale.
+    A window's panel has the 2T + 1 rows of the influence-test embedding
+    and the row of ones, each M columns long.
+    """
+    return max(1, _WINDOW_CHUNK_BYTES // ((2 * T + 2) * M * 8))
+
+
+def _consecutive_stats(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], T: int, M: int, n_windows: int
+) -> np.ndarray:
+    """Statistics from back-to-back windows of one long sequence, read in blocks.
+
+    ``blocks`` yields the sequence pair as consecutive ``(x, y)`` blocks of
+    whole windows, each window M + T samples long; a window never spans
+    two blocks, and the samples past a block's last whole window or past
+    the ``n_windows``-th window are not used. Each window yields M
+    full-context columns of the influence-test embedding. Its rows are
+    zero-copy views of the block reshaped to one window per row, copied
+    chunk by chunk into one reused panel of about ``_WINDOW_CHUNK_BYTES``,
+    which stays cache-resident for any M and T. The panel has one more row,
+    all ones, written once and kept at the end of z: conditioning on it
+    centres every window without a pass over the data
+    (Frisch-Waugh-Lovell), and the kernel's one Cholesky factor does that
+    projection. That holds for O(1), zero-mean sequences such as the
+    studies simulate; ``inference._scaled_gram`` centres explicitly for
+    data at any scale.
     """
     window = M + T
-    n = n_windows * window
-    if x.size < n:
-        raise ValueError(
-            f"sequence of {x.size} samples is too short for "
-            f"{n_windows} windows of {window}"
-        )
-    # Entry [w, k] of each view is the row's sample at column k of window w.
-    views = _row_views(
-        x[:n].reshape(n_windows, window),
-        y[:n].reshape(n_windows, window),
-        LagSpec.influence_test(T).rows,
-    )
-    height = len(views) + 1
-    chunk = max(1, _WINDOW_CHUNK_BYTES // (height * M * 8))
-    D = np.empty((min(chunk, n_windows), height, M))
-    D[:, len(views) :] = 1.0
+    rows = LagSpec.influence_test(T).rows
+    chunk = _window_chunk(T, M)
+    D = np.empty((min(chunk, n_windows), len(rows) + 1, M))
+    D[:, len(rows) :] = 1.0
     out = np.empty(n_windows)
-    for w0 in range(0, n_windows, chunk):
-        D = D[: min(chunk, n_windows - w0)]  # shrinks only for the last chunk
-        for i, v in enumerate(views):
-            D[:, i] = v[w0 : w0 + chunk]
-        S = D @ np.swapaxes(D, 1, 2)
-        out[w0 : w0 + chunk] = -np.expm1(_log_det_q(S, T, 1, T + 1))
-    return out
+    done = seen = 0
+    for x, y in blocks:
+        seen += x.size
+        k = min(x.size // window, n_windows - done)
+        # Entry [w, c] of each view is the row's sample at column c of window w.
+        views = _row_views(
+            x[: k * window].reshape(k, window), y[: k * window].reshape(k, window), rows
+        )
+        for w0 in range(0, k, chunk):
+            panel = D[: min(chunk, k - w0)]
+            for i, v in enumerate(views):
+                panel[:, i] = v[w0 : w0 + chunk]
+            S = panel @ np.swapaxes(panel, 1, 2)
+            out[done + w0 : done + w0 + len(panel)] = -np.expm1(_log_det_q(S, T, 1, T + 1))
+        done += k
+        if done == n_windows:
+            return out
+    raise ValueError(
+        f"sequence of {seen} samples is too short for {n_windows} windows of {window}"
+    )
 
 
 def _model_statistics(
@@ -224,8 +244,12 @@ def _model_statistics(
             population, T, 1, T, M, replications, seed, stream=stream, jobs=jobs
         )
     if window_mode == "consecutive-windows":
-        x, y = gen_barnett(spec, replications * (M + T), seed, stream)
-        return _consecutive_stats(x, y, T, M, replications)
+        # Blocks of one panel's windows: memory does not grow with replications.
+        window = M + T
+        blocks = _barnett_blocks(
+            spec, replications * window, _window_chunk(T, M) * window, seed, stream
+        )
+        return _consecutive_stats(blocks, T, M, replications)
     raise ValueError(f"unknown window mode {window_mode!r}")
 
 
@@ -342,24 +366,36 @@ def power_curve(
     n_mc: int = DEFAULT_N_MC,
     jobs: int = 1,
 ) -> list[PowerPoint]:
-    """Rejection rate versus MA order at fixed transfer entropy F."""
+    """Rejection rate versus MA order at fixed transfer entropy F.
+
+    Each order draws from its own substream, stream = order + 1. With
+    consecutive windows the orders run on a pool of ``jobs`` threads, each
+    order streaming its sequence through one reused panel, so memory grows
+    with the worker count and not with ``replications``. With independent
+    realizations the orders run in turn, each on its own pool of replication
+    chunks, so pools never nest. Either way the result does not depend on
+    ``jobs``.
+    """
     ma_orders = [int(order) for order in ma_orders]
     if not ma_orders:
         raise ValueError("ma_orders is empty; give at least one MA order")
     threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
-    points = []
-    for order in ma_orders:
+
+    def point(order: int) -> PowerPoint:
         spec = BarnettModelSpec(transfer_entropy=F, ma_order=order)
-        # One independent substream per MA order.
         stats = _model_statistics(
             spec, replications, M, T, window_mode, seed, stream=order + 1, jobs=jobs
         )
         power, se = _rejection_rate(stats, threshold)
-        points.append(PowerPoint(
+        return PowerPoint(
             ma_order=order, power=power, std_error=se, alpha=alpha,
             replications=replications, T=T, M=M,
-        ))
-    return points
+        )
+
+    if window_mode != "consecutive-windows":
+        return [point(order) for order in ma_orders]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(point, ma_orders))
 
 
 def roc_curve(

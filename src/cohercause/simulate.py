@@ -23,6 +23,7 @@ below 1e-12 per coefficient.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,26 +217,59 @@ def gen_ma_case(
     return x_full[sl].copy(), y_full[sl].copy()
 
 
+def _barnett_blocks(
+    spec: BarnettModelSpec, length: int, block: int, seed: int, stream: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the Barnett pair of :func:`gen_barnett` as consecutive blocks.
+
+    Every block holds ``block`` samples except the last, which holds what
+    is left of ``length``, so nothing is drawn past it. Concatenated, the
+    blocks equal ``gen_barnett(spec, length, seed, stream)`` bit for bit:
+    the noise streams are read in order, and across a block boundary the
+    generator carries both AR(1) filter states, the last eta2 sample for
+    the one-step coupling of eta1's drive, and the last r samples of each
+    AR core for the order-r MA polynomials.
+    """
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    mu_rng, nu_rng = stream_rng(seed, stream, 0), stream_rng(seed, stream, 1)
+    r = spec.ma_order
+    zi1, zi2 = np.zeros(1), np.zeros(1)
+    # The last eta2 sample and the last r AR-core samples; zeros before the first.
+    eta2_last = 0.0
+    core1, core2 = np.zeros(r), np.zeros(r)
+    skip = BURN_IN
+    for start in range(0, length, block):
+        n = skip + min(block, length - start)
+        mu = mu_rng.standard_normal(n)
+        nu = nu_rng.standard_normal(n)
+        eta2, zi2 = lfilter([1.0], [1.0, -spec.b], nu, zi=zi2)
+        mu[0] += spec.coupling * eta2_last  # mu becomes the drive of eta1
+        mu[1:] += spec.coupling * eta2[:-1]
+        eta2_last = eta2[-1]
+        eta1, zi1 = lfilter([1.0], [1.0, -spec.a], mu, zi=zi1)
+        core1 = np.concatenate((core1, eta1))
+        core2 = np.concatenate((core2, eta2))
+        # The long operand first keeps np.convolve's summation order for any block.
+        y = np.convolve(core1[skip:], spec.ma_y, mode="valid")
+        x = np.convolve(core2[skip:], spec.ma_x, mode="valid")
+        core1, core2 = core1[core1.size - r :].copy(), core2[core2.size - r :].copy()
+        skip = 0
+        yield x, y
+
+
 def gen_barnett(
     spec: BarnettModelSpec, length: int, seed: int, stream: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the bivariate ARMA(r, 1) pair, burn-in discarded.
 
     The AR recursion is run directly (no truncation) and the finite MA
-    polynomials are applied afterwards, as truncated full convolutions.
-    The noise is drawn as in :func:`gen_ma_case`.
+    polynomials are applied afterwards, as convolutions that treat the
+    AR-core samples before the first draw as zero. The noise is drawn as in
+    :func:`gen_ma_case`. This is the one-block case of the block
+    generator that the consecutive-window studies stream from.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    total = length + BURN_IN
-    mu = stream_rng(seed, stream, 0).standard_normal(total)
-    nu = stream_rng(seed, stream, 1).standard_normal(total)
-    eta2 = lfilter([1.0], [1.0, -spec.b], nu)
-    mu[1:] += spec.coupling * eta2[:-1]  # mu becomes the drive of eta1
-    eta1 = lfilter([1.0], [1.0, -spec.a], mu)
-    y = np.convolve(spec.ma_y, eta1)[BURN_IN:total]
-    x = np.convolve(spec.ma_x, eta2)[BURN_IN:total]
-    return x, y
+    return next(_barnett_blocks(spec, length, length, seed, stream))
 
 
 def _overlap_sum(al: np.ndarray, be: np.ndarray, lags: np.ndarray) -> np.ndarray:

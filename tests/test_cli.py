@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,10 @@ from cohercause import cli, critical_value, make_spec, p_value, sample_null, wri
 from cohercause.cli import build_parser, main
 
 from helpers import DEGENERATE_BLOCKS, degenerate_pair
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# Peak RSS of default-replication `power --orders 0..1 --jobs 2`, as the README states.
+POWER_PEAK_RSS_MB = 250
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +277,39 @@ class TestPowerRocCalibrate:
             outputs.append((out, out_file.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_consecutive_power_identical_across_jobs(self, tmp_path, capsys):
+        # Four orders on one or two threads: the CSV and the summary agree byte for byte.
+        out_csv = tmp_path / "power.csv"
+        outputs = []
+        for jobs in ("1", "2"):
+            code, _, _ = run_cli(
+                capsys, "power", "--orders", "0..3", "--replications", "300",
+                "--M", "150", "--T", "2", "--n-mc", "20000", "--jobs", jobs,
+                "--output", str(out_csv),
+            )
+            assert code == 0
+            outputs.append((out_csv.read_bytes(), (tmp_path / "power.csv.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == 1 + 4
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+    def test_default_replication_power_peak_rss_bounded(self, tmp_path):
+        # Each order streams its sequence through one reused panel, so peak memory
+        # does not grow with --replications, even with two orders in flight.
+        argv = [
+            sys.executable, "-m", "cohercause.cli", "power", "--orders", "0..1",
+            "--replications", "10000", "--jobs", "2", "--output", str(tmp_path / "power.csv"),
+        ]
+        path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        err = tmp_path / "stderr.txt"
+        with open(err, "w") as fh:
+            proc = subprocess.Popen(argv, env=env, stderr=fh)
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, err.read_text()
+        assert usage.ru_maxrss / 1024 < POWER_PEAK_RSS_MB
+
     @pytest.mark.parametrize(
         "command, extra, keys",
         [
@@ -322,6 +363,14 @@ class TestParser:
         top = parser.format_help()
         assert "alpha=0.05" in top and "T=10" in top and "M=1000" in top
         assert "F=0.02" in top
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_shows_no_none_default(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--jobs" in text and "(default: None)" not in text
 
     def test_jobs_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("COHERCAUSE_JOBS", "1")

@@ -39,6 +39,7 @@ from cohercause.experiments import (
 )
 from cohercause.inference import lag_embed
 from cohercause.simulate import (
+    _barnett_blocks,
     analytic_covariances,
     lag_window_covariance,
     model_composite_covariance,
@@ -236,14 +237,27 @@ class TestConsecutiveCarving:
         assert chunks == 1 or n_windows % chunk != 0
         spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
         x, y = gen_barnett(spec, n_windows * (M + T) + extra, 11)
-        fast = _consecutive_stats(x, y, T, M, n_windows)
+        fast = _consecutive_stats([(x, y)], T, M, n_windows)
         slow = per_window_consecutive_stats(x, y, T, M, n_windows)
         assert np.array_equal(fast, slow)
 
     def test_too_short_sequence_rejected(self):
         x, y = gen_barnett(BarnettModelSpec(), 3 * 64 - 1, 2)
         with pytest.raises(ValueError, match="too short for 3 windows of 64"):
-            _consecutive_stats(x, y, 4, 60, 3)
+            _consecutive_stats([(x, y)], 4, 60, 3)
+
+    def test_streamed_blocks_match_one_sequence(self):
+        # The studies' path: generator blocks of three windows, the last one shorter.
+        T, M, n_windows = 4, 60, 7
+        spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
+        x, y = gen_barnett(spec, n_windows * 64, 11)
+        blocks = _barnett_blocks(spec, n_windows * 64, 3 * 64, 11)
+        fast = _consecutive_stats(blocks, T, M, n_windows)
+        assert np.array_equal(fast, per_window_consecutive_stats(x, y, T, M, n_windows))
+        # A window never spans two blocks: 3 + 3 + 0 whole windows are too few.
+        blocks = _barnett_blocks(spec, n_windows * 64 - 1, 3 * 64, 11)
+        with pytest.raises(ValueError, match="sequence of 447 samples is too short for 7"):
+            _consecutive_stats(blocks, T, M, n_windows)
 
 
 class TestBatchedFastPath:
@@ -263,7 +277,7 @@ class TestBatchedFastPath:
         spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=1)
         T, M, n_win = 4, 60, 3
         x, y = gen_barnett(spec, n_win * (M + T), 5)
-        fast = _consecutive_stats(x, y, T, M, n_win)
+        fast = _consecutive_stats([(x, y)], T, M, n_win)
         for w in range(n_win):
             seg = slice(w * (M + T), (w + 1) * (M + T))
             panel = lag_embed(x[seg], y[seg], LagSpec.influence_test(T=T))
@@ -277,7 +291,7 @@ class TestBatchedFastPath:
         T, M, n_win = 10, 1000, 200
         spec = BarnettModelSpec(transfer_entropy=0.02, ma_order=ma_order)
         x, y = gen_barnett(spec, n_win * (M + T), 42)
-        fast = _consecutive_stats(x, y, T, M, n_win)
+        fast = _consecutive_stats([(x, y)], T, M, n_win)
         windows = np.stack([x, y])[:, : n_win * (M + T)].reshape(2, n_win, M + T)
         D = np.array([
             lag_embed(xw, yw, LagSpec.influence_test(T)).data for xw, yw in zip(*windows)

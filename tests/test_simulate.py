@@ -23,7 +23,7 @@ from cohercause import (
     read_sequence_csv,
     write_sequence_csv,
 )
-from cohercause.simulate import BURN_IN
+from cohercause.simulate import BURN_IN, _barnett_blocks
 from cohercause.streams import stream_rng
 
 
@@ -192,6 +192,24 @@ class TestGenerators:
         x, y = gen_barnett(spec, 5000, 4, stream=2)
         ref_x, ref_y = lfilter_gen_barnett(spec, 5000, 4, stream=2)
         assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
+
+    @pytest.mark.parametrize("F", [0.0, 0.02])
+    @pytest.mark.parametrize("order", [0, 1, 10])
+    @pytest.mark.parametrize("block", [1, 7, 300, 1200, 5000])
+    def test_blocks_concatenate_to_gen_barnett(self, block, order, F):
+        # 300 divides the length, 7 does not; 1200 is one block, 5000 overshoots.
+        spec = BarnettModelSpec(transfer_entropy=F, ma_order=order)
+        x, y = gen_barnett(spec, 1200, 4, stream=2)
+        blocks = list(_barnett_blocks(spec, 1200, block, 4, 2))
+        sizes = [bx.size for bx, _ in blocks]
+        assert sizes == [min(block, 1200 - s) for s in range(0, 1200, block)]
+        assert all(by.size == n for (_, by), n in zip(blocks, sizes))
+        assert np.array_equal(np.concatenate([bx for bx, _ in blocks]), x)
+        assert np.array_equal(np.concatenate([by for _, by in blocks]), y)
+
+    def test_gen_barnett_rejects_empty_length(self):
+        with pytest.raises(ValueError, match="length must be >= 1, got 0"):
+            gen_barnett(BarnettModelSpec(), 0, 1)
 
     def test_decoupled_channels_uncorrelated(self):
         spec = BarnettModelSpec(transfer_entropy=0.0, ma_order=1)
