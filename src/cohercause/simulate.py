@@ -22,12 +22,13 @@ below 1e-12 per coefficient.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .covariance import BlockDims, CompositeCovariance
 from .inference import LagSpec, atomic_write
@@ -54,6 +55,58 @@ MA_CASES = {
     "II": ((0, -1, -2, -3), (0.7, 0.8, 0.7, 0.3)),
     "III": ((2, 1, 0, -1, -2), (0.4, 0.8, 0.7, 0.8, 0.4)),
 }
+
+
+def _sigtools_path() -> str:
+    """The file of scipy.signal's ``_sigtools`` extension, found without importing it."""
+    signal = importlib.util.find_spec("scipy.signal")
+    found = importlib.machinery.PathFinder.find_spec(
+        "_sigtools", signal.submodule_search_locations
+    )
+    return found.origin
+
+
+def _bind_lfilter():
+    """``scipy.signal.lfilter`` for the AR recursions, without importing scipy.signal.
+
+    Importing scipy.signal takes ~0.9 s and ~40 MB, most of every short CLI
+    process, and this module needs only ``lfilter`` from it. For a
+    denominator of two or more coefficients ``lfilter`` calls
+    ``_sigtools._linear_filter(b, a, x, axis[, zi])`` and nothing else, so
+    the extension is loaded on its own under a private name: the same C
+    routine gives the same bits, and scipy.signal stays unloaded for any
+    later importer. If the file, its load or the symbol is missing (it is
+    private SciPy API), the public ``lfilter`` is bound instead: the same
+    bits at the old cost.
+    """
+    try:
+        spec = importlib.util.spec_from_file_location("cohercause._sigtools", _sigtools_path())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        linear_filter = module._linear_filter
+    except (ImportError, AttributeError):
+        from scipy import signal
+
+        return signal.lfilter
+
+    def lfilter(b, a, x, zi=None):
+        """``scipy.signal.lfilter(b, a, x, zi=zi)`` along the last axis; ``len(a) >= 2``."""
+        # As lfilter's np.atleast_1d makes of the list arguments.
+        b = np.array(b, dtype=np.float64, ndmin=1)
+        a = np.array(a, dtype=np.float64, ndmin=1)
+        if b.ndim != 1 or a.ndim != 1 or b.size < 1 or a.size < 2:
+            # lfilter takes a separate np.convolve route for a single a.
+            raise ValueError(
+                f"need 1-D b and a with len(a) >= 2, got shapes {b.shape} and {a.shape}"
+            )
+        if zi is None:
+            return linear_filter(b, a, x, -1)
+        return linear_filter(b, a, x, -1, zi)
+
+    return lfilter
+
+
+lfilter = _bind_lfilter()
 
 
 def _geometric(c0: float, ratio: float, tol: float = COEFF_TOL) -> np.ndarray:

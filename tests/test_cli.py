@@ -292,6 +292,31 @@ class TestPowerRocCalibrate:
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) == 1 + 4
 
+    def test_outputs_identical_across_blas_threads(self, tmp_path):
+        # Equal seeds give byte-identical study files whether BLAS runs one thread or two.
+        runs = [
+            ("power", "--orders", "0..2", "--replications", "300", "--M", "200", "--T", "3",
+             "--n-mc", "20000", "--jobs", "1", "--output", "power.csv"),
+            ("calibrate", "--window-mode", "independent-realizations", "--replications", "2000",
+             "--M", "200", "--T", "3", "--n-mc", "20000", "--jobs", "1",
+             "--output", "calibrate.json"),
+        ]
+        path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+        outputs = {}
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS=threads)
+            for argv in runs:
+                done = subprocess.run(
+                    [sys.executable, "-m", "cohercause.cli", *argv], cwd=cwd, env=env,
+                    capture_output=True, timeout=300,
+                )
+                assert done.returncode == 0, done.stderr
+            outputs[threads] = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
+        assert sorted(outputs["1"]) == ["calibrate.json", "power.csv", "power.csv.json"]
+        assert outputs["1"] == outputs["2"]
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
     def test_default_replication_power_peak_rss_bounded(self, tmp_path):
         # Each order streams its sequence through one reused panel, so peak memory

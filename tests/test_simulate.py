@@ -1,6 +1,9 @@
 import csv
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from cohercause import (
     model_composite_covariance,
     partial_coherence,
     read_sequence_csv,
+    simulate,
     write_sequence_csv,
 )
 from cohercause.simulate import BURN_IN, _barnett_blocks
@@ -232,6 +236,58 @@ class TestGenerators:
         # xy[m] = E[x_n y_{n+m}]: for m = -1 (y before x) only AR memory of x
         assert abs(seqs.xy_at(-4)) < 1e-3  # fast geometric decay
         assert seqs.xy_at(0) > 0.4
+
+
+class TestPrivateLfilter:
+    """simulate's lfilter is scipy's C routine, loaded without scipy.signal."""
+
+    @pytest.mark.parametrize("with_zi", [False, True], ids=["no-zi", "zi"])
+    @pytest.mark.parametrize("b", [[1.0], [0.8]], ids=["unit", "gain"])
+    @pytest.mark.parametrize("coef", [0.7, 1.0, 1.3, -0.5])
+    def test_matches_scipy_lfilter(self, coef, b, with_zi):
+        # The private route, not a silent fallback to the public function.
+        assert simulate.lfilter is not lfilter
+        assert simulate.lfilter.__module__ == "cohercause.simulate"
+        x = np.random.default_rng(5).standard_normal(200_003)
+        a = [1.0, -coef]
+        if not with_zi:
+            assert np.array_equal(simulate.lfilter(b, a, x), lfilter(b, a, x))
+            return
+        zi = np.array([0.37])
+        out, zf = simulate.lfilter(b, a, x, zi=zi)
+        ref_out, ref_zf = lfilter(b, a, x, zi=zi)
+        assert np.array_equal(out, ref_out) and np.array_equal(zf, ref_zf)
+
+    def test_rejects_single_denominator_coefficient(self):
+        with pytest.raises(ValueError, match="len\\(a\\) >= 2"):
+            simulate.lfilter([1.0], [1.0], np.ones(4))
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # A later importer still gets scipy.signal and its public lfilter.
+        code = (
+            "import sys, cohercause.cli; print('scipy.signal' in sys.modules); "
+            "import scipy.signal; print(scipy.signal.lfilter.__module__)"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\nscipy.signal._signaltools\n"
+
+    def test_failed_load_falls_back_to_public_lfilter(self, monkeypatch, tmp_path):
+        def outputs():
+            pairs = [gen_barnett(BarnettModelSpec(ma_order=r), 5000, 4, stream=2) for r in (0, 10)]
+            return pairs + [gen_ma_case(case, 5000, 4) for case in ("I", "II", "III")]
+
+        private = outputs()
+        monkeypatch.setattr(simulate, "_sigtools_path", lambda: str(tmp_path / "_sigtools.so"))
+        fallback = simulate._bind_lfilter()
+        assert fallback is lfilter
+        monkeypatch.setattr(simulate, "lfilter", fallback)
+        for (x, y), (px, py) in zip(outputs(), private):
+            assert np.array_equal(x, px) and np.array_equal(y, py)
 
 
 def pairwise_samples(s, t, conditioning, depth):
