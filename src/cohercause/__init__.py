@@ -8,12 +8,7 @@ direction maps and the ARMA power/ROC study).
 from .covariance import (
     BlockDims,
     CompositeCovariance,
-    ConditionalCovariances,
     CovarianceError,
-    assemble_composite,
-    conditional_covariances,
-    inv_sqrt_spd,
-    log_det_spd,
     northwest_readout,
     schur_complement,
 )
@@ -22,10 +17,7 @@ from .coherence import (
     PartialCoherenceResult,
     SpectralCoherence,
     block_diag_transform,
-    coherence_matrix,
-    conditional_estimator_gain,
     information_measures,
-    partial_canonical_correlations,
     partial_coherence,
     partial_coherence_one_onto_two,
     spectral_partial_coherence,
@@ -59,7 +51,6 @@ from .simulate import (
     gen_barnett,
     gen_ma_case,
     lag_window_covariance,
-    model_composite_covariance,
     write_sequence_csv,
 )
 from .experiments import (
@@ -78,22 +69,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockDims",
     "CompositeCovariance",
-    "ConditionalCovariances",
     "CovarianceError",
-    "assemble_composite",
-    "conditional_covariances",
-    "inv_sqrt_spd",
-    "log_det_spd",
     "northwest_readout",
     "schur_complement",
     "InformationMeasures",
     "PartialCoherenceResult",
     "SpectralCoherence",
     "block_diag_transform",
-    "coherence_matrix",
-    "conditional_estimator_gain",
     "information_measures",
-    "partial_canonical_correlations",
     "partial_coherence",
     "partial_coherence_one_onto_two",
     "spectral_partial_coherence",
@@ -121,7 +104,6 @@ __all__ = [
     "gen_barnett",
     "gen_ma_case",
     "lag_window_covariance",
-    "model_composite_covariance",
     "write_sequence_csv",
     "CoherenceMap",
     "PowerPoint",

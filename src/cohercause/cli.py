@@ -2,12 +2,14 @@
 
 One binary, subcommand style. All randomness flows from a single --seed
 flag (default 42, never time-based); the same configuration and seed
-produce byte-identical output files. --jobs (at least 1; default: the
-CPUs this process may run on), which the COHERCAUSE_JOBS environment
-variable overrides as a default, sizes the thread pool of the
-independent-realization study replications and of power's MA orders in
-consecutive-window mode, whose work runs inside numpy and scipy calls;
-the null law is drawn in the calling thread. A --jobs or
+produce byte-identical output files at a fixed BLAS thread count. Across
+thread counts that holds while every Gram has fewer than ~128 rows, as at
+the defaults, because OpenBLAS splits dsyrk across threads from there.
+--jobs (at least 1; default: the CPUs this process may run on), which
+the COHERCAUSE_JOBS environment variable overrides as a default, sizes
+the thread pool of the independent-realization study replications and of
+power's MA orders in consecutive-window mode, whose work runs inside
+numpy and scipy calls; the null law is drawn in the calling thread. A --jobs or
 COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error, as is
 a malformed --orders, --s-range, --t-range or --sizes value, and so is
 giving both --fast (a preset number of replications) and --replications.

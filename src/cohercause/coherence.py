@@ -19,9 +19,10 @@ Monte Carlo studies) reaches rho2 through one batched kernel,
 ``_log_det_q``: a single Cholesky factorization of the composite
 reordered to (z, x, y), from which log(1 - rho2) follows without
 subtracting log-determinants; ``partial_coherence`` reads every field
-from that factor. The other routes (the singular values of the
-symmetric-root coherence matrix, x regressed onto (y, z), the
-inverse-block readout) are public and checked against it in the tests.
+from that factor. Two further routes, x regressed onto (y, z)
+(``partial_coherence_one_onto_two``) and the inverse-block readout
+(``covariance.northwest_readout``), are public and checked against it
+in the tests.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from .covariance import (
     CompositeCovariance,
     CovarianceError,
     _checked_cholesky,
-    inv_sqrt_spd,
     schur_complement,
 )
 
@@ -43,11 +43,8 @@ __all__ = [
     "PartialCoherenceResult",
     "InformationMeasures",
     "SpectralCoherence",
-    "coherence_matrix",
-    "partial_canonical_correlations",
     "partial_coherence",
     "partial_coherence_one_onto_two",
-    "conditional_estimator_gain",
     "information_measures",
     "block_diag_transform",
     "spectral_partial_coherence",
@@ -73,7 +70,8 @@ class PartialCoherenceResult:
     coherence_matrix : ndarray
         The p-by-q whitened cross-covariance W^T (I + W W^T)^{-1/2} of the
         kernel's factor. Its singular values are exactly the canonical
-        correlations; it equals :func:`coherence_matrix` up to rotations.
+        correlations; it equals the symmetric-root form
+        R_xx|z^{-1/2} R_xy|z R_yy|z^{-1/2} up to rotations.
     det_q : float
         Determinant of the normalized error covariance, 1 - rho2.
     """
@@ -156,51 +154,6 @@ def _log_det_q(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
     return np.minimum(-np.sum(np.log1p(k2), axis=-1), 0.0)
 
 
-def _given_z(R: CompositeCovariance) -> tuple[np.ndarray, np.ndarray]:
-    """R_uu|z and the Cholesky factor of R_yy|z, under the kernel's pivot rule.
-
-    x given z and y given z are each checked by factoring the (z, x) or
-    (z, y) principal sub-matrix of R, so a pivot is measured against the
-    block's unconditional variance, as in :func:`_whitened_cross`; the
-    trailing block of the (z, y) factor is the factor of R_yy|z.
-
-    Raises
-    ------
-    CovarianceError
-        Naming z, x given z or y given z as rank-deficient.
-    """
-    dims = R.dims
-    uu = schur_complement(R, "uu")
-    for name, block in (("x", dims.x_slice), ("y", dims.y_slice)):
-        order = np.r_[dims.z_slice, block]
-        L = _checked_cholesky(R.entries[order[:, None], order])
-        if L is None:
-            raise CovarianceError(f"{name} given z is rank-deficient")
-    return uu, L[dims.r :, dims.r :]  # L is the (z, y) factor, y checked last
-
-
-def coherence_matrix(R: CompositeCovariance) -> np.ndarray:
-    """The whitened conditional cross-covariance C = A^{-1/2} B D^{-1/2}.
-
-    Here A = R_xx|z, B = R_xy|z, D = R_yy|z. All singular values of the
-    result lie in [0, 1] up to rounding. It is the symmetric-root reference
-    for the kernel's coherence matrix; a rank-deficient block raises, by
-    name (z, x given z or y given z).
-    """
-    p = R.dims.p
-    uu, _ = _given_z(R)
-    return inv_sqrt_spd(uu[:p, :p]) @ uu[:p, p:] @ inv_sqrt_spd(uu[p:, p:])
-
-
-def partial_canonical_correlations(C: np.ndarray) -> np.ndarray:
-    """Singular values of the coherence matrix, descending, clamped to [0, 1)."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    if not np.all(np.isfinite(C)):
-        raise ValueError("coherence matrix contains non-finite entries")
-    k = la.svd(C, compute_uv=False)
-    return np.clip(k, 0.0, K_CLAMP)
-
-
 def partial_coherence(R: CompositeCovariance) -> PartialCoherenceResult:
     """Partial coherence of x and y given z, with full diagnostics.
 
@@ -244,19 +197,6 @@ def partial_coherence_one_onto_two(R: CompositeCovariance) -> float:
             raise CovarianceError(f"{name} is rank-deficient")
         log_det[target] = 2.0 * np.sum(np.log(np.diag(L)))
     return 1.0 - min(math.exp(log_det["xx_v"] - log_det["xx"]), 1.0)
-
-
-def conditional_estimator_gain(R: CompositeCovariance) -> np.ndarray:
-    """Gain applied to the innovation y - ŷ(z) when estimating x from (y, z).
-
-    The minimum mean-squared-error estimate is
-    x̂(v) = x̂(z) + G (y - ŷ(z)) with G = R_xy|z R_yy|z^{-1}; a zero gain
-    means y contributes nothing once z is accounted for. A rank-deficient
-    block raises, by name (z, x given z or y given z).
-    """
-    uu, L_yy = _given_z(R)
-    p = R.dims.p
-    return la.cho_solve((L_yy, True), uu[:p, p:].T).T
 
 
 def information_measures(result: PartialCoherenceResult | float) -> InformationMeasures:

@@ -4,9 +4,9 @@ Covariance matrices over three stacked random vectors x (dim p), y (dim q)
 and z (dim r) are stored whole, with named block accessors. The module
 provides the conditional (Schur-complement) covariances obtained by
 regressing out z or (y, z), the inverse-block readout that recovers the
-same quantities from the precision matrix, and SPD primitives (inverse
-square root, log-determinant). Determinants are taken in the log domain
-through Cholesky factors, so high-dimensional covariances do not underflow.
+same quantities from the precision matrix, and the checked Cholesky
+factorization whose pivot rule every route applies to a rank-deficient
+block.
 """
 from __future__ import annotations
 
@@ -18,14 +18,9 @@ import scipy.linalg as la
 __all__ = [
     "BlockDims",
     "CompositeCovariance",
-    "ConditionalCovariances",
     "CovarianceError",
-    "assemble_composite",
-    "conditional_covariances",
     "schur_complement",
     "northwest_readout",
-    "inv_sqrt_spd",
-    "log_det_spd",
 ]
 
 # Relative tolerances for validating composite covariances.
@@ -88,9 +83,9 @@ class BlockDims:
 class CompositeCovariance:
     """Validated covariance of the stacked vector (x, y, z).
 
-    Construct through :func:`assemble_composite` (or
-    :meth:`from_matrix` for an already-assembled matrix); direct
-    construction skips no validation because ``__post_init__`` runs it.
+    Construct through :meth:`from_matrix`, which symmetrizes first;
+    direct construction skips no validation because ``__post_init__``
+    runs it.
     """
 
     entries: np.ndarray
@@ -164,86 +159,6 @@ class CompositeCovariance:
         return self.entries[self.dims.v_slice, self.dims.v_slice]
 
 
-@dataclass(frozen=True)
-class ConditionalCovariances:
-    """Error covariances after regressing on z (and on v = (y, z)).
-
-    ``uu_z`` is the joint error covariance of (x - x̂(z), y - ŷ(z)); its
-    corner blocks are ``xx_z`` and ``yy_z`` and its off-diagonal block is
-    the partial cross-covariance ``xy_z``. ``xx_v`` is the error
-    covariance of x estimated from both y and z.
-    """
-
-    uu_z: np.ndarray
-    xx_z: np.ndarray
-    yy_z: np.ndarray
-    xy_z: np.ndarray
-    xx_v: np.ndarray
-
-
-def assemble_composite(
-    xx: np.ndarray,
-    xy: np.ndarray,
-    xz: np.ndarray,
-    yy: np.ndarray,
-    yz: np.ndarray,
-    zz: np.ndarray,
-    dims: BlockDims,
-) -> CompositeCovariance:
-    """Assemble the six distinct blocks into a validated composite covariance.
-
-    Parameters
-    ----------
-    xx, xy, xz, yy, yz, zz : ndarray
-        Upper-triangle blocks; shapes must match ``dims``. For r = 0 the
-        z-facing blocks must be empty (shape with a zero axis is fine).
-    dims : BlockDims
-        Block dimensions (p, q, r).
-
-    Returns
-    -------
-    CompositeCovariance
-        The assembled matrix, symmetrized by averaging with its transpose
-        before validation.
-
-    Raises
-    ------
-    CovarianceError
-        On shape mismatch or a PSD violation beyond tolerance.
-    """
-    p, q, r = dims.p, dims.q, dims.r
-    named = {
-        "xx": (np.atleast_2d(np.asarray(xx, dtype=float)), (p, p)),
-        "xy": (np.atleast_2d(np.asarray(xy, dtype=float)), (p, q)),
-        "yy": (np.atleast_2d(np.asarray(yy, dtype=float)), (q, q)),
-    }
-    if r:
-        named["xz"] = (np.atleast_2d(np.asarray(xz, dtype=float)), (p, r))
-        named["yz"] = (np.atleast_2d(np.asarray(yz, dtype=float)), (q, r))
-        named["zz"] = (np.atleast_2d(np.asarray(zz, dtype=float)), (r, r))
-    else:
-        for name, block in (("xz", xz), ("yz", yz), ("zz", zz)):
-            if np.asarray(block, dtype=float).size != 0:
-                raise CovarianceError(f"block {name} must be empty when r = 0")
-    for name, (block, shape) in named.items():
-        if block.shape != shape:
-            raise CovarianceError(f"block {name} has shape {block.shape}, expected {shape}")
-    n = dims.total
-    m = np.zeros((n, n))
-    xs, ys, zs = dims.x_slice, dims.y_slice, dims.z_slice
-    m[xs, xs] = named["xx"][0]
-    m[xs, ys] = named["xy"][0]
-    m[ys, xs] = named["xy"][0].T
-    m[ys, ys] = named["yy"][0]
-    if r:
-        m[xs, zs] = named["xz"][0]
-        m[zs, xs] = named["xz"][0].T
-        m[ys, zs] = named["yz"][0]
-        m[zs, ys] = named["yz"][0].T
-        m[zs, zs] = named["zz"][0]
-    return CompositeCovariance.from_matrix(m, dims)
-
-
 def _checked_cholesky(S: np.ndarray) -> np.ndarray | None:
     """Cholesky factors of a stack of SPD matrices, or None when one fails
     or has a relative pivot L_ii^2 / S_ii below 1 / COND_LIMIT."""
@@ -299,19 +214,6 @@ def schur_complement(R: CompositeCovariance, target: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def conditional_covariances(R: CompositeCovariance) -> ConditionalCovariances:
-    """All z-conditioned error covariances of ``R``, plus x given (y, z)."""
-    p = R.dims.p
-    uu_z = schur_complement(R, "uu")
-    return ConditionalCovariances(
-        uu_z=uu_z,
-        xx_z=uu_z[:p, :p],
-        yy_z=uu_z[p:, p:],
-        xy_z=uu_z[:p, p:],
-        xx_v=schur_complement(R, "xx_v"),
-    )
-
-
 def northwest_readout(R: CompositeCovariance) -> np.ndarray:
     """Recover the (x, y)-given-z error covariance from the precision matrix.
 
@@ -329,30 +231,3 @@ def northwest_readout(R: CompositeCovariance) -> np.ndarray:
     nw = rinv[R.dims.u_slice, R.dims.u_slice]
     out = la.inv(nw)
     return 0.5 * (out + out.T)
-
-
-def inv_sqrt_spd(A: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of an SPD matrix.
-
-    The result B satisfies B A B = I. Computed by eigendecomposition,
-    which keeps B exactly symmetric.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] == 0:
-        return A.copy()
-    vals, vecs = la.eigh(0.5 * (A + A.T))
-    if vals[0] <= 0:
-        raise CovarianceError(f"matrix is not positive definite: min eigenvalue {vals[0]:.3e}")
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
-def log_det_spd(A: np.ndarray) -> float:
-    """log det of an SPD matrix via its Cholesky factor."""
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] == 0:
-        return 0.0
-    try:
-        cf = la.cholesky(0.5 * (A + A.T), lower=True)
-    except la.LinAlgError:
-        raise CovarianceError("matrix is not positive definite") from None
-    return float(2.0 * np.sum(np.log(np.diag(cf))))

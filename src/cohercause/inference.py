@@ -374,9 +374,9 @@ def atomic_write(path: str, text: str) -> None:
 def read_sequence_csv(path: str) -> dict[str, np.ndarray]:
     """Read a t,x,y sequence file (extra numeric channels allowed).
 
-    Returns a column-name -> array mapping. Parsing problems and
-    non-finite cells (nan, inf) are reported with the 1-based line
-    number at which they occur.
+    Returns a column-name -> array mapping. A repeated header name,
+    parsing problems and non-finite cells (nan, inf) are reported with
+    the 1-based line number at which they occur.
 
     The body is parsed by one ``np.loadtxt`` call. A file it rejects, or
     whose table has the wrong width, no rows or a non-finite cell, is
@@ -389,6 +389,9 @@ def read_sequence_csv(path: str) -> dict[str, np.ndarray]:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         names = [h.strip() for h in header]
+        repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{path}: line 1: column {repeated!r} appears more than once")
         for required in ("t", "x", "y"):
             if required not in names:
                 raise ValueError(f"{path}: header must include column {required!r}")

@@ -42,7 +42,6 @@ __all__ = [
     "gen_barnett",
     "analytic_covariances",
     "composite_from_sequences",
-    "model_composite_covariance",
     "lag_window_covariance",
     "write_sequence_csv",
 ]
@@ -221,20 +220,6 @@ class CovarianceSequences:
     xx: np.ndarray
     yy: np.ndarray
     xy: np.ndarray
-
-    def _at(self, arr: np.ndarray, m: int) -> float:
-        if abs(m) > self.max_lag:
-            raise ValueError(f"lag {m} exceeds the tabulated range {self.max_lag}")
-        return float(arr[self.max_lag + m])
-
-    def xx_at(self, m: int) -> float:
-        return self._at(self.xx, m)
-
-    def yy_at(self, m: int) -> float:
-        return self._at(self.yy, m)
-
-    def xy_at(self, m: int) -> float:
-        return self._at(self.xy, m)
 
 
 def gen_ma_case(
@@ -430,42 +415,6 @@ def composite_from_sequences(
     return CompositeCovariance.from_matrix(m, dims)
 
 
-def _lag_composite(seqs: CovarianceSequences, lag: LagSpec) -> CompositeCovariance:
-    """Population composite of a lag spec's rows, at offsets relative to t."""
-    rows, d = lag.rows, lag.dims
-    return composite_from_sequences(
-        seqs, rows[: d.p], rows[d.p : d.p + d.q], rows[d.p + d.q :]
-    )
-
-
-def model_composite_covariance(
-    spec: MAFilterSpec | BarnettModelSpec | CovarianceSequences,
-    s: int,
-    t: int,
-    conditioning: str = "past-of-x",
-    T_cond: int = 20,
-) -> CompositeCovariance:
-    """Population covariance of (x_s, y_t, z) for the pairwise statistic.
-
-    ``z`` is either the past of x up to time t with x_s excluded, or the
-    past of y up to time t - 1, truncated to ``T_cond`` samples; x_s is
-    never an element of z. Accepts precomputed sequences to avoid
-    re-deriving them per grid point.
-    """
-    lag = LagSpec.pairwise(s - t, T_cond=T_cond, conditioning=conditioning)
-    offsets = [off for _, off in lag.rows]
-    needed = max(offsets) - min(offsets)
-    if isinstance(spec, CovarianceSequences):
-        seqs = spec
-        if needed > seqs.max_lag:
-            raise ValueError(
-                f"lag range exceeded: need {needed}, sequences cover {seqs.max_lag}"
-            )
-    else:
-        seqs = analytic_covariances(spec, needed)
-    return _lag_composite(seqs, lag)
-
-
 def lag_window_covariance(
     spec: MAFilterSpec | BarnettModelSpec | CovarianceSequences, T: int
 ) -> CompositeCovariance:
@@ -479,7 +428,8 @@ def lag_window_covariance(
     seqs = spec if isinstance(spec, CovarianceSequences) else analytic_covariances(spec, T)
     if seqs.max_lag < T:
         raise ValueError(f"lag range exceeded: need {T}, sequences cover {seqs.max_lag}")
-    return _lag_composite(seqs, LagSpec.influence_test(T))
+    rows = LagSpec.influence_test(T).rows
+    return composite_from_sequences(seqs, rows[:T], rows[T : T + 1], rows[T + 1 :])
 
 
 def write_sequence_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:

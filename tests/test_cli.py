@@ -89,6 +89,14 @@ class TestSimulateAndTest:
             f"cohercause: error: {bad}: line 3: non-finite value 'nan' in column 'x'\n"
         )
 
+    def test_repeated_csv_column_is_runtime_error(self, tmp_path, capsys):
+        bad = tmp_path / "pair.csv"
+        bad.write_text("t,x,y,x\n0,1,5,100\n1,2,6,200\n2,4,7,300\n")
+        code, out, err = run_cli(capsys, "test", "--input", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f"cohercause: error: {bad}: line 1: column 'x' appears more than once\n"
+
     @pytest.mark.parametrize("case", sorted(DEGENERATE_BLOCKS))
     def test_degenerate_input_names_block(self, tmp_path, capsys, case):
         pair = tmp_path / "pair.csv"

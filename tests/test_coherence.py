@@ -10,13 +10,8 @@ from cohercause import (
     BlockDims,
     CompositeCovariance,
     CovarianceError,
-    assemble_composite,
     block_diag_transform,
-    coherence_matrix,
-    conditional_covariances,
-    conditional_estimator_gain,
     information_measures,
-    partial_canonical_correlations,
     partial_coherence,
     partial_coherence_one_onto_two,
     spectral_partial_coherence,
@@ -27,10 +22,17 @@ from cohercause.simulate import (
     MAFilterSpec,
     analytic_covariances,
     composite_from_sequences,
-    model_composite_covariance,
 )
 
 from helpers import CORPUS_DIMS, random_composite, random_nonsingular, random_pd
+from reference import (
+    assemble_composite,
+    coherence_matrix,
+    conditional_covariances,
+    conditional_estimator_gain,
+    model_composite_covariance,
+    partial_canonical_correlations,
+)
 
 D111 = BlockDims(1, 1, 1)
 

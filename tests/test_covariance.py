@@ -8,11 +8,7 @@ from cohercause import (
     BlockDims,
     CompositeCovariance,
     CovarianceError,
-    assemble_composite,
-    conditional_covariances,
-    inv_sqrt_spd,
     lag_window_covariance,
-    log_det_spd,
     northwest_readout,
     partial_coherence,
     schur_complement,
@@ -20,6 +16,7 @@ from cohercause import (
 from cohercause.simulate import BarnettModelSpec
 
 from helpers import random_composite, random_pd
+from reference import assemble_composite, conditional_covariances, inv_sqrt_spd, log_det_spd
 
 D111 = BlockDims(1, 1, 1)
 

@@ -42,10 +42,10 @@ from cohercause.simulate import (
     _barnett_blocks,
     analytic_covariances,
     lag_window_covariance,
-    model_composite_covariance,
 )
 
 from helpers import DEGENERATE_BLOCKS, degenerate_pair
+from reference import model_composite_covariance
 
 
 def per_window_consecutive_stats(x, y, T, M, n_windows, chunk=250):

@@ -420,6 +420,15 @@ class TestSequenceCsvErrors:
         with pytest.raises(ValueError, match="line 2"):
             read_sequence_csv(str(f))
 
+    @pytest.mark.parametrize("header", ["t,x,y,x", "t, x ,y,x "])
+    def test_repeated_column_rejected(self, tmp_path, header):
+        # The second x must not silently replace the first.
+        f = tmp_path / "pair.csv"
+        f.write_text(f"{header}\n0,1,5,100\n1,2,6,200\n2,4,7,300\n")
+        with pytest.raises(ValueError) as info:
+            read_sequence_csv(str(f))
+        assert str(info.value) == f"{f}: line 1: column 'x' appears more than once"
+
     def test_extra_channels_returned(self, tmp_path):
         f = tmp_path / "ok.csv"
         f.write_text("t,x,y,w\n0,1.0,2.0,9.0\n1,1.5,2.5,8.0\n")
