@@ -28,6 +28,7 @@ from .nulldist import (
     bartlett_pvalue,
     critical_value,
     make_spec,
+    null_law,
     p_value,
     sample_null,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "bartlett_pvalue",
     "critical_value",
     "make_spec",
+    "null_law",
     "p_value",
     "sample_null",
     "DataPanel",

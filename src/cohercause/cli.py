@@ -36,14 +36,7 @@ from .experiments import (
     write_summary_json,
 )
 from .inference import LagSpec, atomic_write, lag_embed, read_sequence_csv, test_causal_influence
-from .nulldist import (
-    DEFAULT_N_MC,
-    _mc_p_value,
-    _order_statistic_threshold,
-    bartlett_critical_value,
-    make_spec,
-    sample_null,
-)
+from .nulldist import DEFAULT_N_MC, bartlett_critical_value, make_spec, null_law
 from .simulate import (
     BarnettModelSpec,
     MAFilterSpec,
@@ -307,7 +300,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_nulldist(args) -> int:
     wspec = make_spec(args.p, args.q, args.r, args.M)
     # One draw of the null law gives both the threshold and the p-value.
-    samples = sample_null(wspec, args.n_mc, seed=args.seed)
+    threshold_at, p_value_of = null_law(wspec, n_mc=args.n_mc, seed=args.seed)
     payload = {
         "p": args.p,
         "q": args.q,
@@ -316,12 +309,12 @@ def _cmd_nulldist(args) -> int:
         "alpha": args.alpha,
         "n_mc": args.n_mc,
         "seed": args.seed,
-        "critical_value": _order_statistic_threshold(samples, args.alpha),
+        "critical_value": threshold_at(args.alpha),
         "bartlett_critical_value": bartlett_critical_value(wspec, args.alpha),
     }
     if args.stat is not None:
         payload["stat"] = args.stat
-        payload["p_value"] = _mc_p_value(samples, args.stat)
+        payload["p_value"] = p_value_of(args.stat)
     _emit_json(payload, args.output)
     return 0
 

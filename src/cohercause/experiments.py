@@ -5,8 +5,8 @@ offsets (for data, the test's scaled-row Gram over the columns they share)
 and hands every offset's composite, a principal sub-matrix of it, to the
 Cholesky kernel in one batched call. Monte Carlo replications, O(1) and
 zero-mean by construction, hand whole stacks of unscaled Grams to the same
-kernel, one call per chunk of replications. Each study computes its null
-threshold once per call, from the same seeded null law that the test uses.
+kernel, one call per chunk of replications. Each study reads its null
+threshold once per call from ``nulldist.null_law``, as the test does.
 
 The studies have two replication modes. "independent-realizations" treats
 the M panel columns as i.i.d. draws from the exact population covariance of
@@ -46,17 +46,9 @@ import scipy.linalg as la
 from .coherence import _log_det_q
 from .covariance import BlockDims, CompositeCovariance
 from .inference import _WINDOW_CHUNK_BYTES, LagSpec, _row_views, _scaled_gram, atomic_write
-from .nulldist import (
-    DEFAULT_N_MC,
-    DEFAULT_SEED,
-    critical_value,
-    make_spec,
-    sample_null,
-    _order_statistic_threshold,
-)
+from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, critical_value, make_spec, null_law
 from .simulate import (
     BarnettModelSpec,
-    CovarianceSequences,
     MAFilterSpec,
     analytic_covariances,
     _barnett_blocks,
@@ -272,8 +264,8 @@ def coherence_map(
 ) -> CoherenceMap:
     """Pairwise partial-coherence map over a grid of (s, t).
 
-    ``model`` is a model spec or covariance sequences (analytic path) or
-    an ``(x_seq, y_seq)`` pair of one-dimensional arrays (estimated path).
+    ``model`` is an ``MAFilterSpec`` or ``BarnettModelSpec`` (analytic path)
+    or an ``(x_seq, y_seq)`` pair of one-dimensional arrays (estimated path).
     Values depend on (s, t) only through the offset s - t by stationarity.
     Every offset's composite is a principal sub-matrix of one covariance
     over the distinct (channel, offset) rows that the offsets use: the
@@ -300,17 +292,12 @@ def coherence_map(
             _scaled_gram(_row_views(x_seq, y_seq, rows), center=True)[0],
             BlockDims(p, len(rows) - p, 0),
         )
-    elif isinstance(model, (MAFilterSpec, BarnettModelSpec, CovarianceSequences)):
-        if isinstance(model, CovarianceSequences):
-            case, seqs = "sequences", model
-        else:
-            case = model.name if isinstance(model, MAFilterSpec) else "barnett"
-            seqs = analytic_covariances(model, int(np.ptp([off for _, off in rows])))
+    elif isinstance(model, (MAFilterSpec, BarnettModelSpec)):
+        case = model.name if isinstance(model, MAFilterSpec) else "barnett"
+        seqs = analytic_covariances(model, int(np.ptp([off for _, off in rows])))
         gram = composite_from_sequences(seqs, rows[:p], rows[p:], [])
     else:
-        raise TypeError(
-            "model must be a model spec, covariance sequences, or an (x, y) pair"
-        )
+        raise TypeError("model must be a model spec or an (x, y) pair")
     index = {row: i for i, row in enumerate(rows)}
     idx = np.array([[index[row] for row in spec.rows] for spec in specs])
     composites = gram.entries[idx[:, :, None], idx[:, None, :]]
@@ -425,13 +412,8 @@ def roc_curve(
     stats = _model_statistics(
         spec, replications, M, T, window_mode, seed, stream=ma_order + 1, jobs=jobs
     )
-    null_samples = sample_null(null, n_mc, seed=seed)
-    points = []
-    for size in sizes:
-        threshold = _order_statistic_threshold(null_samples, size)
-        power, se = _rejection_rate(stats, threshold)
-        points.append(ROCPoint(size=float(size), power=power, std_error=se))
-    return points
+    threshold_at = null_law(null, n_mc=n_mc, seed=seed)[0]
+    return [ROCPoint(float(size), *_rejection_rate(stats, threshold_at(size))) for size in sizes]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The pipeline is: embed two scalar sequences into lagged sample vectors (a
 data panel), form the Gram of its centred rows, each scaled by a power of
 two to stay O(M) at any floating-point scale, take its partial coherence
 (scale-invariant, so that of S = D D^T) as the test statistic, and compare
-it against the Wilks Lambda null law. One minus it is the likelihood ratio
-for zero conditional x-y cross-covariance.
+it against the Wilks Lambda null law read by ``nulldist.null_law``. One minus
+it is the likelihood ratio for zero conditional x-y cross-covariance.
 
 A rejection is an indication of causal influence at the stated level,
 relative to the chosen prima facie conditioning; a non-rejection is a
@@ -24,16 +24,7 @@ import numpy as np
 
 from .covariance import BlockDims, CompositeCovariance
 from .coherence import _log_det_q
-from .nulldist import (
-    DEFAULT_N_MC,
-    DEFAULT_SEED,
-    _mc_p_value,
-    _order_statistic_threshold,
-    bartlett_critical_value,
-    bartlett_pvalue,
-    make_spec,
-    sample_null,
-)
+from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, make_spec, null_law
 
 __all__ = [
     "Role",
@@ -127,10 +118,9 @@ class LagSpec:
         offset: int,
         T_cond: int = 20,
         conditioning: str = "past-of-x",
-        stride: int = 1,
     ) -> "LagSpec":
-        """The pairwise-map embedding: x = x_{t+offset}, y = y_t, and z the
-        chosen finite past (with the x sample excluded when it collides)."""
+        """The pairwise-map embedding (stride 1): x = x_{t+offset}, y = y_t, and
+        z the chosen finite past (with the x sample excluded when it collides)."""
         if T_cond < 1:
             raise ValueError(f"T_cond must be >= 1, got {T_cond}")
         if conditioning == "past-of-x":
@@ -147,7 +137,7 @@ class LagSpec:
             raise ValueError(
                 f"unknown conditioning {conditioning!r}; expected past-of-x or past-of-y"
             )
-        return cls(Role("x", (offset,)), Role("y", (0,)), z_role, stride)
+        return cls(Role("x", (offset,)), Role("y", (0,)), z_role)
 
 
 @dataclass(frozen=True)
@@ -314,14 +304,14 @@ def test_causal_influence(
 ) -> TestOutcome:
     """Run the partial-coherence causality test on a panel.
 
-    ``method`` selects the null law: "wilks-mc" draws the exact
-    Beta-product law by Monte Carlo, in the calling process, from the
-    shorter of its two equal products (min(p, q) factors, one for the
-    default q = 1; see :func:`sample_null`); "bartlett" uses the
-    chi-squared approximation (cheaper, adequate for large M). The
-    decision fields are mutually consistent: reject_null holds exactly
-    when the statistic exceeds the threshold, and (for continuous
-    statistics and non-integer alpha (n_mc + 1)) exactly when
+    ``method`` selects the null law that :func:`null_law` reads: "wilks-mc"
+    draws the exact Beta-product law by Monte Carlo, in the calling
+    process, from the shorter of its two equal products (min(p, q)
+    factors, one for the default q = 1; see :func:`sample_null`);
+    "bartlett" uses the chi-squared approximation (cheaper, adequate for
+    large M). The decision fields are mutually consistent: reject_null
+    holds exactly when the statistic exceeds the threshold, and (for
+    continuous statistics and non-integer alpha (n_mc + 1)) exactly when
     p_value < alpha. So "wilks-mc" raises ``ValueError`` when fewer than
     50 of the n_mc null draws fall in a tail.
     """
@@ -331,19 +321,12 @@ def test_causal_influence(
     wspec = make_spec(dims.p, dims.q, dims.r, m_eff)
     gram = _scaled_gram(panel.data, center)[0]
     stat = likelihood_ratio(CompositeCovariance.from_matrix(gram, dims))
-    if method == "wilks-mc":
-        samples = sample_null(wspec, n_mc, seed=seed)
-        threshold = _order_statistic_threshold(samples, alpha)
-        pv = _mc_p_value(samples, stat)
-    elif method == "bartlett":
-        threshold = bartlett_critical_value(wspec, alpha)
-        pv = bartlett_pvalue(wspec, stat)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected wilks-mc or bartlett")
+    threshold_at, p_value_of = null_law(wspec, method, n_mc, seed)
+    threshold = threshold_at(alpha)
     return TestOutcome(
         statistic=float(stat),
         threshold=float(threshold),
-        p_value=float(pv),
+        p_value=float(p_value_of(stat)),
         alpha=alpha,
         method=method,
         reject_null=bool(stat > threshold),

@@ -10,15 +10,16 @@ representation is a product of p independent Beta variables
 Lambda(p, m, q) has the law of Lambda(q, m + q - p, p) (Anderson, An
 Introduction to Multivariate Statistical Analysis, section 8.4), so the
 Monte Carlo draws take the shorter of the two products: min(p, q) Beta
-factors per draw, one for the default influence test (q = 1). Thresholds
-and p-values come from those draws, made in the calling process;
-Bartlett's large-M chi-squared approximation is available as a cheap
-alternative.
+factors per draw, one for the default influence test (q = 1). One
+function, :func:`null_law`, picks the law and reads every threshold and
+p-value: from those draws, made in the calling process, or from Bartlett's
+large-M chi-squared approximation, a cheap alternative.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import chdtrc, chdtri
@@ -29,6 +30,7 @@ __all__ = [
     "WilksLambdaSpec",
     "make_spec",
     "sample_null",
+    "null_law",
     "critical_value",
     "p_value",
     "bartlett_pvalue",
@@ -139,18 +141,33 @@ def _mc_p_value(samples: np.ndarray, stat: float) -> float:
     return (int(np.count_nonzero(samples >= stat)) + 1) / (samples.size + 1)
 
 
+def null_law(
+    spec: WilksLambdaSpec,
+    method: str = "wilks-mc",
+    n_mc: int = DEFAULT_N_MC,
+    seed: int = DEFAULT_SEED,
+) -> tuple[partial, partial]:
+    """The null law's two readers, ``(threshold(alpha), p_value(stat))``.
+
+    "wilks-mc" reads both from one ``sample_null`` draw, on which they agree
+    (see ``_order_statistic_threshold``); "bartlett" draws nothing.
+    """
+    if method == "wilks-mc":
+        samples = sample_null(spec, n_mc, seed=seed)
+        return partial(_order_statistic_threshold, samples), partial(_mc_p_value, samples)
+    if method == "bartlett":
+        return partial(bartlett_critical_value, spec), partial(bartlett_pvalue, spec)
+    raise ValueError(f"unknown method {method!r}; expected wilks-mc or bartlett")
+
+
 def critical_value(
     spec: WilksLambdaSpec,
     alpha: float,
     n_mc: int = DEFAULT_N_MC,
     seed: int = DEFAULT_SEED,
 ) -> float:
-    """Monte Carlo (1 - alpha)-quantile of the null statistic.
-
-    Reject the null when the observed statistic exceeds the returned
-    threshold.
-    """
-    return _order_statistic_threshold(sample_null(spec, n_mc, seed=seed), alpha)
+    """Monte Carlo (1 - alpha)-quantile of the null statistic; reject above it."""
+    return null_law(spec, n_mc=n_mc, seed=seed)[0](alpha)
 
 
 def p_value(
@@ -160,7 +177,7 @@ def p_value(
     seed: int = DEFAULT_SEED,
 ) -> float:
     """Add-one-smoothed Monte Carlo p-value, (k + 1) / (n + 1)."""
-    return _mc_p_value(sample_null(spec, n_mc, seed=seed), stat)
+    return null_law(spec, n_mc=n_mc, seed=seed)[1](stat)
 
 
 def _bartlett_factor(spec: WilksLambdaSpec) -> float:

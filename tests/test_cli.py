@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from cohercause import cli, critical_value, make_spec, p_value, sample_null, write_sequence_csv
+from cohercause import BarnettModelSpec, coherence_map, nulldist
 from cohercause.cli import build_parser, main
+from cohercause.experiments import write_map_csv
 
 from helpers import DEGENERATE_BLOCKS, degenerate_pair
 
@@ -144,7 +146,7 @@ class TestNulldist:
     def test_one_null_draw_gives_both_numbers(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            cli, "sample_null", lambda *a, **k: calls.append(a) or sample_null(*a, **k)
+            nulldist, "sample_null", lambda *a, **k: calls.append(a) or sample_null(*a, **k)
         )
         code, out, _ = run_cli(
             capsys, "nulldist", "--p", "2", "--q", "1", "--r", "2", "--M", "50",
@@ -178,6 +180,24 @@ class TestMap:
         assert len(rows) == 36
         summary = json.loads((tmp_path / "map.csv.json").read_text())
         assert summary["case"] == "I" and summary["seed"] == 42
+
+    def test_barnett_map(self, tmp_path, capsys):
+        out_csv, ref_csv = tmp_path / "map.csv", tmp_path / "ref.csv"
+        code, _, _ = run_cli(
+            capsys, "map", "--case", "barnett", "--transfer-entropy", "0.3",
+            "--ma-order", "2", "--s-range", "0..3", "--t-range", "0..4",
+            "--t-cond", "6", "--conditioning", "past-of-y", "--output", str(out_csv),
+        )
+        assert code == 0
+        cmap = coherence_map(
+            BarnettModelSpec(transfer_entropy=0.3, ma_order=2), range(0, 4), range(0, 5),
+            conditioning="past-of-y", T_cond=6,
+        )
+        write_map_csv(str(ref_csv), cmap)
+        assert out_csv.read_bytes() == ref_csv.read_bytes()
+        summary = json.loads((tmp_path / "map.csv.json").read_text())
+        assert summary["case"] == "barnett"
+        assert summary["transfer_entropy"] == 0.3 and summary["ma_order"] == 2
 
     def test_data_map(self, tmp_path, capsys):
         pair = tmp_path / "pair.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -369,3 +370,21 @@ class TestSpectral:
         seq = np.array([-1.0, 2.0, -1.0])
         with pytest.raises(ValueError, match="positive"):
             spectral_partial_coherence(seq, np.array([1.0]), np.array([0.1]), 64)
+
+
+# Each transform and spectral-input check raises with its message.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: block_diag_transform(
+            triple_composite(0.5, 0.6, 0.3), np.eye(2), [[1.0]], [[1.0]]),
+                     "tx must be 1x1, got (2, 2)", id="transform-shape"),
+        pytest.param(lambda: spectral_partial_coherence(
+            np.ones(4), np.ones(3), np.ones(3), 64),
+                     "covariance sequences must be one-dimensional with odd length",
+                     id="spectral-even-length"),
+    ],
+)
+def test_input_check_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

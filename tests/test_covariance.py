@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,3 +222,20 @@ class TestSpdPrimitives:
     def test_log_det_rejects_non_pd(self):
         with pytest.raises(CovarianceError):
             log_det_spd(np.zeros((2, 2)))
+
+
+# Each block-dimension and shape check raises with its message.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: BlockDims(0, 1, 0), "p and q must be >= 1, got p=0, q=1",
+                     id="dims-p"),
+        pytest.param(lambda: BlockDims(1, 1, -1), "r must be >= 0, got r=-1", id="dims-r"),
+        pytest.param(lambda: CompositeCovariance(np.eye(2), BlockDims(1, 1, 1)),
+                     "expected a 3x3 matrix for dims BlockDims(p=1, q=1, r=1), got (2, 2)",
+                     id="composite-shape"),
+    ],
+)
+def test_input_check_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -420,8 +421,10 @@ class TestCoherenceMap:
         assert on_diag > 10 * future
 
     def test_bad_model_type(self):
-        with pytest.raises(TypeError):
-            coherence_map(42, range(2), range(2))
+        sequences = analytic_covariances(MAFilterSpec.from_case("I"), 4)
+        for model in (42, sequences):
+            with pytest.raises(TypeError):
+                coherence_map(model, range(2), range(2))
 
 
 class TestCalibrateSize:
@@ -593,3 +596,18 @@ class TestWriters:
         write_roc_csv(str(a), roc_curve(**args))
         write_roc_csv(str(b), roc_curve(**args))
         assert a.read_bytes() == b.read_bytes()
+
+
+# Each study and map input check raises with its message.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: roc_curve(replications=10, M=50, T=2, window_mode="sliding"),
+                     "unknown window mode 'sliding'", id="window-mode"),
+        pytest.param(lambda: coherence_map((np.zeros(10), np.zeros(11)), range(2), range(2)),
+                     "x and y must be one-dimensional with equal length", id="map-shapes"),
+    ],
+)
+def test_input_check_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -551,3 +552,31 @@ class TestSequenceCsvReference:
         write_sequence_csv(str(f), x, y)
         data, expected = read_sequence_csv(str(f)), reference_read_sequence_csv(str(f))
         assert all(np.array_equal(data[k], expected[k]) for k in ("t", "x", "y"))
+
+
+# Each embedding, panel and test-method check raises with its message.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Role("w", (0,)), "channel must be 'x' or 'y', got 'w'",
+                     id="role-channel"),
+        pytest.param(lambda: Role("x", ()), "a role needs at least one offset",
+                     id="role-no-offsets"),
+        pytest.param(lambda: LagSpec(Role("x", (-1,)), Role("y", (0,)), Role("y", (-1,)), 0),
+                     "stride must be >= 1, got 0", id="stride"),
+        pytest.param(lambda: LagSpec.pairwise(0, 3, "past-of-z"),
+                     "unknown conditioning 'past-of-z'; expected past-of-x or past-of-y",
+                     id="pairwise-conditioning"),
+        pytest.param(lambda: DataPanel(np.zeros((2, 5)), BlockDims(1, 1, 1)),
+                     "panel must be 3 x M, got shape (2, 5)", id="panel-rows"),
+        pytest.param(lambda: DataPanel(np.zeros((3, 0)), BlockDims(1, 1, 1)),
+                     "panel needs at least one column", id="panel-no-columns"),
+        pytest.param(lambda: lag_embed(np.zeros(10), np.zeros(11), LagSpec.influence_test(2)),
+                     "x and y sequences must have the same shape", id="embed-shapes"),
+        pytest.param(lambda: causal_influence_test(barnett_panel(), method="x"),
+                     "unknown method 'x'; expected wilks-mc or bartlett", id="test-method"),
+    ],
+)
+def test_input_check_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,9 +10,11 @@ from cohercause import (
     bartlett_pvalue,
     critical_value,
     make_spec,
+    null_law,
     p_value,
     sample_null,
 )
+from cohercause import nulldist
 from cohercause.nulldist import _CHUNK, _order_statistic_threshold
 
 # Every (p, q) with min(p, q) <= 2 has a closed-form law; (r, M) is shared.
@@ -182,6 +186,22 @@ class TestPValue:
             p_value(make_spec(1, 1, 0, 12), 1.5)
 
 
+class TestNullLaw:
+    def test_mc_readers_read_one_draw(self):
+        spec = make_spec(3, 2, 4, 50)
+        threshold_at, p_value_of = null_law(spec, n_mc=20_000, seed=3)
+        samples = sample_null(spec, 20_000, seed=3)
+        assert threshold_at(0.05) == critical_value(spec, 0.05, n_mc=20_000, seed=3)
+        assert p_value_of(0.3) == (np.count_nonzero(samples >= 0.3) + 1) / 20_001
+
+    def test_bartlett_readers_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(nulldist, "sample_null", None)
+        spec = make_spec(3, 2, 4, 50)
+        threshold_at, p_value_of = null_law(spec, "bartlett")
+        assert threshold_at(0.05) == bartlett_critical_value(spec, 0.05)
+        assert p_value_of(0.3) == bartlett_pvalue(spec, 0.3)
+
+
 class TestBartlett:
     def test_stat_zero_gives_p_one(self):
         assert bartlett_pvalue(make_spec(2, 2, 1, 100), 0.0) == 1.0
@@ -225,3 +245,18 @@ class TestOrderStatisticThreshold:
         samples = np.arange(1, 100, dtype=float) / 100.0
         with pytest.raises(ValueError, match="n_mc=99 gives insufficient tail resolution"):
             _order_statistic_threshold(samples, 0.05)
+
+
+# Each null-law check raises with its message.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: bartlett_pvalue(make_spec(1, 1, 0, 12), 1.0),
+                     "statistic must lie in [0, 1), got 1.0", id="bartlett-stat"),
+        pytest.param(lambda: null_law(make_spec(1, 1, 0, 12), "x"),
+                     "unknown method 'x'; expected wilks-mc or bartlett", id="law-method"),
+    ],
+)
+def test_input_check_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,7 @@
 """The package's public names resolve, and the test-only routes stay out of it."""
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +47,21 @@ def test_reference_routes_are_not_in_the_package(module):
 def test_covariance_sequences_have_no_lag_lookups():
     for name in ("_at", "xx_at", "yy_at", "xy_at"):
         assert not hasattr(cohercause.CovarianceSequences, name), name
+
+
+def test_only_nulldist_reads_its_private_names():
+    """The null law has one home: no other module imports or reads a ``_`` name
+    of ``nulldist``, so choosing the law and reading it stay in ``null_law``."""
+    offenders = []
+    for path in sorted(Path(cohercause.__file__).parent.glob("*.py")):
+        if path.stem == "nulldist":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("nulldist"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "nulldist":
+                names = [node.attr]
+            else:
+                continue
+            offenders += [f"{path.stem}: {name}" for name in names if name.startswith("_")]
+    assert offenders == []

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -477,3 +478,37 @@ class TestSequenceCsv:
         write_sequence_csv(str(path), np.zeros(3), np.zeros(3))
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+
+# Each model-spec, covariance and writer check raises with its message.
+@pytest.mark.parametrize(
+    "error, call, message",
+    [
+        pytest.param(ValueError, lambda: MAFilterSpec((1, 2), (0.5,)),
+                     "f_offsets and f_coeffs must have equal length", id="ma-lengths"),
+        pytest.param(ValueError, lambda: MAFilterSpec((1, 1), (0.5, 0.2)),
+                     "f_offsets must be distinct", id="ma-duplicate-offsets"),
+        pytest.param(ValueError, lambda: MAFilterSpec((1,), (0.5,), a=1.0),
+                     "filter ratios must satisfy |a| < 1 and |b| < 1", id="ma-unstable"),
+        pytest.param(ValueError, lambda: BarnettModelSpec(ma_order=-1),
+                     "ma_order must be >= 0, got -1", id="barnett-ma-order"),
+        pytest.param(ValueError, lambda: BarnettModelSpec(transfer_entropy=-0.1),
+                     "transfer entropy must be >= 0", id="barnett-negative-F"),
+        pytest.param(ValueError, lambda: analytic_covariances(BarnettModelSpec(), -1),
+                     "max_lag must be >= 0, got -1", id="max-lag"),
+        pytest.param(TypeError, lambda: analytic_covariances(object(), 3),
+                     "unsupported model spec object", id="unsupported-spec"),
+        pytest.param(ValueError, lambda: lag_window_covariance(BarnettModelSpec(), 0),
+                     "T must be >= 1, got 0", id="window-T"),
+        pytest.param(ValueError, lambda: lag_window_covariance(
+            analytic_covariances(MAFilterSpec.from_case("I"), 2), 3),
+                     "lag range exceeded: need 3, sequences cover 2", id="window-short-sequences"),
+        pytest.param(ValueError, lambda: write_sequence_csv("unused.csv", np.zeros(3), np.zeros(4)),
+                     "x and y must be one-dimensional with equal length", id="csv-shapes"),
+        pytest.param(ValueError, lambda: stream_rng(1, -1),
+                     "stream key indices must be non-negative", id="negative-stream-key"),
+    ],
+)
+def test_input_check_messages(error, call, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
