@@ -14,28 +14,32 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from cohercause import BarnettModelSpec, calibrate_size, power_curve, roc_curve
-from cohercause.experiments import (
-    DEFAULT_SIZE_GRID,
-    FAST_REPLICATIONS,
+from cohercause import (
+    BarnettModelSpec,
+    calibrate_size,
+    power_curve,
+    roc_curve,
     write_power_csv,
     write_roc_csv,
     write_summary_json,
 )
+from cohercause.cli import DEFAULT_ALPHA, DEFAULT_F, DEFAULT_M, DEFAULT_T
+from cohercause.experiments import DEFAULT_REPLICATIONS, DEFAULT_SIZE_GRID, FAST_REPLICATIONS
+from cohercause.nulldist import DEFAULT_SEED
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--replications", type=int, default=10_000)
+    group.add_argument("--replications", type=int, default=DEFAULT_REPLICATIONS)
     group.add_argument("--fast", dest="replications", action="store_const",
                        const=FAST_REPLICATIONS, default=argparse.SUPPRESS)
-    parser.add_argument("--transfer-entropy", type=float, default=0.02)
-    parser.add_argument("--M", type=int, default=1000)
-    parser.add_argument("--T", type=int, default=10)
-    parser.add_argument("--alpha", type=float, default=0.05)
+    parser.add_argument("--transfer-entropy", type=float, default=DEFAULT_F)
+    parser.add_argument("--M", type=int, default=DEFAULT_M)
+    parser.add_argument("--T", type=int, default=DEFAULT_T)
+    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     args = parser.parse_args()
 
     reps = args.replications

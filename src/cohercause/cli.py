@@ -36,7 +36,7 @@ from .experiments import (
     write_summary_json,
 )
 from .inference import LagSpec, atomic_write, lag_embed, read_sequence_csv, test_causal_influence
-from .nulldist import DEFAULT_N_MC, bartlett_critical_value, make_spec, null_law
+from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, bartlett_critical_value, make_spec, null_law
 from .simulate import (
     BarnettModelSpec,
     MAFilterSpec,
@@ -45,7 +45,6 @@ from .simulate import (
     write_sequence_csv,
 )
 
-DEFAULT_SEED = 42
 DEFAULT_ALPHA = 0.05
 DEFAULT_T = 10
 DEFAULT_M = 1000

@@ -72,8 +72,6 @@ class WilksLambdaSpec:
             ((self.M - self.r - self.q - i + 1) / 2.0, self.q / 2.0)
             for i in range(1, self.p + 1)
         )
-        if any(a <= 0 or b <= 0 for a, b in params):
-            raise ValueError("Beta shape parameters must be positive")
         object.__setattr__(self, "beta_params", params)
 
 

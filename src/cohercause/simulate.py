@@ -12,13 +12,15 @@ Barnett-Seth power study: a pair of AR(1) channels coupled by one delay
 through a coefficient c chosen so the transfer entropy from x to y is
 exactly F, each channel then passed through (1 + f z)^r.
 
-Auto- and cross-covariance sequences for both families are evaluated
-analytically from the (truncated) moving-average expansions, and
-composite covariances for arbitrary sample selections are assembled from
-those sequences. Generators simulate the AR recursions directly and
+Each family describes itself once, by ``noise_responses()``: the responses
+of x and y to two unit white noises mu and nu, each a finite coefficient
+array with a first delay (negative where the coupling leads). Every
+auto- and cross-covariance sequence is an overlap sum of two responses,
+and composite covariances for arbitrary sample selections are assembled
+from those sequences. Generators simulate the AR recursions directly and
 apply the finite MA filters afterwards, so the only truncation anywhere
-is in the analytic sums, where the discarded geometric tails are kept
-below 1e-12 per coefficient.
+is in the geometric responses, whose discarded tails are kept below
+1e-12 per coefficient.
 """
 from __future__ import annotations
 
@@ -48,6 +50,11 @@ __all__ = [
 
 COEFF_TOL = 1e-12
 BURN_IN = 1000
+
+# A channel's response to one noise: coefficients a[k] of w_{n - delay - k}.
+Response = tuple[np.ndarray, int]
+Channel = tuple[Response, Response]  # responses to mu and to nu
+_SILENT: Response = (np.empty(0), 0)
 
 MA_CASES = {
     "I": ((0, 1, 2, 3), (0.7, 0.8, 0.7, 0.6)),
@@ -158,6 +165,16 @@ class MAFilterSpec:
     def truncation(self) -> int:
         return max(self.h.size, self.g.size) - 1
 
+    def noise_responses(self) -> tuple[Channel, Channel]:
+        """x's and y's responses to (mu, nu): x = h * mu, y = g * nu + (f * h) * mu.
+
+        f runs from the least coupling offset, so y's mu response leads x where it is negative.
+        """
+        lead = min(self.f_offsets, default=0)
+        f = np.zeros(max(self.f_offsets, default=0) - lead + 1)
+        f[[off - lead for off in self.f_offsets]] = self.f_coeffs
+        return ((self.h, 0), _SILENT), ((np.convolve(f, self.h), lead), (self.g, 0))
+
 
 @dataclass(frozen=True)
 class BarnettModelSpec:
@@ -183,8 +200,6 @@ class BarnettModelSpec:
             raise ValueError(f"ma_order must be >= 0, got {self.ma_order}")
         if self.transfer_entropy < 0:
             raise ValueError("transfer entropy must be >= 0")
-        if self.transfer_entropy > 0 and math.exp(self.transfer_entropy) <= self.b**2:
-            raise ValueError("coupling is complex: need e^F > b^2")
 
     @property
     def coupling(self) -> float:
@@ -205,6 +220,15 @@ class BarnettModelSpec:
         """Coefficients of (1 + f1 z)^ma_order applied to the y channel."""
         r = self.ma_order
         return np.array([math.comb(r, j) * self.f1**j for j in range(r + 1)])
+
+    def noise_responses(self) -> tuple[Channel, Channel]:
+        """x's and y's responses to (mu, nu), the MA polynomials applied to the AR cores."""
+        ga = _geometric(1.0, self.a)
+        gb = _geometric(1.0, self.b)
+        # eta1 = ga * mu + c z (ga * gb) * nu;  eta2 = gb * nu.
+        h_nu = np.concatenate([[0.0], self.coupling * np.convolve(ga, gb)])
+        x = (_SILENT, (np.convolve(self.ma_x, gb), 0))
+        return x, ((np.convolve(self.ma_y, ga), 0), (np.convolve(self.ma_y, h_nu), 0))
 
 
 @dataclass(frozen=True)
@@ -323,64 +347,27 @@ def _overlap_sum(al: np.ndarray, be: np.ndarray, lags: np.ndarray) -> np.ndarray
     return out
 
 
-def _ma_case_covariances(spec: MAFilterSpec, max_lag: int) -> CovarianceSequences:
-    h, g = spec.h, spec.g
-    offs = np.asarray(spec.f_offsets)
-    coefs = np.asarray(spec.f_coeffs)
-    reach = int(np.abs(offs).max()) if offs.size else 0
-    ext = max_lag + 2 * reach
-    lags = np.arange(-ext, ext + 1)
-    rxx_ext = _overlap_sum(h, h, lags)
-
-    def rxx(m: int) -> float:
-        return float(rxx_ext[ext + m])
-
-    mid = np.arange(-max_lag, max_lag + 1)
-    ryy = _overlap_sum(g, g, mid)
-    rxy = np.zeros(mid.size)
-    for i, m in enumerate(mid):
-        rxy[i] = sum(c * rxx(m - k) for k, c in zip(offs, coefs))
-        ryy[i] += sum(
-            ck * cl * rxx(m + k - l)
-            for k, ck in zip(offs, coefs)
-            for l, cl in zip(offs, coefs)
-        )
-    rxx_mid = rxx_ext[ext - max_lag : ext + max_lag + 1].copy()
-    return CovarianceSequences(max_lag=max_lag, xx=rxx_mid, yy=ryy, xy=rxy)
-
-
-def _barnett_covariances(spec: BarnettModelSpec, max_lag: int) -> CovarianceSequences:
-    ga = _geometric(1.0, spec.a)
-    gb = _geometric(1.0, spec.b)
-    # eta1 = ga * mu + c z (ga * gb) * nu;  eta2 = gb * nu.
-    h_nu = np.concatenate([[0.0], spec.coupling * np.convolve(ga, gb)])
-    phi = np.convolve(spec.ma_x, gb)  # x from nu
-    psi_mu = np.convolve(spec.ma_y, ga)  # y from mu
-    psi_nu = np.convolve(spec.ma_y, h_nu)  # y from nu
-    lags = np.arange(-max_lag, max_lag + 1)
-    xx = _overlap_sum(phi, phi, lags)
-    yy = _overlap_sum(psi_mu, psi_mu, lags) + _overlap_sum(psi_nu, psi_nu, lags)
-    xy = _overlap_sum(phi, psi_nu, lags)
-    return CovarianceSequences(max_lag=max_lag, xx=xx, yy=yy, xy=xy)
-
-
 def analytic_covariances(
     spec: MAFilterSpec | BarnettModelSpec, max_lag: int
 ) -> CovarianceSequences:
     """Exact covariance sequences of the model, to truncation tolerance.
 
-    For the MA family: R_xx[m] = sum_k h_k h_{k+m},
-    R_xy[m] = sum_k f_k R_xx[m - k], and
-    R_yy[m] = sum_k g_k g_{k+m} + sum_{k,l} f_k f_l R_xx[m + k - l].
-    The Barnett family is expanded into its moving-average form first.
+    With c_n = sum_w sum_k a_c[k] w_{n - s_c - k} over the unit white noises
+    w = mu, nu, cov(c_n, d_{n+m}) = sum_w sum_k a_c[k] a_d[k + m + s_c - s_d].
     """
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    if isinstance(spec, MAFilterSpec):
-        return _ma_case_covariances(spec, max_lag)
-    if isinstance(spec, BarnettModelSpec):
-        return _barnett_covariances(spec, max_lag)
-    raise TypeError(f"unsupported model spec {type(spec).__name__}")
+    responses = getattr(spec, "noise_responses", None)
+    if responses is None:
+        raise TypeError(f"unsupported model spec {type(spec).__name__}")
+    x, y = responses()
+    lags = np.arange(-max_lag, max_lag + 1)
+
+    def cov(c: Channel, d: Channel) -> np.ndarray:
+        mu, nu = (_overlap_sum(a, b, lags + s - t) for (a, s), (b, t) in zip(c, d))
+        return mu + nu
+
+    return CovarianceSequences(max_lag=max_lag, xx=cov(x, x), yy=cov(y, y), xy=cov(x, y))
 
 
 Sample = tuple[str, int]
@@ -416,7 +403,7 @@ def composite_from_sequences(
 
 
 def lag_window_covariance(
-    spec: MAFilterSpec | BarnettModelSpec | CovarianceSequences, T: int
+    spec: MAFilterSpec | BarnettModelSpec, T: int
 ) -> CompositeCovariance:
     """Population covariance of ([x_{t-1}..x_{t-T}], y_t, [y_{t-1}..y_{t-T}]).
 
@@ -425,9 +412,7 @@ def lag_window_covariance(
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    seqs = spec if isinstance(spec, CovarianceSequences) else analytic_covariances(spec, T)
-    if seqs.max_lag < T:
-        raise ValueError(f"lag range exceeded: need {T}, sequences cover {seqs.max_lag}")
+    seqs = analytic_covariances(spec, T)
     rows = LagSpec.influence_test(T).rows
     return composite_from_sequences(seqs, rows[:T], rows[T : T + 1], rows[T + 1 :])
 

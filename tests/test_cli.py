@@ -345,23 +345,32 @@ class TestPowerRocCalibrate:
         assert sorted(outputs["1"]) == ["calibrate.json", "power.csv", "power.csv.json"]
         assert outputs["1"] == outputs["2"]
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_default_replication_power_peak_rss_bounded(self, tmp_path):
         # Each order streams its sequence through one reused panel, so peak memory
         # does not grow with --replications, even with two orders in flight.
+        # The child reports its own VmHWM as it exits: the ru_maxrss that wait4
+        # returns also counts the high-water RSS of this process at the spawn.
+        hwm = tmp_path / "vmhwm_kib.txt"
+        child = (
+            "import atexit, runpy\n"
+            "def report():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        kib = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+            f"    with open({str(hwm)!r}, 'w') as fh:\n"
+            "        fh.write(kib)\n"
+            "atexit.register(report)\n"
+            "runpy.run_module('cohercause.cli', run_name='__main__')\n"
+        )
         argv = [
-            sys.executable, "-m", "cohercause.cli", "power", "--orders", "0..1",
+            sys.executable, "-c", child, "power", "--orders", "0..1",
             "--replications", "10000", "--jobs", "2", "--output", str(tmp_path / "power.csv"),
         ]
         path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        err = tmp_path / "stderr.txt"
-        with open(err, "w") as fh:
-            proc = subprocess.Popen(argv, env=env, stderr=fh)
-            _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0, err.read_text()
-        assert usage.ru_maxrss / 1024 < POWER_PEAK_RSS_MB
+        proc = subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(hwm.read_text()) / 1024 < POWER_PEAK_RSS_MB
 
     @pytest.mark.parametrize(
         "command, extra, keys",

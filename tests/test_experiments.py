@@ -219,8 +219,6 @@ class TestOneGramMap:
 class TestConsecutiveCarving:
     """The view-based carving is bit-identical to the per-window loop."""
 
-    # The studies always centre; the one-value parameter keeps the test ids.
-    @pytest.mark.parametrize("center", [True])
     @pytest.mark.parametrize(
         "T, M, n_windows, extra, chunks",
         [
@@ -231,7 +229,7 @@ class TestConsecutiveCarving:
         ],
     )
     def test_bit_identical_to_per_window_loop(
-        self, center, T, M, n_windows, extra, chunks
+        self, T, M, n_windows, extra, chunks
     ):
         chunk = experiments._WINDOW_CHUNK_BYTES // ((2 * T + 2) * M * 8)
         assert -(-n_windows // chunk) == chunks
@@ -350,8 +348,6 @@ class TestWishartDraw:
     Fixed seeds; each KS gate sits at the 0.999 critical value (p > 1e-3).
     """
 
-    # The draw always centres; the one-value parameter keeps the test ids.
-    @pytest.mark.parametrize("center", [True])
     @pytest.mark.parametrize(
         "p, q, r, M, population",
         [
@@ -365,14 +361,13 @@ class TestWishartDraw:
             ).entries, id="barnett-ma10-T10"),
         ],
     )
-    def test_matches_panel_reference(self, p, q, r, M, population, center):
+    def test_matches_panel_reference(self, p, q, r, M, population):
         drawn = _independent_stats(population, p, q, r, M, 4000, seed=1)
         panels = panel_independent_stats(population, p, q, r, M, 4000, 2)
         assert stats.ks_2samp(drawn, panels).pvalue > 1e-3
 
-    @pytest.mark.parametrize("center", [True])
     @pytest.mark.parametrize("T, M, ma_order", [(3, 12, 1), (3, 80, 1), (10, 200, 10)])
-    def test_null_matches_closed_form(self, T, M, ma_order, center):
+    def test_null_matches_closed_form(self, T, M, ma_order):
         population = lag_window_covariance(
             BarnettModelSpec(transfer_entropy=0.0, ma_order=ma_order), T
         ).entries

@@ -130,6 +130,22 @@ class TestAnalyticCovariances:
         assert not np.allclose(seqs.xy, seqs.xy[::-1])
 
     @pytest.mark.parametrize("case", ["I", "II", "III"])
+    def test_ma_sequences_match_coupling_closed_form(self, case):
+        # R_xy[m] = sum_k f_k R_xx[m - k] and
+        # R_yy[m] = sum_k g_k g_{k+m} + sum_{k,l} f_k f_l R_xx[m + k - l].
+        spec = MAFilterSpec.from_case(case)
+        f = list(zip(spec.f_offsets, spec.f_coeffs))
+        seqs = analytic_covariances(spec, 12)
+        wide = analytic_covariances(spec, 12 + 2 * max(abs(k) for k, _ in f))
+        g = spec.g
+        for m in range(-12, 13):
+            xy = sum(c * xx_at(wide, m - k) for k, c in f)
+            gg = float(g[: g.size - abs(m)] @ g[abs(m) :])
+            yy = gg + sum(ck * cl * xx_at(wide, m + k - l) for k, ck in f for l, cl in f)
+            assert xy_at(seqs, m) == pytest.approx(xy, rel=0, abs=1e-14)
+            assert yy_at(seqs, m) == pytest.approx(yy, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
     def test_sample_covariances_match_analytic(self, case):
         n = 1_000_000
         x, y = gen_ma_case(case, n, 101)
@@ -394,7 +410,7 @@ class TestModelComposite:
                 [("y", 0)],
                 [("y", -i) for i in range(1, T + 1)],
             )
-            assert np.array_equal(lag_window_covariance(seqs, T).entries, ref.entries)
+            assert np.array_equal(lag_window_covariance(spec, T).entries, ref.entries)
 
     def test_zero_coupling_gives_zero_coherence(self):
         spec = MAFilterSpec(f_offsets=(), f_coeffs=())
@@ -500,9 +516,9 @@ class TestSequenceCsv:
                      "unsupported model spec object", id="unsupported-spec"),
         pytest.param(ValueError, lambda: lag_window_covariance(BarnettModelSpec(), 0),
                      "T must be >= 1, got 0", id="window-T"),
-        pytest.param(ValueError, lambda: lag_window_covariance(
-            analytic_covariances(MAFilterSpec.from_case("I"), 2), 3),
-                     "lag range exceeded: need 3, sequences cover 2", id="window-short-sequences"),
+        pytest.param(TypeError, lambda: lag_window_covariance(
+            analytic_covariances(MAFilterSpec.from_case("I"), 3), 3),
+                     "unsupported model spec CovarianceSequences", id="window-sequences"),
         pytest.param(ValueError, lambda: write_sequence_csv("unused.csv", np.zeros(3), np.zeros(4)),
                      "x and y must be one-dimensional with equal length", id="csv-shapes"),
         pytest.param(ValueError, lambda: stream_rng(1, -1),
