@@ -5,7 +5,9 @@ Writes the size calibration, the power-versus-MA-order curve and the ROC
 curve as plot-ready CSVs plus a JSON summary holding every parameter and
 the master seed. The full run uses 10,000 replications per point;
 --fast drops to 2,000 for a desk-scale pass and may not be combined with
---replications.
+--replications. --jobs sizes the study thread pools as the CLI's does,
+with the same default and COHERCAUSE_JOBS rule; the outputs do not depend
+on it.
 """
 import argparse
 import os
@@ -23,8 +25,16 @@ from cohercause import (
     write_roc_csv,
     write_summary_json,
 )
-from cohercause.cli import DEFAULT_ALPHA, DEFAULT_F, DEFAULT_M, DEFAULT_T
-from cohercause.experiments import DEFAULT_REPLICATIONS, DEFAULT_SIZE_GRID, FAST_REPLICATIONS
+from cohercause.cli import _checked_jobs
+from cohercause.experiments import (
+    DEFAULT_ALPHA,
+    DEFAULT_F,
+    DEFAULT_M,
+    DEFAULT_REPLICATIONS,
+    DEFAULT_SIZE_GRID,
+    DEFAULT_T,
+    FAST_REPLICATIONS,
+)
 from cohercause.nulldist import DEFAULT_SEED
 
 
@@ -40,7 +50,11 @@ def main() -> int:
     parser.add_argument("--M", type=int, default=DEFAULT_M)
     parser.add_argument("--T", type=int, default=DEFAULT_T)
     parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="study threads (default: COHERCAUSE_JOBS or the CPUs "
+                             "this process may use)")
     args = parser.parse_args()
+    jobs = _checked_jobs(parser, args.jobs)
 
     reps = args.replications
     os.makedirs(args.outdir, exist_ok=True)
@@ -49,12 +63,12 @@ def main() -> int:
     size_ind = calibrate_size(
         BarnettModelSpec(transfer_entropy=0.0, ma_order=1),
         alpha=args.alpha, replications=reps, M=args.M, T=args.T,
-        window_mode="independent-realizations", seed=args.seed,
+        window_mode="independent-realizations", seed=args.seed, jobs=jobs,
     )
     size_con = calibrate_size(
         BarnettModelSpec(transfer_entropy=0.0, ma_order=1),
         alpha=args.alpha, replications=reps, M=args.M, T=args.T,
-        window_mode="consecutive-windows", seed=args.seed,
+        window_mode="consecutive-windows", seed=args.seed, jobs=jobs,
     )
     print(f"achieved size: independent={size_ind.achieved:.4f} "
           f"(se {size_ind.std_error:.4f}), consecutive={size_con.achieved:.4f} "
@@ -62,7 +76,7 @@ def main() -> int:
 
     points = power_curve(
         range(0, 11), F=args.transfer_entropy, alpha=args.alpha,
-        replications=reps, M=args.M, T=args.T, seed=args.seed,
+        replications=reps, M=args.M, T=args.T, seed=args.seed, jobs=jobs,
     )
     for pt in points:
         print(f"MA order {pt.ma_order:2d}: power {pt.power:.3f} "
@@ -71,7 +85,7 @@ def main() -> int:
 
     roc = roc_curve(
         F=args.transfer_entropy, ma_order=1, replications=reps,
-        M=args.M, T=args.T, size_grid=DEFAULT_SIZE_GRID, seed=args.seed,
+        M=args.M, T=args.T, size_grid=DEFAULT_SIZE_GRID, seed=args.seed, jobs=jobs,
     )
     for pt in roc:
         print(f"size {pt.size:.2f}: power {pt.power:.3f}")

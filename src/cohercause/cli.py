@@ -24,7 +24,11 @@ import sys
 
 from . import experiments
 from .experiments import (
+    DEFAULT_ALPHA,
+    DEFAULT_F,
+    DEFAULT_M,
     DEFAULT_SIZE_GRID,
+    DEFAULT_T,
     FAST_REPLICATIONS,
     calibrate_size,
     coherence_map,
@@ -45,11 +49,6 @@ from .simulate import (
     write_sequence_csv,
 )
 
-DEFAULT_ALPHA = 0.05
-DEFAULT_T = 10
-DEFAULT_M = 1000
-DEFAULT_F = 0.02
-
 
 def _default_jobs(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("COHERCAUSE_JOBS")
@@ -63,6 +62,15 @@ def _default_jobs(parser: argparse.ArgumentParser) -> int:
     except ValueError:
         pass
     parser.error(f"COHERCAUSE_JOBS must be an integer >= 1, got {env!r}")
+
+
+def _checked_jobs(parser: argparse.ArgumentParser, jobs: int | None) -> int:
+    """A given --jobs value, which must be >= 1, else the default above."""
+    if jobs is None:
+        return _default_jobs(parser)
+    if jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {jobs}")
+    return jobs
 
 
 class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
@@ -387,10 +395,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None:
-        args.jobs = _default_jobs(parser)
-    elif args.jobs < 1:
-        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    args.jobs = _checked_jobs(parser, args.jobs)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

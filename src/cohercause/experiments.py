@@ -22,11 +22,14 @@ work runs inside numpy calls; chunk i of replications consumes stream
 back-to-back windows, reproducing the original experimental protocol
 with its weakly dependent columns. The sequence is streamed: the
 generator yields it in blocks of one panel's windows, so memory does not
-grow with the number of replications, and ``power_curve`` runs its MA
-orders on a thread pool of ``jobs`` workers. Each block's panel rows are
+grow with the number of replications. ``power_curve`` and ``roc_curve``
+draw one AR core from stream (seed, 1) for every MA order and filter each
+block of it through every order's MA polynomial (common random numbers),
+the orders split into contiguous groups on a thread pool of ``jobs``
+workers. Each block's panel rows are
 laid out by ``LagSpec.rows``, as in ``lag_embed``: one zero-copy view per
-row over the block reshaped to one window per row, gathered into one
-reused panel buffer of about 10 MB. Its windows are centred by conditioning:
+row over the block reshaped to one window per row, gathered into a
+reused panel buffer of about 10 MB, one per worker. Its windows are centred by conditioning:
 removing each row's mean is the projection onto a constant regressor
 (Frisch-Waugh-Lovell), so a row of ones written once at the end of z, which
 the kernel's one Cholesky factor projects out, replaces a centring pass over
@@ -39,6 +42,7 @@ import math
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -51,7 +55,8 @@ from .simulate import (
     BarnettModelSpec,
     MAFilterSpec,
     analytic_covariances,
-    _barnett_blocks,
+    _barnett_cores,
+    _ma_step,
     composite_from_sequences,
     lag_window_covariance,
 )
@@ -72,6 +77,10 @@ __all__ = [
     "write_summary_json",
 ]
 
+DEFAULT_ALPHA = 0.05
+DEFAULT_M = 1000
+DEFAULT_T = 10
+DEFAULT_F = 0.02
 DEFAULT_REPLICATIONS = 10_000
 FAST_REPLICATIONS = 2_000
 DEFAULT_SIZE_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
@@ -176,8 +185,17 @@ def _window_chunk(T: int, M: int) -> int:
     return max(1, _WINDOW_CHUNK_BYTES // ((2 * T + 2) * M * 8))
 
 
+def _panel(T: int, M: int, n_windows: int) -> np.ndarray:
+    """A reused window panel: ``_window_chunk`` windows (at most ``n_windows``)
+    of the influence-test rows and the row of ones, written here once."""
+    D = np.empty((min(_window_chunk(T, M), n_windows), 2 * T + 2, M))
+    D[:, 2 * T + 1 :] = 1.0
+    return D
+
+
 def _consecutive_stats(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]], T: int, M: int, n_windows: int
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], T: int, M: int, n_windows: int,
+    buffer: np.ndarray | None = None,
 ) -> np.ndarray:
     """Statistics from back-to-back windows of one long sequence, read in blocks.
 
@@ -188,9 +206,10 @@ def _consecutive_stats(
     full-context columns of the influence-test embedding. Its rows are
     zero-copy views of the block reshaped to one window per row, copied
     chunk by chunk into one reused panel of about ``_WINDOW_CHUNK_BYTES``,
-    which stays cache-resident for any M and T. The panel has one more row,
-    all ones, written once and kept at the end of z: conditioning on it
-    centres every window without a pass over the data
+    which stays cache-resident for any M and T; a caller that carves many
+    sequences passes one ``buffer`` from :func:`_panel` to all of them. The
+    panel has one more row, all ones, written once and kept at the end of
+    z: conditioning on it centres every window without a pass over the data
     (Frisch-Waugh-Lovell), and the kernel's one Cholesky factor does that
     projection. That holds for O(1), zero-mean sequences such as the
     studies simulate; ``inference._scaled_gram`` centres explicitly for
@@ -198,9 +217,8 @@ def _consecutive_stats(
     """
     window = M + T
     rows = LagSpec.influence_test(T).rows
-    chunk = _window_chunk(T, M)
-    D = np.empty((min(chunk, n_windows), len(rows) + 1, M))
-    D[:, len(rows) :] = 1.0
+    D = _panel(T, M, n_windows) if buffer is None else buffer
+    chunk = len(D)
     out = np.empty(n_windows)
     done = seen = 0
     for x, y in blocks:
@@ -224,25 +242,83 @@ def _consecutive_stats(
     )
 
 
+def _shared_core_stats(
+    specs: list[BarnettModelSpec], replications: int, M: int, T: int, seed: int,
+    stream: int, jobs: int = 1,
+) -> np.ndarray:
+    """Consecutive-window statistics of several MA orders over one AR core.
+
+    The specs differ only in their MA polynomials, so they share the AR core
+    of ``specs[0]``, drawn once from stream (seed, stream) in blocks of one
+    panel's windows. Row i equals
+    ``_consecutive_stats(_barnett_blocks(specs[i], ..., seed, stream), ...)``
+    bit for bit. The specs are split into at most ``jobs`` contiguous groups,
+    one per worker of a thread pool, each with its own reused panel, so
+    memory grows with the worker count and not with ``replications`` or the
+    number of specs, and the result does not depend on ``jobs``.
+    """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    window = M + T
+    history = max(spec.ma_order for spec in specs)
+    cores = _barnett_cores(
+        specs[0], replications * window, _window_chunk(T, M) * window, seed, stream, history
+    )
+    groups = np.array_split(np.arange(len(specs)), min(jobs, len(specs)))
+    panels = [_panel(T, M, replications) for _ in groups]
+    out = np.empty((len(specs), replications))
+
+    def carve(core: tuple[np.ndarray, np.ndarray], done: int, k: int, group, buffer) -> None:
+        for i in group:
+            # No name holds an order's pair, so it is freed before the next one forms.
+            out[i, done : done + k] = _consecutive_stats(
+                [_ma_step(specs[i], core, history)], T, M, k, buffer
+            )
+
+    done = 0
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        for core in cores:
+            k = (core[0].size - history) // window
+            list(pool.map(partial(carve, core, done, k), groups, panels))
+            done += k
+    return out
+
+
 def _model_statistics(
     spec: BarnettModelSpec, replications: int, M: int, T: int, window_mode: str, seed: int,
     stream: int = 0, jobs: int = 1,
 ) -> np.ndarray:
+    if window_mode == "consecutive-windows":
+        return _shared_core_stats([spec], replications, M, T, seed, stream, jobs)[0]
+    if window_mode != "independent-realizations":
+        raise ValueError(f"unknown window mode {window_mode!r}")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    if window_mode == "independent-realizations":
-        population = lag_window_covariance(spec, T).entries
-        return _independent_stats(
-            population, T, 1, T, M, replications, seed, stream=stream, jobs=jobs
-        )
+    population = lag_window_covariance(spec, T).entries
+    return _independent_stats(population, T, 1, T, M, replications, seed, stream=stream, jobs=jobs)
+
+
+def _power_statistics(
+    ma_orders: list[int], F: float, replications: int, M: int, T: int, window_mode: str,
+    seed: int, jobs: int,
+) -> list[np.ndarray]:
+    """Each MA order's statistics under the alternative, for power and ROC.
+
+    With consecutive windows every order filters one AR core drawn from
+    stream (seed, 1), so the orders see common random numbers. With
+    independent realizations order r draws from stream (seed, r + 1), the
+    orders in turn, each on its own pool of replication chunks, so pools
+    never nest.
+    """
+    specs = [BarnettModelSpec(transfer_entropy=F, ma_order=order) for order in ma_orders]
     if window_mode == "consecutive-windows":
-        # Blocks of one panel's windows: memory does not grow with replications.
-        window = M + T
-        blocks = _barnett_blocks(
-            spec, replications * window, _window_chunk(T, M) * window, seed, stream
+        return list(_shared_core_stats(specs, replications, M, T, seed, 1, jobs))
+    return [
+        _model_statistics(
+            spec, replications, M, T, window_mode, seed, stream=spec.ma_order + 1, jobs=jobs
         )
-        return _consecutive_stats(blocks, T, M, replications)
-    raise ValueError(f"unknown window mode {window_mode!r}")
+        for spec in specs
+    ]
 
 
 def _rejection_rate(stats: np.ndarray, threshold: float) -> tuple[float, float]:
@@ -313,10 +389,10 @@ def coherence_map(
 
 def calibrate_size(
     spec: BarnettModelSpec,
-    alpha: float = 0.05,
+    alpha: float = DEFAULT_ALPHA,
     replications: int = DEFAULT_REPLICATIONS,
-    M: int = 1000,
-    T: int = 10,
+    M: int = DEFAULT_M,
+    T: int = DEFAULT_T,
     window_mode: str = "independent-realizations",
     seed: int = DEFAULT_SEED,
     n_mc: int = DEFAULT_N_MC,
@@ -343,11 +419,11 @@ def calibrate_size(
 
 def power_curve(
     ma_orders,
-    F: float = 0.02,
-    alpha: float = 0.05,
+    F: float = DEFAULT_F,
+    alpha: float = DEFAULT_ALPHA,
     replications: int = DEFAULT_REPLICATIONS,
-    M: int = 1000,
-    T: int = 10,
+    M: int = DEFAULT_M,
+    T: int = DEFAULT_T,
     seed: int = DEFAULT_SEED,
     window_mode: str = "consecutive-windows",
     n_mc: int = DEFAULT_N_MC,
@@ -355,42 +431,35 @@ def power_curve(
 ) -> list[PowerPoint]:
     """Rejection rate versus MA order at fixed transfer entropy F.
 
-    Each order draws from its own substream, stream = order + 1. With
-    consecutive windows the orders run on a pool of ``jobs`` threads, each
-    order streaming its sequence through one reused panel, so memory grows
-    with the worker count and not with ``replications``. With independent
-    realizations the orders run in turn, each on its own pool of replication
-    chunks, so pools never nest. Either way the result does not depend on
+    With consecutive windows every order filters one shared AR core, drawn
+    once from stream (seed, 1) and streamed through one reused panel per
+    worker: the orders are split into contiguous groups on a pool of
+    ``jobs`` threads, so memory grows with the worker count and not with
+    ``replications`` or the number of orders. With independent realizations
+    order r draws from stream (seed, r + 1), the orders in turn, each on its
+    own pool of replication chunks. Either way the result does not depend on
     ``jobs``.
     """
     ma_orders = [int(order) for order in ma_orders]
     if not ma_orders:
         raise ValueError("ma_orders is empty; give at least one MA order")
     threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
-
-    def point(order: int) -> PowerPoint:
-        spec = BarnettModelSpec(transfer_entropy=F, ma_order=order)
-        stats = _model_statistics(
-            spec, replications, M, T, window_mode, seed, stream=order + 1, jobs=jobs
+    stats = _power_statistics(ma_orders, F, replications, M, T, window_mode, seed, jobs)
+    return [
+        PowerPoint(
+            order, *_rejection_rate(s, threshold), alpha=alpha, replications=replications,
+            T=T, M=M,
         )
-        power, se = _rejection_rate(stats, threshold)
-        return PowerPoint(
-            ma_order=order, power=power, std_error=se, alpha=alpha,
-            replications=replications, T=T, M=M,
-        )
-
-    if window_mode != "consecutive-windows":
-        return [point(order) for order in ma_orders]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(point, ma_orders))
+        for order, s in zip(ma_orders, stats)
+    ]
 
 
 def roc_curve(
-    F: float = 0.02,
+    F: float = DEFAULT_F,
     ma_order: int = 1,
     replications: int = DEFAULT_REPLICATIONS,
-    M: int = 1000,
-    T: int = 10,
+    M: int = DEFAULT_M,
+    T: int = DEFAULT_T,
     size_grid=DEFAULT_SIZE_GRID,
     seed: int = DEFAULT_SEED,
     window_mode: str = "consecutive-windows",
@@ -399,19 +468,17 @@ def roc_curve(
 ) -> list[ROCPoint]:
     """Power versus size over a fixed grid of nominal sizes.
 
-    The alternative-hypothesis statistics are drawn once and reused for
-    every grid point, so the curve is monotone by construction. The null
-    law's dimensions and the size grid are checked before any draw.
+    The alternative-hypothesis statistics are drawn once, exactly as
+    ``power_curve`` draws those of ``ma_order``, and reused for every grid
+    point, so the curve is monotone by construction. The null law's
+    dimensions and the size grid are checked before any draw.
     """
     null = make_spec(T, 1, T, M - 1)
     sizes = sorted(size_grid)
     for size in sizes:
         if not 0.0 < size < 1.0:
             raise ValueError(f"sizes must lie in (0, 1), got {size}")
-    spec = BarnettModelSpec(transfer_entropy=F, ma_order=ma_order)
-    stats = _model_statistics(
-        spec, replications, M, T, window_mode, seed, stream=ma_order + 1, jobs=jobs
-    )
+    [stats] = _power_statistics([ma_order], F, replications, M, T, window_mode, seed, jobs)
     threshold_at = null_law(null, n_mc=n_mc, seed=seed)[0]
     return [ROCPoint(float(size), *_rejection_rate(stats, threshold_at(size))) for size in sizes]
 

@@ -279,27 +279,27 @@ def gen_ma_case(
     return x_full[sl].copy(), y_full[sl].copy()
 
 
-def _barnett_blocks(
-    spec: BarnettModelSpec, length: int, block: int, seed: int, stream: int = 0
+def _barnett_cores(
+    spec: BarnettModelSpec, length: int, block: int, seed: int, stream: int, history: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the Barnett pair of :func:`gen_barnett` as consecutive blocks.
+    """Yield the AR cores (eta1, eta2) of the Barnett pair in consecutive blocks.
 
-    Every block holds ``block`` samples except the last, which holds what
-    is left of ``length``, so nothing is drawn past it. Concatenated, the
-    blocks equal ``gen_barnett(spec, length, seed, stream)`` bit for bit:
-    the noise streams are read in order, and across a block boundary the
-    generator carries both AR(1) filter states, the last eta2 sample for
-    the one-step coupling of eta1's drive, and the last r samples of each
-    AR core for the order-r MA polynomials.
+    Every block covers ``block`` samples except the last, which covers what
+    is left of ``length``, so nothing is drawn past it. Each yielded core
+    array leads with the ``history`` core samples before its block (burn-in
+    samples for the first block, zeros before the first draw), which any MA
+    polynomial of order up to ``history`` needs. The cores depend on the
+    spec's coupling and AR coefficients only, so every MA order filters the
+    same cores. The noise streams are read in order, and across a block
+    boundary the generator carries both AR(1) filter states and the last
+    eta2 sample for the one-step coupling of eta1's drive.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     mu_rng, nu_rng = stream_rng(seed, stream, 0), stream_rng(seed, stream, 1)
-    r = spec.ma_order
     zi1, zi2 = np.zeros(1), np.zeros(1)
-    # The last eta2 sample and the last r AR-core samples; zeros before the first.
     eta2_last = 0.0
-    core1, core2 = np.zeros(r), np.zeros(r)
+    core1, core2 = np.zeros(history), np.zeros(history)
     skip = BURN_IN
     for start in range(0, length, block):
         n = skip + min(block, length - start)
@@ -310,14 +310,40 @@ def _barnett_blocks(
         mu[1:] += spec.coupling * eta2[:-1]
         eta2_last = eta2[-1]
         eta1, zi1 = lfilter([1.0], [1.0, -spec.a], mu, zi=zi1)
-        core1 = np.concatenate((core1, eta1))
-        core2 = np.concatenate((core2, eta2))
-        # The long operand first keeps np.convolve's summation order for any block.
-        y = np.convolve(core1[skip:], spec.ma_y, mode="valid")
-        x = np.convolve(core2[skip:], spec.ma_x, mode="valid")
-        core1, core2 = core1[core1.size - r :].copy(), core2[core2.size - r :].copy()
+        core1 = np.concatenate((core1[core1.size - history :], eta1))[skip:]
+        core2 = np.concatenate((core2[core2.size - history :], eta2))[skip:]
+        # Only the cores stay alive while the consumer filters and carves them.
+        del mu, nu, eta1, eta2
         skip = 0
-        yield x, y
+        yield core1, core2
+
+
+def _ma_step(
+    spec: BarnettModelSpec, cores: tuple[np.ndarray, np.ndarray], history: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) block of ``spec``'s MA order from a core block led by ``history`` samples."""
+    r = spec.ma_order
+    eta1, eta2 = cores
+    # The long operand first keeps np.convolve's summation order for any block.
+    y = np.convolve(eta1[history - r :], spec.ma_y, mode="valid")
+    x = np.convolve(eta2[history - r :], spec.ma_x, mode="valid")
+    return x, y
+
+
+def _barnett_blocks(
+    spec: BarnettModelSpec, length: int, block: int, seed: int, stream: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the Barnett pair of :func:`gen_barnett` as consecutive blocks.
+
+    Every block holds ``block`` samples except the last, which holds what
+    is left of ``length``. Concatenated, the blocks equal
+    ``gen_barnett(spec, length, seed, stream)`` bit for bit: this is the
+    one-order case of the shared cores and the MA step, with the last r
+    samples of each AR core carried across a block boundary.
+    """
+    r = spec.ma_order
+    for cores in _barnett_cores(spec, length, block, seed, stream, r):
+        yield _ma_step(spec, cores, r)
 
 
 def gen_barnett(
@@ -328,8 +354,8 @@ def gen_barnett(
     The AR recursion is run directly (no truncation) and the finite MA
     polynomials are applied afterwards, as convolutions that treat the
     AR-core samples before the first draw as zero. The noise is drawn as in
-    :func:`gen_ma_case`. This is the one-block case of the block
-    generator that the consecutive-window studies stream from.
+    :func:`gen_ma_case`. This is the one-block case of the AR-core block
+    generator and MA step that the consecutive-window studies stream from.
     """
     return next(_barnett_blocks(spec, length, length, seed, stream))
 

@@ -347,8 +347,9 @@ class TestPowerRocCalibrate:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_default_replication_power_peak_rss_bounded(self, tmp_path):
-        # Each order streams its sequence through one reused panel, so peak memory
-        # does not grow with --replications, even with two orders in flight.
+        # The orders share one streamed AR core, and each worker carves its orders
+        # through one reused panel, so peak memory does not grow with --replications,
+        # even with two workers in flight.
         # The child reports its own VmHWM as it exits: the ru_maxrss that wait4
         # returns also counts the high-water RSS of this process at the spawn.
         hwm = tmp_path / "vmhwm_kib.txt"

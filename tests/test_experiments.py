@@ -28,7 +28,7 @@ from cohercause import (
     partial_coherence_one_onto_two,
     sample_covariance,
 )
-from cohercause import experiments, inference
+from cohercause import experiments, inference, simulate
 from cohercause.coherence import _log_det_q
 from cohercause.experiments import (
     _consecutive_stats,
@@ -40,6 +40,7 @@ from cohercause.experiments import (
 )
 from cohercause.inference import lag_embed
 from cohercause.simulate import (
+    BURN_IN,
     _barnett_blocks,
     analytic_covariances,
     lag_window_covariance,
@@ -257,6 +258,56 @@ class TestConsecutiveCarving:
         blocks = _barnett_blocks(spec, n_windows * 64 - 1, 3 * 64, 11)
         with pytest.raises(ValueError, match="sequence of 447 samples is too short for 7"):
             _consecutive_stats(blocks, T, M, n_windows)
+
+
+class TestSharedCore:
+    """Consecutive-window power orders filter one AR core drawn from stream (seed, 1)."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_orders_match_one_order_route(self, monkeypatch, jobs):
+        # Three windows per panel make 4 blocks of 10 windows, so the core's
+        # last samples are carried across three block boundaries.
+        T, M, n_windows, seed = 3, 50, 10, 8
+        monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", 3 * (2 * T + 2) * M * 8)
+        chunk = experiments._window_chunk(T, M)
+        assert chunk == 3 and -(-n_windows // chunk) == 4
+        orders = [0, 1, 3, 10]
+        stats = experiments._power_statistics(
+            orders, 0.1, n_windows, M, T, "consecutive-windows", seed, jobs
+        )
+        window = M + T
+        for order, got in zip(orders, stats):
+            spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=order)
+            blocks = _barnett_blocks(spec, n_windows * window, chunk * window, seed, stream=1)
+            assert np.array_equal(got, _consecutive_stats(blocks, T, M, n_windows))
+            # The one-block sequence has no block boundary to carry across.
+            whole = gen_barnett(spec, n_windows * window, seed, stream=1)
+            assert np.array_equal(got, _consecutive_stats([whole], T, M, n_windows))
+
+    def test_power_draws_one_core(self, monkeypatch):
+        # Orders 0..3 draw exactly the normal samples of order 0 alone: one core.
+        drawn = []
+        real = simulate.stream_rng
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, size):
+                drawn.append(int(np.prod(size)))
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(simulate, "stream_rng", lambda *key: Counting(real(*key)))
+        kwargs = dict(F=0.1, replications=300, M=150, T=2, seed=5, n_mc=20_000)
+        one = power_curve([0], **kwargs)
+        assert sum(drawn) == 2 * (BURN_IN + 300 * 152)
+        drawn.clear()
+        four = power_curve(range(4), **kwargs)
+        assert sum(drawn) == 2 * (BURN_IN + 300 * 152)
+        assert four[0] == one[0]
 
 
 class TestBatchedFastPath:

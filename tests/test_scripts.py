@@ -46,3 +46,28 @@ def test_run_power_study(tmp_path):
     assert clash.returncode == 2
     assert "--fast" in clash.stderr and "--replications" in clash.stderr
     assert not (tmp_path / "never").exists()
+
+
+def test_run_power_study_jobs(tmp_path):
+    # The script's files agree byte for byte at one and two threads, but for the elapsed time.
+    script = [sys.executable, str(SCRIPTS / "run_power_study.py"), "--replications", "1000"]
+    files = {}
+    for jobs in ("1", "2"):
+        outdir = tmp_path / jobs
+        done = subprocess.run(
+            [*script, "--M", "60", "--T", "2", "--jobs", jobs, "--outdir", str(outdir)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        files[jobs] = {p.name: p.read_text() for p in sorted(outdir.iterdir())}
+        summary = json.loads(files[jobs]["power_study_summary.json"])
+        del summary["elapsed_seconds"]
+        files[jobs]["power_study_summary.json"] = summary
+    assert files["1"] == files["2"]
+    bad = subprocess.run(
+        [*script, "--jobs", "0", "--outdir", str(tmp_path / "never")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert bad.returncode == 2
+    assert "argument --jobs: must be >= 1, got 0" in bad.stderr
+    assert not (tmp_path / "never").exists()
