@@ -5,9 +5,11 @@ Writes the size calibration, the power-versus-MA-order curve and the ROC
 curve as plot-ready CSVs plus a JSON summary holding every parameter and
 the master seed. The full run uses 10,000 replications per point;
 --fast drops to 2,000 for a desk-scale pass and may not be combined with
---replications. --jobs sizes the study thread pools as the CLI's does,
-with the same default and COHERCAUSE_JOBS rule; the outputs do not depend
-on it.
+--replications. The power curve and the ROC (MA order 1) read one array
+of statistics, drawn once for orders 0..10, at thresholds from one draw
+of the null law. --jobs spreads every study's work over that many threads
+as the CLI's does, with the same default and COHERCAUSE_JOBS rule; the
+outputs do not depend on it.
 """
 import argparse
 import os
@@ -19,8 +21,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from cohercause import (
     BarnettModelSpec,
     calibrate_size,
-    power_curve,
-    roc_curve,
+    make_spec,
+    null_law,
     write_power_csv,
     write_roc_csv,
     write_summary_json,
@@ -34,6 +36,10 @@ from cohercause.experiments import (
     DEFAULT_SIZE_GRID,
     DEFAULT_T,
     FAST_REPLICATIONS,
+    _alternative,
+    _power_points,
+    _roc_points,
+    _study_statistics,
 )
 from cohercause.nulldist import DEFAULT_SEED
 
@@ -74,19 +80,20 @@ def main() -> int:
           f"(se {size_ind.std_error:.4f}), consecutive={size_con.achieved:.4f} "
           f"(se {size_con.std_error:.4f})")
 
-    points = power_curve(
-        range(0, 11), F=args.transfer_entropy, alpha=args.alpha,
-        replications=reps, M=args.M, T=args.T, seed=args.seed, jobs=jobs,
-    )
+    # power_curve(range(0, 11)) and roc_curve(ma_order=1) in consecutive-window
+    # mode, from one draw of their statistics and one of the null law.
+    orders = range(0, 11)
+    mode = "consecutive-windows"
+    specs, streams = _alternative(args.transfer_entropy, orders, mode)
+    stats = _study_statistics(specs, streams, reps, args.M, args.T, mode, args.seed, jobs)
+    threshold_at = null_law(make_spec(args.T, 1, args.T, args.M - 1), seed=args.seed)[0]
+    points = _power_points(orders, stats, threshold_at(args.alpha), args.alpha, args.T, args.M)
     for pt in points:
         print(f"MA order {pt.ma_order:2d}: power {pt.power:.3f} "
               f"(se {pt.std_error:.4f})")
     write_power_csv(os.path.join(args.outdir, "power_vs_ma_order.csv"), points)
 
-    roc = roc_curve(
-        F=args.transfer_entropy, ma_order=1, replications=reps,
-        M=args.M, T=args.T, size_grid=DEFAULT_SIZE_GRID, seed=args.seed, jobs=jobs,
-    )
+    roc = _roc_points(stats[1], threshold_at, DEFAULT_SIZE_GRID)
     for pt in roc:
         print(f"size {pt.size:.2f}: power {pt.power:.3f}")
     write_roc_csv(os.path.join(args.outdir, "roc.csv"), roc)

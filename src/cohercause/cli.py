@@ -6,10 +6,10 @@ produce byte-identical output files at a fixed BLAS thread count. Across
 thread counts that holds while every Gram has fewer than ~128 rows, as at
 the defaults, because OpenBLAS splits dsyrk across threads from there.
 --jobs (at least 1; default: the CPUs this process may run on), which
-the COHERCAUSE_JOBS environment variable overrides as a default, sizes
-the thread pool of the independent-realization study replications and of
-power's MA orders in consecutive-window mode, whose work runs inside
-numpy and scipy calls; the null law is drawn in the calling thread. A --jobs or
+the COHERCAUSE_JOBS environment variable overrides as a default: every
+study's work is spread over --jobs threads; the result does not depend
+on it. The work runs inside numpy and scipy calls, and the null law is
+drawn in the calling thread. A --jobs or
 COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error, as is
 a malformed --orders, --s-range, --t-range or --sizes value, and so is
 giving both --fast (a preset number of replications) and --replications.
@@ -89,9 +89,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--jobs", type=int, default=None,
-        help="threads for the independent-realization study replications and for "
-             "power's MA orders in consecutive-window mode "
-             "(default: COHERCAUSE_JOBS or the CPUs this process may use)",
+        help="every study's work is spread over --jobs threads; the result does not "
+             "depend on it (default: COHERCAUSE_JOBS or the CPUs this process may use)",
     )
 
 
@@ -283,11 +282,12 @@ def _cmd_map(args) -> int:
         "s_range": [args.s_range.start, args.s_range.stop - 1],
         "t_range": [args.t_range.start, args.t_range.stop - 1],
         "t_cond": args.t_cond,
-        "transfer_entropy": args.transfer_entropy,
-        "ma_order": args.ma_order,
         "seed": args.seed,
         "output": args.output,
     }
+    if case == "barnett":
+        # Only the Barnett model reads the coupling and the MA order.
+        summary.update(transfer_entropy=args.transfer_entropy, ma_order=args.ma_order)
     write_summary_json(args.summary or args.output + ".json", summary)
     return 0
 

@@ -8,28 +8,29 @@ zero-mean by construction, hand whole stacks of unscaled Grams to the same
 kernel, one call per chunk of replications. Each study reads its null
 threshold once per call from ``nulldist.null_law``, as the test does.
 
-The studies have two replication modes. "independent-realizations" treats
+Every study's work is spread over ``jobs`` threads; the result does not
+depend on it. The work runs inside numpy calls, so one thread pool per
+study call, in ``_study_statistics``, serves both replication modes.
+"independent-realizations" treats
 the M panel columns as i.i.d. draws from the exact population covariance of
 the lag window (the model is Gaussian linear, so this is the distribution of
 fully independent realizations, without simulating and mostly discarding
 millions of burn-in samples). The statistic sees the centred panel only
 through its Gram, which is then Wishart with M - 1 degrees of freedom, so
 each replication draws the Gram by the Bartlett decomposition and no panel
-is formed. The chunks run on a thread pool of ``jobs`` workers, since their
-work runs inside numpy calls; chunk i of replications consumes stream
-(seed, stream, i) whatever the worker count.
+is formed. Chunk i of replications consumes stream (seed, stream, i).
 "consecutive-windows" carves one long simulated sequence into
 back-to-back windows, reproducing the original experimental protocol
 with its weakly dependent columns. The sequence is streamed: the
 generator yields it in blocks of one panel's windows, so memory does not
 grow with the number of replications. ``power_curve`` and ``roc_curve``
 draw one AR core from stream (seed, 1) for every MA order and filter each
-block of it through every order's MA polynomial (common random numbers),
-the orders split into contiguous groups on a thread pool of ``jobs``
-workers. Each block's panel rows are
+block of it through every order's MA polynomial (common random numbers).
+Each block's panel rows are
 laid out by ``LagSpec.rows``, as in ``lag_embed``: one zero-copy view per
-row over the block reshaped to one window per row, gathered into a
-reused panel buffer of about 10 MB, one per worker. Its windows are centred by conditioning:
+row over the block reshaped to one window per row, gathered into reused
+panel buffers of about 10 MB per group of orders, which a block's window
+ranges share. Its windows are centred by conditioning:
 removing each row's mean is the projection onto a constant regressor
 (Frisch-Waugh-Lovell), so a row of ones written once at the end of z, which
 the kernel's one Cholesky factor projects out, replaces a centring pass over
@@ -39,10 +40,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -136,18 +135,18 @@ class SizeEstimate:
 
 def _independent_stats(
     population: np.ndarray, p: int, q: int, r: int, M: int, replications: int, seed: int,
-    stream: int = 0, jobs: int = 1,
+    stream: int, pool_map,
 ) -> np.ndarray:
     """Statistics from centred panels of M i.i.d. N(0, population) columns.
 
     Only the panel Gram enters the statistic, and its law is Wishart,
     W(M - 1, population). Each replication draws that Gram directly by the
     Bartlett decomposition, k(k + 1)/2 numbers for k = p + q + r rows
-    instead of the panel's k M. The chunks run on a pool of ``jobs`` threads:
-    their work is numpy random draws, batched matmul and batched Cholesky,
-    solve and eigvalsh calls, which run outside the interpreter lock. Chunk i
-    always consumes stream (seed, stream, i), so the result is bit-identical
-    for any worker count.
+    instead of the panel's k M. ``pool_map`` runs the chunks, as ``map`` or
+    a thread pool's ``map``: their work is numpy random draws, batched
+    matmul and batched Cholesky, solve and eigvalsh calls, which run outside
+    the interpreter lock. Chunk i always consumes stream (seed, stream, i),
+    so the result is bit-identical for any worker count.
     """
     chol = la.cholesky(population, lower=True)
     # Bartlett: A A^T ~ W(M - 1, I) for lower-triangular A with N(0, 1) below
@@ -171,9 +170,7 @@ def _independent_stats(
         del D
         return -np.expm1(_log_det_q(S, p, q, r))
 
-    chunks = range(math.ceil(replications / _MVN_CHUNK))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return np.concatenate(list(pool.map(chunk, chunks)))
+    return np.concatenate(list(pool_map(chunk, range(math.ceil(replications / _MVN_CHUNK)))))
 
 
 def _window_chunk(T: int, M: int) -> int:
@@ -194,20 +191,17 @@ def _panel(T: int, M: int, n_windows: int) -> np.ndarray:
 
 
 def _consecutive_stats(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]], T: int, M: int, n_windows: int,
-    buffer: np.ndarray | None = None,
+    x: np.ndarray, y: np.ndarray, T: int, M: int, buffer: np.ndarray | None = None
 ) -> np.ndarray:
-    """Statistics from back-to-back windows of one long sequence, read in blocks.
+    """Statistics from the back-to-back windows of one sequence pair.
 
-    ``blocks`` yields the sequence pair as consecutive ``(x, y)`` blocks of
-    whole windows, each window M + T samples long; a window never spans
-    two blocks, and the samples past a block's last whole window or past
-    the ``n_windows``-th window are not used. Each window yields M
-    full-context columns of the influence-test embedding. Its rows are
-    zero-copy views of the block reshaped to one window per row, copied
-    chunk by chunk into one reused panel of about ``_WINDOW_CHUNK_BYTES``,
-    which stays cache-resident for any M and T; a caller that carves many
-    sequences passes one ``buffer`` from :func:`_panel` to all of them. The
+    Each window is M + T samples long, and the samples past the last whole
+    window are not used. Each window yields M full-context columns of the
+    influence-test embedding. Its rows are zero-copy views of the sequence
+    reshaped to one window per row, copied chunk by chunk into one reused
+    panel of about ``_WINDOW_CHUNK_BYTES``, which stays cache-resident for
+    any M and T; a caller that carves many sequences passes one ``buffer``
+    from :func:`_panel` to all of them. The
     panel has one more row, all ones, written once and kept at the end of
     z: conditioning on it centres every window without a pass over the data
     (Frisch-Waugh-Lovell), and the kernel's one Cholesky factor does that
@@ -216,115 +210,123 @@ def _consecutive_stats(
     data at any scale.
     """
     window = M + T
-    rows = LagSpec.influence_test(T).rows
-    D = _panel(T, M, n_windows) if buffer is None else buffer
+    k = x.size // window
+    D = _panel(T, M, k) if buffer is None else buffer
     chunk = len(D)
-    out = np.empty(n_windows)
-    done = seen = 0
-    for x, y in blocks:
-        seen += x.size
-        k = min(x.size // window, n_windows - done)
-        # Entry [w, c] of each view is the row's sample at column c of window w.
-        views = _row_views(
-            x[: k * window].reshape(k, window), y[: k * window].reshape(k, window), rows
-        )
-        for w0 in range(0, k, chunk):
-            panel = D[: min(chunk, k - w0)]
-            for i, v in enumerate(views):
-                panel[:, i] = v[w0 : w0 + chunk]
-            S = panel @ np.swapaxes(panel, 1, 2)
-            out[done + w0 : done + w0 + len(panel)] = -np.expm1(_log_det_q(S, T, 1, T + 1))
-        done += k
-        if done == n_windows:
-            return out
-    raise ValueError(
-        f"sequence of {seen} samples is too short for {n_windows} windows of {window}"
+    out = np.empty(k)
+    # Entry [w, c] of each view is the row's sample at column c of window w.
+    views = _row_views(
+        x[: k * window].reshape(k, window), y[: k * window].reshape(k, window),
+        LagSpec.influence_test(T).rows,
     )
-
-
-def _shared_core_stats(
-    specs: list[BarnettModelSpec], replications: int, M: int, T: int, seed: int,
-    stream: int, jobs: int = 1,
-) -> np.ndarray:
-    """Consecutive-window statistics of several MA orders over one AR core.
-
-    The specs differ only in their MA polynomials, so they share the AR core
-    of ``specs[0]``, drawn once from stream (seed, stream) in blocks of one
-    panel's windows. Row i equals
-    ``_consecutive_stats(_barnett_blocks(specs[i], ..., seed, stream), ...)``
-    bit for bit. The specs are split into at most ``jobs`` contiguous groups,
-    one per worker of a thread pool, each with its own reused panel, so
-    memory grows with the worker count and not with ``replications`` or the
-    number of specs, and the result does not depend on ``jobs``.
-    """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    window = M + T
-    history = max(spec.ma_order for spec in specs)
-    cores = _barnett_cores(
-        specs[0], replications * window, _window_chunk(T, M) * window, seed, stream, history
-    )
-    groups = np.array_split(np.arange(len(specs)), min(jobs, len(specs)))
-    panels = [_panel(T, M, replications) for _ in groups]
-    out = np.empty((len(specs), replications))
-
-    def carve(core: tuple[np.ndarray, np.ndarray], done: int, k: int, group, buffer) -> None:
-        for i in group:
-            # No name holds an order's pair, so it is freed before the next one forms.
-            out[i, done : done + k] = _consecutive_stats(
-                [_ma_step(specs[i], core, history)], T, M, k, buffer
-            )
-
-    done = 0
-    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-        for core in cores:
-            k = (core[0].size - history) // window
-            list(pool.map(partial(carve, core, done, k), groups, panels))
-            done += k
+    for w0 in range(0, k, chunk):
+        panel = D[: min(chunk, k - w0)]
+        for i, v in enumerate(views):
+            panel[:, i] = v[w0 : w0 + chunk]
+        S = panel @ np.swapaxes(panel, 1, 2)
+        out[w0 : w0 + len(panel)] = -np.expm1(_log_det_q(S, T, 1, T + 1))
     return out
 
 
-def _model_statistics(
-    spec: BarnettModelSpec, replications: int, M: int, T: int, window_mode: str, seed: int,
-    stream: int = 0, jobs: int = 1,
+def _study_statistics(
+    specs: list[BarnettModelSpec], streams: list[int], replications: int, M: int, T: int,
+    window_mode: str, seed: int, jobs: int,
 ) -> np.ndarray:
-    if window_mode == "consecutive-windows":
-        return _shared_core_stats([spec], replications, M, T, seed, stream, jobs)[0]
-    if window_mode != "independent-realizations":
-        raise ValueError(f"unknown window mode {window_mode!r}")
+    """``replications`` statistics per spec, one row each, from one pool of ``jobs`` threads.
+
+    With independent realizations chunk c of spec i draws from stream
+    (seed, streams[i], c), the chunks of every spec on the one pool. With
+    consecutive windows the specs differ only in their MA polynomials, so
+    they filter one AR core of ``specs[0]``, drawn from stream
+    (seed, streams[0]) in blocks of one panel's windows; row i equals
+    ``_consecutive_stats(*gen_barnett(specs[i], ..., seed, streams[0]), T, M)``
+    bit for bit. A task carves one contiguous group of specs over one
+    contiguous window range of a block on its own reused panel, a group's
+    panels holding one panel's windows together: the min(jobs, specs)
+    groups times jobs // groups ranges use every worker even for one spec.
+    The blocks are submitted one at a time, so memory grows with the number
+    of groups and not with ``replications`` or the number of specs. Either
+    way the result does not depend on ``jobs``.
+    """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    population = lag_window_covariance(spec, T).entries
-    return _independent_stats(population, T, 1, T, M, replications, seed, stream=stream, jobs=jobs)
+    if window_mode not in ("consecutive-windows", "independent-realizations"):
+        raise ValueError(f"unknown window mode {window_mode!r}")
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        if window_mode == "independent-realizations":
+            return np.array([
+                _independent_stats(
+                    lag_window_covariance(spec, T).entries, T, 1, T, M, replications, seed,
+                    stream, pool.map,
+                )
+                for spec, stream in zip(specs, streams)
+            ])
+        window = M + T
+        history = max(spec.ma_order for spec in specs)
+        groups = np.array_split(np.arange(len(specs)), min(jobs, len(specs)))
+        ranges = jobs // len(groups)
+        chunk = _window_chunk(T, M)
+        share = math.ceil(min(chunk, replications) / ranges)
+        panels = [_panel(T, M, share) for _ in range(len(groups) * ranges)]
+        out = np.empty((len(specs), replications))
 
+        def carve(core, start: int, group, lo: int, hi: int, panel) -> None:
+            # The range's samples, led by the history samples its MA polynomials need.
+            part = [c[lo * window : history + hi * window] for c in core]
+            for i in group:
+                # No name holds an order's pair, so it is freed before the next one forms.
+                out[i, start + lo : start + hi] = _consecutive_stats(
+                    *_ma_step(specs[i], part, history), T, M, panel
+                )
 
-def _power_statistics(
-    ma_orders: list[int], F: float, replications: int, M: int, T: int, window_mode: str,
-    seed: int, jobs: int,
-) -> list[np.ndarray]:
-    """Each MA order's statistics under the alternative, for power and ROC.
-
-    With consecutive windows every order filters one AR core drawn from
-    stream (seed, 1), so the orders see common random numbers. With
-    independent realizations order r draws from stream (seed, r + 1), the
-    orders in turn, each on its own pool of replication chunks, so pools
-    never nest.
-    """
-    specs = [BarnettModelSpec(transfer_entropy=F, ma_order=order) for order in ma_orders]
-    if window_mode == "consecutive-windows":
-        return list(_shared_core_stats(specs, replications, M, T, seed, 1, jobs))
-    return [
-        _model_statistics(
-            spec, replications, M, T, window_mode, seed, stream=spec.ma_order + 1, jobs=jobs
-        )
-        for spec in specs
-    ]
+        start = 0
+        for core in _barnett_cores(
+            specs[0], replications * window, chunk * window, seed, streams[0], history
+        ):
+            k = (core[0].size - history) // window
+            cuts = [k * j // ranges for j in range(ranges + 1)]
+            tasks = [(group, lo, hi) for group in groups for lo, hi in zip(cuts, cuts[1:])]
+            for task in [pool.submit(carve, core, start, *t, D) for t, D in zip(tasks, panels)]:
+                task.result()
+            start += k
+        return out
 
 
 def _rejection_rate(stats: np.ndarray, threshold: float) -> tuple[float, float]:
     """Share of statistics above the threshold, and its binomial standard error."""
     rate = float(np.mean(stats > threshold))
     return rate, math.sqrt(max(rate * (1 - rate), 1e-12) / stats.size)
+
+
+def _alternative(
+    F: float, ma_orders, window_mode: str
+) -> tuple[list[BarnettModelSpec], list[int]]:
+    """Each MA order's spec at transfer entropy F, and its stream.
+
+    Consecutive windows filter one AR core drawn from stream (seed, 1), so
+    the orders see common random numbers; with independent realizations
+    order r draws from stream (seed, r + 1).
+    """
+    specs = [BarnettModelSpec(transfer_entropy=F, ma_order=order) for order in ma_orders]
+    consecutive = window_mode == "consecutive-windows"
+    return specs, [1 if consecutive else order + 1 for order in ma_orders]
+
+
+def _power_points(
+    ma_orders, stats: np.ndarray, threshold: float, alpha: float, T: int, M: int
+) -> list[PowerPoint]:
+    """One power point per MA order from its row of statistics."""
+    return [
+        PowerPoint(
+            order, *_rejection_rate(s, threshold), alpha=alpha, replications=s.size, T=T, M=M
+        )
+        for order, s in zip(ma_orders, stats)
+    ]
+
+
+def _roc_points(stats: np.ndarray, threshold_at, sizes) -> list[ROCPoint]:
+    """The rejection rate of one row of statistics at each size's threshold."""
+    return [ROCPoint(float(size), *_rejection_rate(stats, threshold_at(size))) for size in sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +404,16 @@ def calibrate_size(
 
     The supplied spec's transfer entropy is forced to zero so the null
     holds exactly; with independent realizations the achieved size
-    should match ``alpha`` up to binomial error, while consecutive
-    windows inherit the mild distortion of dependent columns.
+    should match ``alpha`` up to binomial error. Consecutive windows have
+    serially dependent columns, and their level rises with the MA order:
+    at the defaults about 0.050 at orders 0 and 1, 0.074 at order 5 and
+    0.142 at order 10.
     """
     if replications < 1000:
         raise ValueError(f"replications must be >= 1000, got {replications}")
     null_spec = replace(spec, transfer_entropy=0.0)
     threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
-    stats = _model_statistics(null_spec, replications, M, T, window_mode, seed, jobs=jobs)
+    [stats] = _study_statistics([null_spec], [0], replications, M, T, window_mode, seed, jobs)
     achieved, se = _rejection_rate(stats, threshold)
     return SizeEstimate(
         achieved=achieved, std_error=se, alpha=alpha, replications=replications,
@@ -432,26 +436,19 @@ def power_curve(
     """Rejection rate versus MA order at fixed transfer entropy F.
 
     With consecutive windows every order filters one shared AR core, drawn
-    once from stream (seed, 1) and streamed through one reused panel per
-    worker: the orders are split into contiguous groups on a pool of
-    ``jobs`` threads, so memory grows with the worker count and not with
-    ``replications`` or the number of orders. With independent realizations
-    order r draws from stream (seed, r + 1), the orders in turn, each on its
-    own pool of replication chunks. Either way the result does not depend on
-    ``jobs``.
+    once from stream (seed, 1) and streamed through reused panels, so
+    memory grows with the worker count and not with ``replications`` or the
+    number of orders. With independent realizations order r draws from
+    stream (seed, r + 1). Every study's work is spread over ``jobs``
+    threads; the result does not depend on it.
     """
     ma_orders = [int(order) for order in ma_orders]
     if not ma_orders:
         raise ValueError("ma_orders is empty; give at least one MA order")
     threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
-    stats = _power_statistics(ma_orders, F, replications, M, T, window_mode, seed, jobs)
-    return [
-        PowerPoint(
-            order, *_rejection_rate(s, threshold), alpha=alpha, replications=replications,
-            T=T, M=M,
-        )
-        for order, s in zip(ma_orders, stats)
-    ]
+    specs, streams = _alternative(F, ma_orders, window_mode)
+    stats = _study_statistics(specs, streams, replications, M, T, window_mode, seed, jobs)
+    return _power_points(ma_orders, stats, threshold, alpha, T, M)
 
 
 def roc_curve(
@@ -478,9 +475,9 @@ def roc_curve(
     for size in sizes:
         if not 0.0 < size < 1.0:
             raise ValueError(f"sizes must lie in (0, 1), got {size}")
-    [stats] = _power_statistics([ma_order], F, replications, M, T, window_mode, seed, jobs)
-    threshold_at = null_law(null, n_mc=n_mc, seed=seed)[0]
-    return [ROCPoint(float(size), *_rejection_rate(stats, threshold_at(size))) for size in sizes]
+    specs, streams = _alternative(F, [ma_order], window_mode)
+    [stats] = _study_statistics(specs, streams, replications, M, T, window_mode, seed, jobs)
+    return _roc_points(stats, null_law(null, n_mc=n_mc, seed=seed)[0], sizes)
 
 
 # ---------------------------------------------------------------------------

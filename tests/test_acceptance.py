@@ -29,7 +29,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import cohercause as cc
-from cohercause.experiments import _model_statistics
+from cohercause.experiments import _study_statistics
 
 ACCEPT_SEED = 42
 
@@ -103,7 +103,7 @@ def test_01b_null_calibration_consecutive_paper_band():
 
 def _h0_statistics(n: int, seed: int = ACCEPT_SEED) -> np.ndarray:
     spec0 = cc.BarnettModelSpec(transfer_entropy=0.0, ma_order=1)
-    return _model_statistics(spec0, n, 1000, 10, "independent-realizations", seed)
+    return _study_statistics([spec0], [0], n, 1000, 10, "independent-realizations", seed, 1)[0]
 
 
 @pytest.mark.xfail(

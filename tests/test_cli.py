@@ -180,6 +180,8 @@ class TestMap:
         assert len(rows) == 36
         summary = json.loads((tmp_path / "map.csv.json").read_text())
         assert summary["case"] == "I" and summary["seed"] == 42
+        # Neither the coupling nor the MA order shapes a case I map.
+        assert "transfer_entropy" not in summary and "ma_order" not in summary
 
     def test_barnett_map(self, tmp_path, capsys):
         out_csv, ref_csv = tmp_path / "map.csv", tmp_path / "ref.csv"
@@ -210,6 +212,9 @@ class TestMap:
         )
         assert code == 0
         assert out_csv.exists()
+        summary = json.loads((tmp_path / "map.csv.json").read_text())
+        assert summary["case"] == "data"
+        assert "transfer_entropy" not in summary and "ma_order" not in summary
 
 
 class TestPowerRocCalibrate:

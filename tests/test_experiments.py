@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from cohercause.coherence import _log_det_q
 from cohercause.experiments import (
     _consecutive_stats,
     _independent_stats,
+    _study_statistics,
     write_map_csv,
     write_power_csv,
     write_roc_csv,
@@ -237,52 +240,69 @@ class TestConsecutiveCarving:
         assert chunks == 1 or n_windows % chunk != 0
         spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
         x, y = gen_barnett(spec, n_windows * (M + T) + extra, 11)
-        fast = _consecutive_stats([(x, y)], T, M, n_windows)
+        fast = _consecutive_stats(x, y, T, M)
         slow = per_window_consecutive_stats(x, y, T, M, n_windows)
         assert np.array_equal(fast, slow)
 
-    def test_too_short_sequence_rejected(self):
-        x, y = gen_barnett(BarnettModelSpec(), 3 * 64 - 1, 2)
-        with pytest.raises(ValueError, match="too short for 3 windows of 64"):
-            _consecutive_stats([(x, y)], 4, 60, 3)
-
     def test_streamed_blocks_match_one_sequence(self):
-        # The studies' path: generator blocks of three windows, the last one shorter.
+        # Generator blocks of three windows, the last one shorter, carved one by one.
         T, M, n_windows = 4, 60, 7
         spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
         x, y = gen_barnett(spec, n_windows * 64, 11)
         blocks = _barnett_blocks(spec, n_windows * 64, 3 * 64, 11)
-        fast = _consecutive_stats(blocks, T, M, n_windows)
+        fast = np.concatenate([_consecutive_stats(*block, T, M) for block in blocks])
         assert np.array_equal(fast, per_window_consecutive_stats(x, y, T, M, n_windows))
-        # A window never spans two blocks: 3 + 3 + 0 whole windows are too few.
-        blocks = _barnett_blocks(spec, n_windows * 64 - 1, 3 * 64, 11)
-        with pytest.raises(ValueError, match="sequence of 447 samples is too short for 7"):
-            _consecutive_stats(blocks, T, M, n_windows)
 
 
 class TestSharedCore:
-    """Consecutive-window power orders filter one AR core drawn from stream (seed, 1)."""
+    """Consecutive-window studies filter one AR core, cut over the study pool."""
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_orders_match_one_order_route(self, monkeypatch, jobs):
-        # Three windows per panel make 4 blocks of 10 windows, so the core's
-        # last samples are carried across three block boundaries.
+    @pytest.mark.parametrize(
+        "orders, jobs",
+        [
+            pytest.param([0, 1, 3, 10], 1, id="1"),
+            pytest.param([0, 1, 3, 10], 2, id="2"),
+            pytest.param([0, 1, 3, 10], 3, id="3"),
+            pytest.param([1], 1, id="one-order-1"),
+            pytest.param([1], 2, id="one-order-2"),
+            pytest.param([1], 3, id="one-order-3"),
+        ],
+    )
+    def test_orders_match_one_order_route(self, monkeypatch, orders, jobs):
+        # Three windows per panel make blocks of 3 windows, each cut into
+        # jobs // groups window ranges (some empty at jobs=3), so the core's
+        # last samples are carried across block and range boundaries.
         T, M, n_windows, seed = 3, 50, 10, 8
         monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", 3 * (2 * T + 2) * M * 8)
-        chunk = experiments._window_chunk(T, M)
-        assert chunk == 3 and -(-n_windows // chunk) == 4
-        orders = [0, 1, 3, 10]
-        stats = experiments._power_statistics(
-            orders, 0.1, n_windows, M, T, "consecutive-windows", seed, jobs
+        assert experiments._window_chunk(T, M) == 3
+        specs = [BarnettModelSpec(transfer_entropy=0.1, ma_order=order) for order in orders]
+        stats = _study_statistics(
+            specs, [1] * len(specs), n_windows, M, T, "consecutive-windows", seed, jobs
         )
-        window = M + T
-        for order, got in zip(orders, stats):
-            spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=order)
-            blocks = _barnett_blocks(spec, n_windows * window, chunk * window, seed, stream=1)
-            assert np.array_equal(got, _consecutive_stats(blocks, T, M, n_windows))
+        for spec, got in zip(specs, stats):
             # The one-block sequence has no block boundary to carry across.
-            whole = gen_barnett(spec, n_windows * window, seed, stream=1)
-            assert np.array_equal(got, _consecutive_stats([whole], T, M, n_windows))
+            whole = gen_barnett(spec, n_windows * (M + T), seed, stream=1)
+            assert np.array_equal(got, _consecutive_stats(*whole, T, M))
+
+    def test_one_order_uses_every_worker(self, monkeypatch):
+        # A one-order study at jobs=2 carves each block's two window ranges
+        # at once: the barrier lets no carving through until both threads reach it.
+        T, M, seed = 3, 50, 8
+        monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", 3 * (2 * T + 2) * M * 8)
+        spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=1)
+        # 12 windows make 4 blocks of 3, each cut into ranges of 1 and 2 windows.
+        expected = _consecutive_stats(*gen_barnett(spec, 12 * (M + T), seed), T, M)
+        barrier, threads = threading.Barrier(2, timeout=10), set()
+
+        def log_det_q(*args):
+            threads.add(threading.get_ident())
+            barrier.wait()
+            return _log_det_q(*args)
+
+        monkeypatch.setattr(experiments, "_log_det_q", log_det_q)
+        [got] = _study_statistics([spec], [0], 12, M, T, "consecutive-windows", seed, 2)
+        assert len(threads) == 2
+        assert np.array_equal(got, expected)
 
     def test_power_draws_one_core(self, monkeypatch):
         # Orders 0..3 draw exactly the normal samples of order 0 alone: one core.
@@ -327,7 +347,7 @@ class TestBatchedFastPath:
         spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=1)
         T, M, n_win = 4, 60, 3
         x, y = gen_barnett(spec, n_win * (M + T), 5)
-        fast = _consecutive_stats([(x, y)], T, M, n_win)
+        fast = _consecutive_stats(x, y, T, M)
         for w in range(n_win):
             seg = slice(w * (M + T), (w + 1) * (M + T))
             panel = lag_embed(x[seg], y[seg], LagSpec.influence_test(T=T))
@@ -341,7 +361,7 @@ class TestBatchedFastPath:
         T, M, n_win = 10, 1000, 200
         spec = BarnettModelSpec(transfer_entropy=0.02, ma_order=ma_order)
         x, y = gen_barnett(spec, n_win * (M + T), 42)
-        fast = _consecutive_stats([(x, y)], T, M, n_win)
+        fast = _consecutive_stats(x, y, T, M)
         windows = np.stack([x, y])[:, : n_win * (M + T)].reshape(2, n_win, M + T)
         D = np.array([
             lag_embed(xw, yw, LagSpec.influence_test(T)).data for xw, yw in zip(*windows)
@@ -351,14 +371,13 @@ class TestBatchedFastPath:
         assert_allclose(fast, -np.expm1(_log_det_q(S, T, 1, T)), rtol=1e-11, atol=0)
 
     def test_independent_stats_deterministic_across_jobs(self):
-        population = lag_window_covariance(
-            BarnettModelSpec(transfer_entropy=0.0, ma_order=1), 3
-        ).entries
+        spec = BarnettModelSpec(transfer_entropy=0.0, ma_order=1)
+        population = lag_window_covariance(spec, 3).entries
         # 850 replications are 5 chunks, not a multiple of either worker count.
-        a = _independent_stats(population, 3, 1, 3, 80, 850, seed=3, jobs=1)
-        for jobs in (2, 3):
-            b = _independent_stats(population, 3, 1, 3, 80, 850, seed=3, jobs=jobs)
-            assert_array_equal(a, b)
+        a = _independent_stats(population, 3, 1, 3, 80, 850, 3, 0, map)
+        for jobs in (1, 2, 3):
+            b = _study_statistics([spec], [0], 850, 80, 3, "independent-realizations", 3, jobs)
+            assert_array_equal(b, [a])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_independent_stats_worker_error_surfaces(self, jobs):
@@ -367,8 +386,10 @@ class TestBatchedFastPath:
         B = np.tril(np.random.default_rng(5).standard_normal((7, 7))) + 3 * np.eye(7)
         B[6] = B[5]
         B[6, 6] = 1e-7
-        with pytest.raises(CovarianceError, match=r"^z is rank-deficient$"):
-            _independent_stats(B @ B.T, 3, 1, 3, 80, 450, seed=3, jobs=jobs)
+        with ThreadPoolExecutor(jobs) as pool, pytest.raises(
+            CovarianceError, match=r"^z is rank-deficient$"
+        ):
+            _independent_stats(B @ B.T, 3, 1, 3, 80, 450, 3, 0, pool.map)
 
 
 def test_import_starts_no_process_machinery():
@@ -413,7 +434,7 @@ class TestWishartDraw:
         ],
     )
     def test_matches_panel_reference(self, p, q, r, M, population):
-        drawn = _independent_stats(population, p, q, r, M, 4000, seed=1)
+        drawn = _independent_stats(population, p, q, r, M, 4000, 1, 0, map)
         panels = panel_independent_stats(population, p, q, r, M, 4000, 2)
         assert stats.ks_2samp(drawn, panels).pvalue > 1e-3
 
@@ -422,7 +443,7 @@ class TestWishartDraw:
         population = lag_window_covariance(
             BarnettModelSpec(transfer_entropy=0.0, ma_order=ma_order), T
         ).entries
-        drawn = _independent_stats(population, T, 1, T, M, 4000, seed=3)
+        drawn = _independent_stats(population, T, 1, T, M, 4000, 3, 0, map)
         # q = 1: 1 - rho2 ~ Beta((m - p + 1)/2, p/2), m = df - r - q, df = M - 1.
         m = M - 1 - T - 1
         law = stats.beta((m - T + 1) / 2, T / 2)

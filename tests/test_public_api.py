@@ -65,3 +65,16 @@ def test_only_nulldist_reads_its_private_names():
                 continue
             offenders += [f"{path.stem}: {name}" for name in names if name.startswith("_")]
     assert offenders == []
+
+
+def test_one_thread_pool_site():
+    """Every study's statistics come from one step with one pool: the package
+    builds ``ThreadPoolExecutor(`` at exactly one site."""
+    sites = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(Path(cohercause.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "ThreadPoolExecutor" in (getattr(node.func, name, None) for name in ("id", "attr"))
+    ]
+    assert len(sites) == 1, sites

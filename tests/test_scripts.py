@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cohercause import power_curve, roc_curve, write_power_csv, write_roc_csv
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -39,6 +41,13 @@ def test_run_power_study(tmp_path):
     summary = json.loads((tmp_path / "power_study_summary.json").read_text())
     assert summary["replications"] == 1000
     assert len((tmp_path / "power_vs_ma_order.csv").read_text().splitlines()) == 1 + 11
+    # The script reads power and the ROC from one draw of the statistics; the
+    # files equal what power_curve and roc_curve write at the same arguments.
+    study = dict(replications=1000, M=60, T=2, seed=42)
+    write_power_csv(str(tmp_path / "ref_power.csv"), power_curve(range(0, 11), **study))
+    write_roc_csv(str(tmp_path / "ref_roc.csv"), roc_curve(ma_order=1, **study))
+    for name, ref in (("power_vs_ma_order.csv", "ref_power.csv"), ("roc.csv", "ref_roc.csv")):
+        assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes()
     clash = subprocess.run(
         [*script, "--fast", "--outdir", str(tmp_path / "never")],
         capture_output=True, text=True, timeout=300,
