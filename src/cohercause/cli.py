@@ -8,8 +8,12 @@ the defaults, because OpenBLAS splits dsyrk across threads from there.
 --jobs (at least 1; default: the CPUs this process may run on), which
 the COHERCAUSE_JOBS environment variable overrides as a default: every
 study's work is spread over --jobs threads; the result does not depend
-on it. The work runs inside numpy and scipy calls, and the null law is
-drawn in the calling thread. A --jobs or
+on it. The work runs inside numpy calls, and the null law is drawn in
+the calling thread. Of scipy, a run loads its small core package, the C
+routine of lfilter for the generators, LAPACK's dpotrf for the
+independent-realization studies, and scipy.special only for the Bartlett
+law (test --method bartlett and nulldist). scipy.linalg and scipy.signal
+load only if those two private routines cannot. A --jobs or
 COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error, as is
 a malformed --orders, --s-range, --t-range or --sizes value, and so is
 giving both --fast (a preset number of replications) and --replications.

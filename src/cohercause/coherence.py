@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .covariance import (
     CompositeCovariance,
@@ -247,9 +246,11 @@ def block_diag_transform(
     for name, t, d in (("tx", tx, dims.p), ("ty", ty, dims.q), ("tz", tz, dims.r)):
         if t.shape != (d, d):
             raise ValueError(f"{name} must be {d}x{d}, got {t.shape}")
-        if d and abs(la.det(t)) == 0.0:
+        if d and abs(np.linalg.det(t)) == 0.0:
             raise ValueError(f"{name} is singular")
-    T = la.block_diag(tx, ty, tz)
+    T = np.zeros((dims.total, dims.total))
+    for sl, t in ((dims.x_slice, tx), (dims.y_slice, ty), (dims.z_slice, tz)):
+        T[sl, sl] = t
     return CompositeCovariance.from_matrix(T @ R.entries @ T.T, dims)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 __all__ = [
     "BlockDims",
@@ -101,7 +100,7 @@ class CompositeCovariance:
         scale = max(np.abs(m).max(), 1.0)
         if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
             raise CovarianceError("matrix is not symmetric within tolerance")
-        eigmin = la.eigvalsh(m, subset_by_index=(0, 0))[0]
+        eigmin = np.linalg.eigvalsh(m)[0]
         trace = np.trace(m)
         if eigmin < -PSD_RTOL * max(trace, 1.0):
             raise CovarianceError(
@@ -181,7 +180,8 @@ def _solve_conditioning(rbb: np.ndarray, rab: np.ndarray, block: str) -> np.ndar
     L = _checked_cholesky(rbb)
     if L is None:
         raise CovarianceError(f"{block} is rank-deficient")
-    return rab @ la.cho_solve((L, True), rab.T)
+    W = np.linalg.solve(L, rab.T)
+    return W.T @ W
 
 
 def schur_complement(R: CompositeCovariance, target: str) -> np.ndarray:
@@ -222,12 +222,10 @@ def northwest_readout(R: CompositeCovariance) -> np.ndarray:
     ``R``; the redundancy is the point, as the two routes cross-check
     each other.
     """
-    n = R.dims.total
     try:
-        cf = la.cho_factor(R.entries, lower=True)
-    except la.LinAlgError:
+        linv = np.linalg.inv(np.linalg.cholesky(R.entries))
+    except np.linalg.LinAlgError:
         raise CovarianceError("composite covariance is singular") from None
-    rinv = la.cho_solve(cf, np.eye(n))
-    nw = rinv[R.dims.u_slice, R.dims.u_slice]
-    out = la.inv(nw)
+    rinv = linv.T @ linv
+    out = np.linalg.inv(rinv[R.dims.u_slice, R.dims.u_slice])
     return 0.5 * (out + out.T)

@@ -42,9 +42,9 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
-import scipy.linalg as la
 
 from .coherence import _log_det_q
 from .covariance import BlockDims, CompositeCovariance
@@ -55,6 +55,8 @@ from .simulate import (
     MAFilterSpec,
     analytic_covariances,
     _barnett_cores,
+    _extension_path,
+    _load_extension,
     _ma_step,
     composite_from_sequences,
     lag_window_covariance,
@@ -133,6 +135,35 @@ class SizeEstimate:
 # Batched statistic
 
 
+@cache
+def _cholesky_lower():
+    """``scipy.linalg.cholesky(a, lower=True)``, without importing scipy.linalg.
+
+    numpy.linalg's factor comes from another LAPACK build and differs from
+    SciPy's in the last bits once the population is ill-conditioned (MA
+    order 2 and up at T 10 with numpy 2.4.6 and scipy 1.17.1), which would
+    move every independent-realization statistic. Importing scipy.linalg
+    takes ~0.25 s, so the ``dpotrf`` that ``scipy.linalg.cholesky`` calls is
+    taken from its ``_flapack`` extension, loaded on its own in 3–6 ms at
+    the first call. If that private file or symbol is missing, the public
+    function is bound: the same bits at the old cost.
+    """
+    try:
+        potrf = _load_extension(_extension_path("scipy.linalg", "_flapack"), "_flapack").dpotrf
+    except (ImportError, AttributeError):
+        from scipy.linalg import cholesky
+
+        return partial(cholesky, lower=True)
+
+    def cholesky_lower(a: np.ndarray) -> np.ndarray:
+        factor, info = potrf(a, lower=1, clean=1)
+        if info:
+            raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+        return factor
+
+    return cholesky_lower
+
+
 def _independent_stats(
     population: np.ndarray, p: int, q: int, r: int, M: int, replications: int, seed: int,
     stream: int, pool_map,
@@ -148,7 +179,7 @@ def _independent_stats(
     the interpreter lock. Chunk i always consumes stream (seed, stream, i),
     so the result is bit-identical for any worker count.
     """
-    chol = la.cholesky(population, lower=True)
+    chol = _cholesky_lower()(population)
     # Bartlett: A A^T ~ W(M - 1, I) for lower-triangular A with N(0, 1) below
     # the diagonal and sqrt(chi2(M - 1 - i)) at (i, i), so the k-column panel
     # chol A has a Gram with the law of the centred M-column panel's.

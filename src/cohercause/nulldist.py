@@ -13,7 +13,10 @@ Monte Carlo draws take the shorter of the two products: min(p, q) Beta
 factors per draw, one for the default influence test (q = 1). One
 function, :func:`null_law`, picks the law and reads every threshold and
 p-value: from those draws, made in the calling process, or from Bartlett's
-large-M chi-squared approximation, a cheap alternative.
+large-M chi-squared approximation, a cheap alternative. The Monte Carlo
+law needs numpy only; the two Bartlett functions import scipy.special's
+chi-squared tail and inverse when they run, so importing this module loads
+no part of scipy (scipy.special takes ~0.2 s to import).
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import chdtrc, chdtri
 
 from .streams import stream_rng
 
@@ -190,6 +192,8 @@ def bartlett_pvalue(spec: WilksLambdaSpec, stat: float) -> float:
     """
     if not 0.0 <= stat < 1.0:
         raise ValueError(f"statistic must lie in [0, 1), got {stat}")
+    from scipy.special import chdtrc
+
     transformed = -_bartlett_factor(spec) * math.log1p(-stat)
     return float(chdtrc(spec.p * spec.q, transformed))
 
@@ -198,5 +202,7 @@ def bartlett_critical_value(spec: WilksLambdaSpec, alpha: float) -> float:
     """Threshold on the statistic implied by the Bartlett approximation."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    from scipy.special import chdtri
+
     chi2_crit = chdtri(spec.p * spec.q, alpha)
     return float(-math.expm1(-chi2_crit / _bartlett_factor(spec)))

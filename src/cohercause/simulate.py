@@ -63,13 +63,25 @@ MA_CASES = {
 }
 
 
-def _sigtools_path() -> str:
-    """The file of scipy.signal's ``_sigtools`` extension, found without importing it."""
-    signal = importlib.util.find_spec("scipy.signal")
+def _extension_path(package: str, name: str) -> str:
+    """The file of ``package``'s compiled module ``name``, found without importing either."""
     found = importlib.machinery.PathFinder.find_spec(
-        "_sigtools", signal.submodule_search_locations
+        name, importlib.util.find_spec(package).submodule_search_locations
     )
     return found.origin
+
+
+def _load_extension(path: str, name: str):
+    """Load the compiled module at ``path`` on its own, as ``cohercause.<name>``."""
+    spec = importlib.util.spec_from_file_location(f"cohercause.{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sigtools_path() -> str:
+    """The file of scipy.signal's ``_sigtools`` extension."""
+    return _extension_path("scipy.signal", "_sigtools")
 
 
 def _bind_lfilter():
@@ -86,10 +98,7 @@ def _bind_lfilter():
     bits at the old cost.
     """
     try:
-        spec = importlib.util.spec_from_file_location("cohercause._sigtools", _sigtools_path())
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        linear_filter = module._linear_filter
+        linear_filter = _load_extension(_sigtools_path(), "_sigtools")._linear_filter
     except (ImportError, AttributeError):
         from scipy import signal
 

@@ -409,6 +409,33 @@ def test_import_starts_no_process_machinery():
     assert done.stdout == "[]\n"
 
 
+class TestPopulationFactor:
+    """The Wishart draws scale by scipy.linalg.cholesky's factor, bit for bit."""
+
+    @pytest.mark.parametrize("ma_order", [0, 1, 10])
+    def test_equals_scipy_factor(self, ma_order):
+        from scipy.linalg import cholesky
+
+        # numpy.linalg.cholesky is a different LAPACK build: at MA order 10
+        # (condition number ~1.2e9) its factor can differ in the last bits.
+        population = lag_window_covariance(BarnettModelSpec(ma_order=ma_order), 10).entries
+        assert_array_equal(
+            experiments._cholesky_lower()(population), cholesky(population, lower=True)
+        )
+
+    def test_failed_load_falls_back_to_public_cholesky(self, monkeypatch, tmp_path):
+        from scipy.linalg import cholesky
+
+        monkeypatch.setattr(experiments, "_extension_path", lambda *a: str(tmp_path / "_flapack.so"))
+        fallback = experiments._cholesky_lower.__wrapped__()
+        assert fallback.func is cholesky and fallback.keywords == {"lower": True}
+
+    def test_not_positive_definite_raises(self):
+        # As scipy.linalg.cholesky and numpy.linalg.cholesky do.
+        with pytest.raises(np.linalg.LinAlgError, match="leading minor 2 is not positive definite"):
+            experiments._cholesky_lower()(np.diag([1.0, -1.0]))
+
+
 def random_population(k, seed):
     a = np.random.default_rng(seed).standard_normal((k, 3 * k))
     return a @ a.T / (3 * k)

@@ -294,6 +294,40 @@ class TestPrivateLfilter:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\nscipy.signal._signaltools\n"
 
+    def test_commands_leave_heavy_modules_unloaded(self, tmp_path):
+        # scipy.linalg and scipy.special each load scipy._lib._array_api, which
+        # clones numpy's namespace and so loads numpy.f2py and numpy.testing.
+        # numpy.random loads with the package, so no run pays for it later.
+        code = f"""
+import sys
+from cohercause import cli
+heavy = ("scipy.linalg", "scipy.special", "scipy._lib._array_api", "numpy.f2py",
+         "numpy.testing")
+def loaded():
+    return [m for m in heavy if m in sys.modules]
+print(loaded(), "numpy.random" in sys.modules)
+pair, out = {str(tmp_path / "pair.csv")!r}, {str(tmp_path)!r}
+for argv in (
+    ["simulate", "--case", "barnett", "--length", "3000", "--output", pair],
+    ["test", "--input", pair],
+    ["map", "--input", pair, "--s-range", "0..2", "--t-range", "0..2",
+     "--output", out + "/data.csv"],
+    ["map", "--case", "I", "--output", out + "/case.csv"],
+    ["power", "--fast", "--orders", "0..1", "--output", out + "/power.csv"],
+    ["calibrate", "--fast", "--window-mode", "independent-realizations"],
+):
+    assert cli.main(argv) == 0, argv
+print(loaded())
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == "[] True"
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_failed_load_falls_back_to_public_lfilter(self, monkeypatch, tmp_path):
         def outputs():
             pairs = [gen_barnett(BarnettModelSpec(ma_order=r), 5000, 4, stream=2) for r in (0, 10)]
