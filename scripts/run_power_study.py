@@ -21,8 +21,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from cohercause import (
     BarnettModelSpec,
     calibrate_size,
-    make_spec,
-    null_law,
     write_power_csv,
     write_roc_csv,
     write_summary_json,
@@ -40,8 +38,9 @@ from cohercause.experiments import (
     _power_points,
     _roc_points,
     _study_statistics,
+    _study_threshold,
 )
-from cohercause.nulldist import DEFAULT_SEED
+from cohercause.nulldist import DEFAULT_N_MC, DEFAULT_SEED
 
 
 def main() -> int:
@@ -86,7 +85,7 @@ def main() -> int:
     mode = "consecutive-windows"
     specs, streams = _alternative(args.transfer_entropy, orders, mode)
     stats = _study_statistics(specs, streams, reps, args.M, args.T, mode, args.seed, jobs)
-    threshold_at = null_law(make_spec(args.T, 1, args.T, args.M - 1), seed=args.seed)[0]
+    threshold_at = _study_threshold(args.T, args.M, DEFAULT_N_MC, args.seed)
     points = _power_points(orders, stats, threshold_at(args.alpha), args.alpha, args.T, args.M)
     for pt in points:
         print(f"MA order {pt.ma_order:2d}: power {pt.power:.3f} "

@@ -10,10 +10,10 @@ the COHERCAUSE_JOBS environment variable overrides as a default: every
 study's work is spread over --jobs threads; the result does not depend
 on it. The work runs inside numpy calls, and the null law is drawn in
 the calling thread. Of scipy, a run loads its small core package, the C
-routine of lfilter for the generators, LAPACK's dpotrf for the
-independent-realization studies, and scipy.special only for the Bartlett
-law (test --method bartlett and nulldist). scipy.linalg and scipy.signal
-load only if those two private routines cannot. A --jobs or
+routine of lfilter for the generators, and scipy.special only for the
+Bartlett law (test --method bartlett and nulldist). scipy.signal loads
+only if that private routine cannot. No map draws a random number, so
+map accepts --seed and ignores it. A --jobs or
 COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error, as is
 a malformed --orders, --s-range, --t-range or --sizes value, and so is
 giving both --fast (a preset number of replications) and --replications.
@@ -44,7 +44,7 @@ from .experiments import (
     write_summary_json,
 )
 from .inference import LagSpec, atomic_write, lag_embed, read_sequence_csv, test_causal_influence
-from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, bartlett_critical_value, make_spec, null_law
+from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, WilksLambdaSpec, null_law
 from .simulate import (
     BarnettModelSpec,
     MAFilterSpec,
@@ -286,7 +286,6 @@ def _cmd_map(args) -> int:
         "s_range": [args.s_range.start, args.s_range.stop - 1],
         "t_range": [args.t_range.start, args.t_range.stop - 1],
         "t_cond": args.t_cond,
-        "seed": args.seed,
         "output": args.output,
     }
     if case == "barnett":
@@ -309,7 +308,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_nulldist(args) -> int:
-    wspec = make_spec(args.p, args.q, args.r, args.M)
+    wspec = WilksLambdaSpec(args.p, args.q, args.r, args.M)
     # One draw of the null law gives both the threshold and the p-value.
     threshold_at, p_value_of = null_law(wspec, n_mc=args.n_mc, seed=args.seed)
     payload = {
@@ -321,7 +320,7 @@ def _cmd_nulldist(args) -> int:
         "n_mc": args.n_mc,
         "seed": args.seed,
         "critical_value": threshold_at(args.alpha),
-        "bartlett_critical_value": bartlett_critical_value(wspec, args.alpha),
+        "bartlett_critical_value": null_law(wspec, "bartlett")[0](args.alpha),
     }
     if args.stat is not None:
         payload["stat"] = args.stat

@@ -42,21 +42,18 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, partial
 
 import numpy as np
 
 from .coherence import _log_det_q
 from .covariance import BlockDims, CompositeCovariance
 from .inference import _WINDOW_CHUNK_BYTES, LagSpec, _row_views, _scaled_gram, atomic_write
-from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, critical_value, make_spec, null_law
+from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, WilksLambdaSpec, null_law
 from .simulate import (
     BarnettModelSpec,
     MAFilterSpec,
     analytic_covariances,
     _barnett_cores,
-    _extension_path,
-    _load_extension,
     _ma_step,
     composite_from_sequences,
     lag_window_covariance,
@@ -135,35 +132,6 @@ class SizeEstimate:
 # Batched statistic
 
 
-@cache
-def _cholesky_lower():
-    """``scipy.linalg.cholesky(a, lower=True)``, without importing scipy.linalg.
-
-    numpy.linalg's factor comes from another LAPACK build and differs from
-    SciPy's in the last bits once the population is ill-conditioned (MA
-    order 2 and up at T 10 with numpy 2.4.6 and scipy 1.17.1), which would
-    move every independent-realization statistic. Importing scipy.linalg
-    takes ~0.25 s, so the ``dpotrf`` that ``scipy.linalg.cholesky`` calls is
-    taken from its ``_flapack`` extension, loaded on its own in 3–6 ms at
-    the first call. If that private file or symbol is missing, the public
-    function is bound: the same bits at the old cost.
-    """
-    try:
-        potrf = _load_extension(_extension_path("scipy.linalg", "_flapack"), "_flapack").dpotrf
-    except (ImportError, AttributeError):
-        from scipy.linalg import cholesky
-
-        return partial(cholesky, lower=True)
-
-    def cholesky_lower(a: np.ndarray) -> np.ndarray:
-        factor, info = potrf(a, lower=1, clean=1)
-        if info:
-            raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
-        return factor
-
-    return cholesky_lower
-
-
 def _independent_stats(
     population: np.ndarray, p: int, q: int, r: int, M: int, replications: int, seed: int,
     stream: int, pool_map,
@@ -179,7 +147,7 @@ def _independent_stats(
     the interpreter lock. Chunk i always consumes stream (seed, stream, i),
     so the result is bit-identical for any worker count.
     """
-    chol = _cholesky_lower()(population)
+    chol = np.linalg.cholesky(population)
     # Bartlett: A A^T ~ W(M - 1, I) for lower-triangular A with N(0, 1) below
     # the diagonal and sqrt(chi2(M - 1 - i)) at (i, i), so the k-column panel
     # chol A has a Gram with the law of the centred M-column panel's.
@@ -323,6 +291,15 @@ def _study_statistics(
         return out
 
 
+def _study_threshold(T: int, M: int, n_mc: int, seed: int):
+    """``threshold(alpha)`` of the one null law of every study.
+
+    A study tests T lags of x against y_t given T lags of y on M centred
+    columns, so its spec is (p, q, r, M) = (T, 1, T, M - 1).
+    """
+    return null_law(WilksLambdaSpec(T, 1, T, M - 1), n_mc=n_mc, seed=seed)[0]
+
+
 def _rejection_rate(stats: np.ndarray, threshold: float) -> tuple[float, float]:
     """Share of statistics above the threshold, and its binomial standard error."""
     rate = float(np.mean(stats > threshold))
@@ -443,7 +420,7 @@ def calibrate_size(
     if replications < 1000:
         raise ValueError(f"replications must be >= 1000, got {replications}")
     null_spec = replace(spec, transfer_entropy=0.0)
-    threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
+    threshold = _study_threshold(T, M, n_mc, seed)(alpha)
     [stats] = _study_statistics([null_spec], [0], replications, M, T, window_mode, seed, jobs)
     achieved, se = _rejection_rate(stats, threshold)
     return SizeEstimate(
@@ -476,7 +453,7 @@ def power_curve(
     ma_orders = [int(order) for order in ma_orders]
     if not ma_orders:
         raise ValueError("ma_orders is empty; give at least one MA order")
-    threshold = critical_value(make_spec(T, 1, T, M - 1), alpha, n_mc=n_mc, seed=seed)
+    threshold = _study_threshold(T, M, n_mc, seed)(alpha)
     specs, streams = _alternative(F, ma_orders, window_mode)
     stats = _study_statistics(specs, streams, replications, M, T, window_mode, seed, jobs)
     return _power_points(ma_orders, stats, threshold, alpha, T, M)
@@ -501,14 +478,14 @@ def roc_curve(
     point, so the curve is monotone by construction. The null law's
     dimensions and the size grid are checked before any draw.
     """
-    null = make_spec(T, 1, T, M - 1)
     sizes = sorted(size_grid)
     for size in sizes:
         if not 0.0 < size < 1.0:
             raise ValueError(f"sizes must lie in (0, 1), got {size}")
+    threshold_at = _study_threshold(T, M, n_mc, seed)
     specs, streams = _alternative(F, [ma_order], window_mode)
     [stats] = _study_statistics(specs, streams, replications, M, T, window_mode, seed, jobs)
-    return _roc_points(stats, null_law(null, n_mc=n_mc, seed=seed)[0], sizes)
+    return _roc_points(stats, threshold_at, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .covariance import BlockDims, CompositeCovariance
 from .coherence import _log_det_q
-from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, make_spec, null_law
+from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, WilksLambdaSpec, null_law
 
 __all__ = [
     "Role",
@@ -318,7 +318,7 @@ def test_causal_influence(
     dims = panel.dims
     m_eff = panel.M - 1 if center else panel.M
     # Wilks solvency first, so short panels fail with the named dims.
-    wspec = make_spec(dims.p, dims.q, dims.r, m_eff)
+    wspec = WilksLambdaSpec(dims.p, dims.q, dims.r, m_eff)
     gram = _scaled_gram(panel.data, center)[0]
     stat = likelihood_ratio(CompositeCovariance.from_matrix(gram, dims))
     threshold_at, p_value_of = null_law(wspec, method, n_mc, seed)

@@ -28,16 +28,7 @@ import numpy as np
 
 from .streams import stream_rng
 
-__all__ = [
-    "WilksLambdaSpec",
-    "make_spec",
-    "sample_null",
-    "null_law",
-    "critical_value",
-    "p_value",
-    "bartlett_pvalue",
-    "bartlett_critical_value",
-]
+__all__ = ["WilksLambdaSpec", "sample_null", "null_law"]
 
 DEFAULT_N_MC = 200_000
 DEFAULT_SEED = 42
@@ -77,11 +68,6 @@ class WilksLambdaSpec:
         object.__setattr__(self, "beta_params", params)
 
 
-def make_spec(p: int, q: int, r: int, M: int) -> WilksLambdaSpec:
-    """Build the null-law spec, validating the sample-count condition."""
-    return WilksLambdaSpec(p=p, q=q, r=r, M=M)
-
-
 def _sample_chunk(spec: WilksLambdaSpec, n: int, seed: int, chunk_index: int) -> np.ndarray:
     rng = stream_rng(seed, chunk_index)
     prod = np.ones(n)
@@ -99,14 +85,14 @@ def sample_null(spec: WilksLambdaSpec, n: int, seed: int = DEFAULT_SEED) -> np.n
 
     The product drawn is the shorter of the paper's p factors,
     ``spec.beta_params``, and the q factors of the equal law
-    Lambda(q, m + q - p, p), ``make_spec(q, p, r, M).beta_params``.
+    Lambda(q, m + q - p, p), ``WilksLambdaSpec(q, p, r, M).beta_params``.
     Deterministic in (spec, n, seed): chunk i of ``_CHUNK`` draws comes
     from stream (seed, i). The draws are made in the calling process.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if spec.q < spec.p:
-        spec = make_spec(spec.q, spec.p, spec.r, spec.M)
+        spec = WilksLambdaSpec(spec.q, spec.p, spec.r, spec.M)
     parts = [
         _sample_chunk(spec, min(_CHUNK, n - start), seed, i)
         for i, start in enumerate(range(0, n, _CHUNK))
@@ -156,35 +142,15 @@ def null_law(
         samples = sample_null(spec, n_mc, seed=seed)
         return partial(_order_statistic_threshold, samples), partial(_mc_p_value, samples)
     if method == "bartlett":
-        return partial(bartlett_critical_value, spec), partial(bartlett_pvalue, spec)
+        return partial(_bartlett_critical_value, spec), partial(_bartlett_pvalue, spec)
     raise ValueError(f"unknown method {method!r}; expected wilks-mc or bartlett")
-
-
-def critical_value(
-    spec: WilksLambdaSpec,
-    alpha: float,
-    n_mc: int = DEFAULT_N_MC,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Monte Carlo (1 - alpha)-quantile of the null statistic; reject above it."""
-    return null_law(spec, n_mc=n_mc, seed=seed)[0](alpha)
-
-
-def p_value(
-    spec: WilksLambdaSpec,
-    stat: float,
-    n_mc: int = DEFAULT_N_MC,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Add-one-smoothed Monte Carlo p-value, (k + 1) / (n + 1)."""
-    return null_law(spec, n_mc=n_mc, seed=seed)[1](stat)
 
 
 def _bartlett_factor(spec: WilksLambdaSpec) -> float:
     return spec.M - spec.r - (spec.p + spec.q + 1) / 2.0
 
 
-def bartlett_pvalue(spec: WilksLambdaSpec, stat: float) -> float:
+def _bartlett_pvalue(spec: WilksLambdaSpec, stat: float) -> float:
     """Upper-tail chi-squared probability of the Bartlett-transformed statistic.
 
     -(M - r - (p + q + 1)/2) log(1 - stat) is asymptotically chi-squared
@@ -198,7 +164,7 @@ def bartlett_pvalue(spec: WilksLambdaSpec, stat: float) -> float:
     return float(chdtrc(spec.p * spec.q, transformed))
 
 
-def bartlett_critical_value(spec: WilksLambdaSpec, alpha: float) -> float:
+def _bartlett_critical_value(spec: WilksLambdaSpec, alpha: float) -> float:
     """Threshold on the statistic implied by the Bartlett approximation."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")

@@ -63,14 +63,6 @@ MA_CASES = {
 }
 
 
-def _extension_path(package: str, name: str) -> str:
-    """The file of ``package``'s compiled module ``name``, found without importing either."""
-    found = importlib.machinery.PathFinder.find_spec(
-        name, importlib.util.find_spec(package).submodule_search_locations
-    )
-    return found.origin
-
-
 def _load_extension(path: str, name: str):
     """Load the compiled module at ``path`` on its own, as ``cohercause.<name>``."""
     spec = importlib.util.spec_from_file_location(f"cohercause.{name}", path)
@@ -80,8 +72,11 @@ def _load_extension(path: str, name: str):
 
 
 def _sigtools_path() -> str:
-    """The file of scipy.signal's ``_sigtools`` extension."""
-    return _extension_path("scipy.signal", "_sigtools")
+    """The file of scipy.signal's ``_sigtools`` extension, found without importing either."""
+    found = importlib.machinery.PathFinder.find_spec(
+        "_sigtools", importlib.util.find_spec("scipy.signal").submodule_search_locations
+    )
+    return found.origin
 
 
 def _bind_lfilter():
@@ -339,22 +334,6 @@ def _ma_step(
     return x, y
 
 
-def _barnett_blocks(
-    spec: BarnettModelSpec, length: int, block: int, seed: int, stream: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the Barnett pair of :func:`gen_barnett` as consecutive blocks.
-
-    Every block holds ``block`` samples except the last, which holds what
-    is left of ``length``. Concatenated, the blocks equal
-    ``gen_barnett(spec, length, seed, stream)`` bit for bit: this is the
-    one-order case of the shared cores and the MA step, with the last r
-    samples of each AR core carried across a block boundary.
-    """
-    r = spec.ma_order
-    for cores in _barnett_cores(spec, length, block, seed, stream, r):
-        yield _ma_step(spec, cores, r)
-
-
 def gen_barnett(
     spec: BarnettModelSpec, length: int, seed: int, stream: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +345,8 @@ def gen_barnett(
     :func:`gen_ma_case`. This is the one-block case of the AR-core block
     generator and MA step that the consecutive-window studies stream from.
     """
-    return next(_barnett_blocks(spec, length, length, seed, stream))
+    r = spec.ma_order
+    return _ma_step(spec, next(_barnett_cores(spec, length, length, seed, stream, r)), r)
 
 
 def _overlap_sum(al: np.ndarray, be: np.ndarray, lags: np.ndarray) -> np.ndarray:

@@ -114,7 +114,7 @@ def _h0_statistics(n: int, seed: int = ACCEPT_SEED) -> np.ndarray:
 )
 def test_02_beta_product_ks_as_stated():
     stats = _h0_statistics(10_000)
-    null = cc.sample_null(cc.make_spec(10, 1, 10, 999), 10_000, seed=ACCEPT_SEED)
+    null = cc.sample_null(cc.WilksLambdaSpec(10, 1, 10, 999), 10_000, seed=ACCEPT_SEED)
     ks = ks_2samp(stats, null)
     ok = ks.statistic < 0.01
     report(
@@ -131,7 +131,7 @@ def test_02b_beta_product_ks_reference_sample():
     # KS distance of matching laws at the ~1e-2 level per draw. The
     # median over three independent draws is immune to one unlucky seed
     # while any systematic mismatch would move all three.
-    null = cc.sample_null(cc.make_spec(10, 1, 10, 999), 1_000_000, seed=ACCEPT_SEED)
+    null = cc.sample_null(cc.WilksLambdaSpec(10, 1, 10, 999), 1_000_000, seed=ACCEPT_SEED)
     distances = [
         ks_2samp(_h0_statistics(10_000, seed=ACCEPT_SEED + k), null).statistic
         for k in range(3)
@@ -358,9 +358,9 @@ def test_09_scalar_partial_correlation_oracle():
 
 
 def test_10_bartlett_agreement():
-    spec = cc.make_spec(10, 1, 10, 1000)
-    mc = cc.critical_value(spec, 0.05, n_mc=200_000, seed=ACCEPT_SEED)
-    bart = cc.bartlett_critical_value(spec, 0.05)
+    spec = cc.WilksLambdaSpec(10, 1, 10, 1000)
+    mc = cc.null_law(spec, n_mc=200_000, seed=ACCEPT_SEED)[0](0.05)
+    bart = cc.null_law(spec, "bartlett")[0](0.05)
     rel = abs(mc - bart) / bart
     ok = rel < 0.02
     report(

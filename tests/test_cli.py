@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cohercause import cli, critical_value, make_spec, p_value, sample_null, write_sequence_csv
+from cohercause import WilksLambdaSpec, cli, null_law, sample_null, write_sequence_csv
 from cohercause import BarnettModelSpec, coherence_map, nulldist
 from cohercause.cli import build_parser, main
 from cohercause.experiments import write_map_csv
@@ -155,9 +155,9 @@ class TestNulldist:
         assert code == 0
         assert len(calls) == 1
         payload = json.loads(out)
-        spec = make_spec(2, 1, 2, 50)
-        assert payload["critical_value"] == critical_value(spec, 0.05, n_mc=20_000, seed=5)
-        assert payload["p_value"] == p_value(spec, 0.3, n_mc=20_000, seed=5)
+        threshold_at, p_value_of = null_law(WilksLambdaSpec(2, 1, 2, 50), n_mc=20_000, seed=5)
+        assert payload["critical_value"] == threshold_at(0.05)
+        assert payload["p_value"] == p_value_of(0.3)
 
     def test_insolvent_dims_error(self, capsys):
         code, _, err = run_cli(
@@ -179,7 +179,8 @@ class TestMap:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 36
         summary = json.loads((tmp_path / "map.csv.json").read_text())
-        assert summary["case"] == "I" and summary["seed"] == 42
+        # No map draws a random number, so the summary records no seed.
+        assert summary["case"] == "I" and "seed" not in summary
         # Neither the coupling nor the MA order shapes a case I map.
         assert "transfer_entropy" not in summary and "ma_order" not in summary
 

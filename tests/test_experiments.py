@@ -44,7 +44,8 @@ from cohercause.experiments import (
 from cohercause.inference import lag_embed
 from cohercause.simulate import (
     BURN_IN,
-    _barnett_blocks,
+    _barnett_cores,
+    _ma_step,
     analytic_covariances,
     lag_window_covariance,
 )
@@ -249,8 +250,8 @@ class TestConsecutiveCarving:
         T, M, n_windows = 4, 60, 7
         spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
         x, y = gen_barnett(spec, n_windows * 64, 11)
-        blocks = _barnett_blocks(spec, n_windows * 64, 3 * 64, 11)
-        fast = np.concatenate([_consecutive_stats(*block, T, M) for block in blocks])
+        cores = _barnett_cores(spec, n_windows * 64, 3 * 64, 11, 0, 2)
+        fast = np.concatenate([_consecutive_stats(*_ma_step(spec, c, 2), T, M) for c in cores])
         assert np.array_equal(fast, per_window_consecutive_stats(x, y, T, M, n_windows))
 
 
@@ -410,30 +411,12 @@ def test_import_starts_no_process_machinery():
 
 
 class TestPopulationFactor:
-    """The Wishart draws scale by scipy.linalg.cholesky's factor, bit for bit."""
-
-    @pytest.mark.parametrize("ma_order", [0, 1, 10])
-    def test_equals_scipy_factor(self, ma_order):
-        from scipy.linalg import cholesky
-
-        # numpy.linalg.cholesky is a different LAPACK build: at MA order 10
-        # (condition number ~1.2e9) its factor can differ in the last bits.
-        population = lag_window_covariance(BarnettModelSpec(ma_order=ma_order), 10).entries
-        assert_array_equal(
-            experiments._cholesky_lower()(population), cholesky(population, lower=True)
-        )
-
-    def test_failed_load_falls_back_to_public_cholesky(self, monkeypatch, tmp_path):
-        from scipy.linalg import cholesky
-
-        monkeypatch.setattr(experiments, "_extension_path", lambda *a: str(tmp_path / "_flapack.so"))
-        fallback = experiments._cholesky_lower.__wrapped__()
-        assert fallback.func is cholesky and fallback.keywords == {"lower": True}
+    """The Wishart draws scale by numpy.linalg.cholesky's factor of the population."""
 
     def test_not_positive_definite_raises(self):
-        # As scipy.linalg.cholesky and numpy.linalg.cholesky do.
-        with pytest.raises(np.linalg.LinAlgError, match="leading minor 2 is not positive definite"):
-            experiments._cholesky_lower()(np.diag([1.0, -1.0]))
+        population = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _independent_stats(population, 1, 1, 1, 50, 10, 0, 0, map)
 
 
 def random_population(k, seed):

@@ -49,10 +49,10 @@ def test_covariance_sequences_have_no_lag_lookups():
         assert not hasattr(cohercause.CovarianceSequences, name), name
 
 
-def test_only_nulldist_reads_its_private_names():
-    """The null law has one home: no other module imports or reads a ``_`` name
-    of ``nulldist``, so choosing the law and reading it stay in ``null_law``."""
-    offenders = []
+def nulldist_reads():
+    """``(module, name)`` for each name another package module imports or reads
+    from ``nulldist``."""
+    reads = []
     for path in sorted(Path(cohercause.__file__).parent.glob("*.py")):
         if path.stem == "nulldist":
             continue
@@ -63,8 +63,22 @@ def test_only_nulldist_reads_its_private_names():
                 names = [node.attr]
             else:
                 continue
-            offenders += [f"{path.stem}: {name}" for name in names if name.startswith("_")]
-    assert offenders == []
+            reads += [(path.stem, name) for name in names]
+    return reads
+
+
+def test_only_nulldist_reads_its_private_names():
+    """The null law has one home: no other module imports or reads a ``_`` name
+    of ``nulldist``, so choosing the law and reading it stay in ``null_law``."""
+    assert [read for read in nulldist_reads() if read[1].startswith("_")] == []
+
+
+def test_null_law_has_one_door():
+    """Other modules take from ``nulldist`` only its spec, ``null_law`` and the
+    two defaults. The package's star import re-exports the public names."""
+    door = {"WilksLambdaSpec", "null_law", "DEFAULT_N_MC", "DEFAULT_SEED"}
+    reads = [read for read in nulldist_reads() if read != ("__init__", "*")]
+    assert [read for read in reads if read[1] not in door] == []
 
 
 def test_one_thread_pool_site():

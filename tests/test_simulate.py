@@ -27,7 +27,7 @@ from cohercause import (
     simulate,
     write_sequence_csv,
 )
-from cohercause.simulate import BURN_IN, _barnett_blocks
+from cohercause.simulate import BURN_IN, _barnett_cores, _ma_step
 from cohercause.streams import stream_rng
 
 from reference import model_composite_covariance, xx_at, xy_at, yy_at
@@ -222,7 +222,9 @@ class TestGenerators:
         # 300 divides the length, 7 does not; 1200 is one block, 5000 overshoots.
         spec = BarnettModelSpec(transfer_entropy=F, ma_order=order)
         x, y = gen_barnett(spec, 1200, 4, stream=2)
-        blocks = list(_barnett_blocks(spec, 1200, block, 4, 2))
+        r = spec.ma_order
+        cores = _barnett_cores(spec, 1200, block, 4, 2, r)
+        blocks = [_ma_step(spec, c, r) for c in cores]
         sizes = [bx.size for bx, _ in blocks]
         assert sizes == [min(block, 1200 - s) for s in range(0, 1200, block)]
         assert all(by.size == n for (_, by), n in zip(blocks, sizes))
@@ -297,12 +299,13 @@ class TestPrivateLfilter:
     def test_commands_leave_heavy_modules_unloaded(self, tmp_path):
         # scipy.linalg and scipy.special each load scipy._lib._array_api, which
         # clones numpy's namespace and so loads numpy.f2py and numpy.testing.
+        # The Wishart factor is numpy's, so no run loads scipy's LAPACK either.
         # numpy.random loads with the package, so no run pays for it later.
         code = f"""
 import sys
 from cohercause import cli
 heavy = ("scipy.linalg", "scipy.special", "scipy._lib._array_api", "numpy.f2py",
-         "numpy.testing")
+         "numpy.testing", "cohercause._flapack")
 def loaded():
     return [m for m in heavy if m in sys.modules]
 print(loaded(), "numpy.random" in sys.modules)
