@@ -134,7 +134,7 @@ def _whitened_cross(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
     if L is None:
         leading = ((r, "z"), (r + p, "x given z"))
         name = next(
-            (nm for k, nm in leading if k and _checked_cholesky(S[..., :k, :k]) is None),
+            (nm for k, nm in leading if _checked_cholesky(S[..., :k, :k]) is None),
             "y given (x, z)",
         )
         raise CovarianceError(f"{name} is rank-deficient")

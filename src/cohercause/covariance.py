@@ -175,8 +175,6 @@ def _solve_conditioning(rbb: np.ndarray, rab: np.ndarray, block: str) -> np.ndar
     An empty ``rbb`` gives a zero correction (conditioning on nothing); a
     factor that fails the pivot rule raises ``"<block> is rank-deficient"``.
     """
-    if rbb.shape[0] == 0:
-        return np.zeros((rab.shape[0], rab.shape[0]))
     L = _checked_cholesky(rbb)
     if L is None:
         raise CovarianceError(f"{block} is rank-deficient")

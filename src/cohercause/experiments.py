@@ -28,13 +28,13 @@ draw one AR core from stream (seed, 1) for every MA order and filter each
 block of it through every order's MA polynomial (common random numbers).
 Each block's panel rows are
 laid out by ``LagSpec.rows``, as in ``lag_embed``: one zero-copy view per
-row over the block reshaped to one window per row, gathered into reused
-panel buffers of about 10 MB per group of orders, which a block's window
-ranges share. Its windows are centred by conditioning:
-removing each row's mean is the projection onto a constant regressor
-(Frisch-Waugh-Lovell), so a row of ones written once at the end of z, which
-the kernel's one Cholesky factor projects out, replaces a centring pass over
-the data.
+row over the block reshaped to one window per row, gathered into ``jobs``
+reused panel buffers of about 10 MB together, one per contiguous range of
+the block's windows; each range carves every order. Its windows are
+centred by conditioning: removing each row's mean is the projection onto a
+constant regressor (Frisch-Waugh-Lovell), so a row of ones written once at
+the end of z, which the kernel's one Cholesky factor projects out, replaces
+a centring pass over the data.
 """
 from __future__ import annotations
 
@@ -239,13 +239,12 @@ def _study_statistics(
     they filter one AR core of ``specs[0]``, drawn from stream
     (seed, streams[0]) in blocks of one panel's windows; row i equals
     ``_consecutive_stats(*gen_barnett(specs[i], ..., seed, streams[0]), T, M)``
-    bit for bit. A task carves one contiguous group of specs over one
-    contiguous window range of a block on its own reused panel, a group's
-    panels holding one panel's windows together: the min(jobs, specs)
-    groups times jobs // groups ranges use every worker even for one spec.
-    The blocks are submitted one at a time, so memory grows with the number
-    of groups and not with ``replications`` or the number of specs. Either
-    way the result does not depend on ``jobs``.
+    bit for bit. Each block's windows are cut into ``jobs`` contiguous
+    ranges; a task carves every spec over one non-empty range on its own
+    reused panel, the ``jobs`` panels holding one panel's windows together,
+    so every worker is used even for one spec. The blocks are submitted one
+    at a time, so memory does not grow with ``replications`` or the number
+    of specs. Either way the result does not depend on ``jobs``.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -262,20 +261,17 @@ def _study_statistics(
             ])
         window = M + T
         history = max(spec.ma_order for spec in specs)
-        groups = np.array_split(np.arange(len(specs)), min(jobs, len(specs)))
-        ranges = jobs // len(groups)
         chunk = _window_chunk(T, M)
-        share = math.ceil(min(chunk, replications) / ranges)
-        panels = [_panel(T, M, share) for _ in range(len(groups) * ranges)]
+        panels = [_panel(T, M, math.ceil(min(chunk, replications) / jobs)) for _ in range(jobs)]
         out = np.empty((len(specs), replications))
 
-        def carve(core, start: int, group, lo: int, hi: int, panel) -> None:
+        def carve(core, start: int, lo: int, hi: int, panel) -> None:
             # The range's samples, led by the history samples its MA polynomials need.
             part = [c[lo * window : history + hi * window] for c in core]
-            for i in group:
+            for i, spec in enumerate(specs):
                 # No name holds an order's pair, so it is freed before the next one forms.
                 out[i, start + lo : start + hi] = _consecutive_stats(
-                    *_ma_step(specs[i], part, history), T, M, panel
+                    *_ma_step(spec, part, history), T, M, panel
                 )
 
         start = 0
@@ -283,9 +279,9 @@ def _study_statistics(
             specs[0], replications * window, chunk * window, seed, streams[0], history
         ):
             k = (core[0].size - history) // window
-            cuts = [k * j // ranges for j in range(ranges + 1)]
-            tasks = [(group, lo, hi) for group in groups for lo, hi in zip(cuts, cuts[1:])]
-            for task in [pool.submit(carve, core, start, *t, D) for t, D in zip(tasks, panels)]:
+            cuts = [k * j // jobs for j in range(jobs + 1)]
+            ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+            for task in [pool.submit(carve, core, start, *r, D) for r, D in zip(ranges, panels)]:
                 task.result()
             start += k
         return out
@@ -444,11 +440,12 @@ def power_curve(
     """Rejection rate versus MA order at fixed transfer entropy F.
 
     With consecutive windows every order filters one shared AR core, drawn
-    once from stream (seed, 1) and streamed through reused panels, so
-    memory grows with the worker count and not with ``replications`` or the
-    number of orders. With independent realizations order r draws from
-    stream (seed, r + 1). Every study's work is spread over ``jobs``
-    threads; the result does not depend on it.
+    once from stream (seed, 1) and streamed through reused panels, one per
+    worker, each carving every order over its range of a block's windows,
+    so memory does not grow with ``replications`` or the number of orders.
+    With independent realizations order r draws from stream (seed, r + 1).
+    Every study's work is spread over ``jobs`` threads; the result does not
+    depend on it.
     """
     ma_orders = [int(order) for order in ma_orders]
     if not ma_orders:

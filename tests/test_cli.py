@@ -326,6 +326,19 @@ class TestPowerRocCalibrate:
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) == 1 + 4
 
+    def test_order_zero_consecutive_calibrate_identical_across_jobs(self, capsys):
+        # 1004 windows make blocks of 59 and a last block of 1 window, whose
+        # second range at two jobs is empty and must not be carved.
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, "calibrate", "--ma-order", "0", "--window-mode", "consecutive-windows",
+                "--replications", "1004", "--n-mc", "20000", "--jobs", jobs,
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_outputs_identical_across_blas_threads(self, tmp_path):
         # Equal seeds give byte-identical study files whether BLAS runs one thread or two.
         runs = [
@@ -353,7 +366,7 @@ class TestPowerRocCalibrate:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_default_replication_power_peak_rss_bounded(self, tmp_path):
-        # The orders share one streamed AR core, and each worker carves its orders
+        # The orders share one streamed AR core, and each worker carves every order
         # through one reused panel, so peak memory does not grow with --replications,
         # even with two workers in flight.
         # The child reports its own VmHWM as it exits: the ru_maxrss that wait4

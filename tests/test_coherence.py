@@ -293,7 +293,7 @@ class TestInformationMeasures:
         assert information_measures(res).gg_measure == pytest.approx(res.det_q)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rho2 must lie in \[0, 1\]"):
             information_measures(1.5)
 
 

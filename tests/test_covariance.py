@@ -85,6 +85,12 @@ class TestAssemble:
         with pytest.raises(ValueError):
             R.entries[0, 0] = 2.0
 
+    def test_caller_matrix_stays_writeable_and_unaliased(self):
+        m = np.eye(3)
+        R = CompositeCovariance(m, D111)
+        assert m.flags.writeable
+        assert not np.shares_memory(R.entries, m)
+
 
 class TestSchurComplement:
     def test_scalar_example_uu(self):

@@ -267,12 +267,17 @@ class TestSharedCore:
             pytest.param([1], 1, id="one-order-1"),
             pytest.param([1], 2, id="one-order-2"),
             pytest.param([1], 3, id="one-order-3"),
+            # Order 0 has no history: an empty window range would hand the
+            # MA step an empty core slice.
+            pytest.param([0], 2, id="order-0-2"),
+            pytest.param([0], 3, id="order-0-3"),
         ],
     )
     def test_orders_match_one_order_route(self, monkeypatch, orders, jobs):
         # Three windows per panel make blocks of 3 windows, each cut into
-        # jobs // groups window ranges (some empty at jobs=3), so the core's
-        # last samples are carried across block and range boundaries.
+        # jobs window ranges (the last block of 1 window leaves some empty,
+        # and they are not carved), so the core's last samples are carried
+        # across block and range boundaries.
         T, M, n_windows, seed = 3, 50, 10, 8
         monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", 3 * (2 * T + 2) * M * 8)
         assert experiments._window_chunk(T, M) == 3

@@ -96,6 +96,15 @@ class TestSampleNull:
             sample_null(spec, n, seed=9), sample_null(spec, n, seed=10)
         )
 
+    def test_shorter_product_is_drawn(self):
+        # Lambda(p, m, q) = Lambda(q, m + q - p, p): (10, 1) draws the one
+        # Beta factor of (1, 10), bit for bit, not ten of its own.
+        n = 1000
+        assert np.array_equal(
+            sample_null(WilksLambdaSpec(10, 1, 10, 999), n, seed=5),
+            sample_null(WilksLambdaSpec(1, 10, 10, 999), n, seed=5),
+        )
+
     @pytest.mark.parametrize("p, q", EXACT_DIMS)
     def test_matches_closed_form_law(self, p, q):
         # (10, 1) and (3, 2) draw the swapped product, (1, 1) and (2, 5)
@@ -105,7 +114,7 @@ class TestSampleNull:
         assert ks.pvalue > 1e-3
 
     def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             sample_null(WilksLambdaSpec(1, 1, 0, 9), 0)
 
 
