@@ -3,8 +3,9 @@
 One binary, subcommand style. All randomness flows from a single --seed
 flag (default 42, never time-based); the same configuration and seed
 produce byte-identical output files at a fixed BLAS thread count. Across
-thread counts that holds while every Gram has fewer than ~128 rows, as at
-the defaults, because OpenBLAS splits dsyrk across threads from there.
+thread counts that holds while every Gram has at most 95 rows (test --lags
+47), as at the defaults, because OpenBLAS 0.3.31 splits dsyrk across
+threads beyond that.
 --jobs (at least 1; default: the CPUs this process may run on), which
 the COHERCAUSE_JOBS environment variable overrides as a default: every
 study's work is spread over --jobs threads; the result does not depend
@@ -43,7 +44,7 @@ from .experiments import (
     write_roc_csv,
     write_summary_json,
 )
-from .inference import LagSpec, atomic_write, lag_embed, read_sequence_csv, test_causal_influence
+from .inference import LagSpec, _row_views, _test_outcome, atomic_write, read_sequence_csv
 from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, WilksLambdaSpec, null_law
 from .simulate import (
     BarnettModelSpec,
@@ -246,14 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_test(args) -> int:
     data = read_sequence_csv(args.input)
     spec = LagSpec.influence_test(T=args.lags, stride=args.stride)
-    panel = lag_embed(data["x"], data["y"], spec)
-    outcome = test_causal_influence(
-        panel,
-        alpha=args.alpha,
-        method=args.method,
-        n_mc=args.n_mc,
-        seed=args.seed,
-        center=not args.no_center,
+    # The Gram is gathered from views of the columns: no panel copy is made.
+    views = _row_views(data["x"], data["y"], spec.rows, spec.stride)
+    outcome = _test_outcome(
+        views, spec.dims, args.alpha, args.method, args.n_mc, args.seed, not args.no_center
     )
     text = outcome.to_json() + "\n"
     sys.stdout.write(text)

@@ -1,11 +1,15 @@
 """From raw sequences to a causality decision.
 
-The pipeline is: embed two scalar sequences into lagged sample vectors (a
-data panel), form the Gram of its centred rows, each scaled by a power of
-two to stay O(M) at any floating-point scale, take its partial coherence
-(scale-invariant, so that of S = D D^T) as the test statistic, and compare
-it against the Wilks Lambda null law read by ``nulldist.null_law``. One minus
-it is the likelihood ratio for zero conditional x-y cross-covariance.
+The pipeline is: embed two scalar sequences into lagged sample vectors (the
+rows of a data panel D, each a zero-copy view of a sequence), form the Gram
+of the centred rows, each scaled by a power of two to stay O(M) at any
+floating-point scale and gathered one column chunk at a time, take its
+partial coherence (scale-invariant, so that of S = D D^T) as the test
+statistic, and compare it against the Wilks Lambda null law read by
+``nulldist.null_law``. One minus it is the likelihood ratio for zero
+conditional x-y cross-covariance. ``cli test`` forms the Gram straight from
+the views, so D is never held whole; ``lag_embed`` copies it into a
+``DataPanel`` for library callers.
 
 A rejection is an indication of causal influence at the stated level,
 relative to the chosen prima facie conditioning; a non-rejection is a
@@ -169,13 +173,14 @@ class DataPanel:
         return self.data.shape[1]
 
 
-def _row_views(x: np.ndarray, y: np.ndarray, rows) -> list[np.ndarray]:
+def _row_views(x: np.ndarray, y: np.ndarray, rows, stride: int = 1) -> list[np.ndarray]:
     """One zero-copy view per (channel, offset) row over the last axis.
 
-    Entry k of every view is that row's sample at column time t = k - lo,
-    where [lo, hi] is the offset span widened to include t itself, so the
-    views hold the columns t = -lo .. L - 1 - hi of length-L sequences.
-    Raises ``ValueError`` when that leaves no column (L <= hi - lo).
+    Entry k of every view is that row's sample at column time
+    t = k * stride - lo, where [lo, hi] is the offset span widened to
+    include t itself, so the views hold every stride-th of the columns
+    t = -lo .. L - 1 - hi of length-L sequences. Raises ``ValueError`` when
+    that leaves no column (L <= hi - lo).
     """
     offsets = [off for _, off in rows]
     lo, hi = min(0, *offsets), max(0, *offsets)
@@ -185,7 +190,7 @@ def _row_views(x: np.ndarray, y: np.ndarray, rows) -> list[np.ndarray]:
             f"insufficient data: length {x.shape[-1]} is too short for the offsets "
             f"spanning [{min(offsets)}, {max(offsets)}]"
         )
-    return [(x if ch == "x" else y)[..., off - lo : off - lo + n] for ch, off in rows]
+    return [(x if ch == "x" else y)[..., off - lo : off - lo + n : stride] for ch, off in rows]
 
 
 def _scaled_gram(rows, center: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,6 +221,8 @@ def _scaled_gram(rows, center: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray
         D -= means[:, None]
         D /= spread[:, None]
         gram += D @ D.T
+        # Released before the next chunk is gathered, so one chunk is alive at a time.
+        del D
     return gram, unit, spread
 
 
@@ -231,8 +238,7 @@ def lag_embed(x_seq: np.ndarray, y_seq: np.ndarray, spec: LagSpec) -> DataPanel:
         raise ValueError("x and y sequences must have the same shape")
     if x_seq.ndim != 1:
         raise ValueError("lag_embed expects one-dimensional sequences")
-    views = _row_views(x_seq, y_seq, spec.rows)
-    return DataPanel(data=[v[:: spec.stride] for v in views], dims=spec.dims)
+    return DataPanel(data=_row_views(x_seq, y_seq, spec.rows, spec.stride), dims=spec.dims)
 
 
 def sample_covariance(panel: DataPanel, center: bool = True) -> CompositeCovariance:
@@ -315,11 +321,22 @@ def test_causal_influence(
     p_value < alpha. So "wilks-mc" raises ``ValueError`` when fewer than
     50 of the n_mc null draws fall in a tail.
     """
-    dims = panel.dims
-    m_eff = panel.M - 1 if center else panel.M
+    return _test_outcome(panel.data, panel.dims, alpha, method, n_mc, seed, center)
+
+
+def _test_outcome(
+    rows, dims: BlockDims, alpha: float, method: str, n_mc: int, seed: int, center: bool
+) -> TestOutcome:
+    """The test on equal-length rows in (x, y, z) order: a panel's, or row views.
+
+    M is the row length. ``cli test`` passes the views of its CSV columns,
+    so its Gram is gathered one chunk at a time and no panel is copied.
+    """
+    M = len(rows[0])
+    m_eff = M - 1 if center else M
     # Wilks solvency first, so short panels fail with the named dims.
     wspec = WilksLambdaSpec(dims.p, dims.q, dims.r, m_eff)
-    gram = _scaled_gram(panel.data, center)[0]
+    gram = _scaled_gram(rows, center)[0]
     stat = likelihood_ratio(CompositeCovariance.from_matrix(gram, dims))
     threshold_at, p_value_of = null_law(wspec, method, n_mc, seed)
     threshold = threshold_at(alpha)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cohercause import WilksLambdaSpec, cli, null_law, sample_null, write_sequence_csv
-from cohercause import BarnettModelSpec, coherence_map, nulldist
+from cohercause import BarnettModelSpec, coherence_map, inference, nulldist
 from cohercause.cli import build_parser, main
 from cohercause.experiments import write_map_csv
 
@@ -46,6 +46,40 @@ class TestSimulateAndTest:
         assert out == json.dumps(payload, indent=2) + "\n"
         assert payload["reject_null"] is True  # F = 0.5 is a strong coupling
         assert payload["p"] == 5 and payload["r"] == 5
+
+    @pytest.mark.parametrize(
+        "lags, stride, extra, options",
+        [(10, 1, (), {}), (10, 3, (), {}), (30, 1, (), {}),
+         (10, 1, ("--no-center",), {"center": False}),
+         (10, 1, ("--method", "bartlett"), {"method": "bartlett"})],
+    )
+    def test_matches_library_without_a_panel(self, tmp_path, capsys, monkeypatch,
+                                             lags, stride, extra, options):
+        # `test` builds its Gram from views of the CSV columns, and prints what the
+        # library prints for the panel of the same embedding. A small chunk size
+        # makes both routes sum the Gram over many chunks.
+        monkeypatch.setattr(inference, "_WINDOW_CHUNK_BYTES", 2**14)
+        pair = tmp_path / "pair.csv"
+        run_cli(capsys, "simulate", "--case", "barnett", "--length", "3000",
+                "--transfer-entropy", "0.05", "--output", str(pair), "--seed", "3")
+        data = inference.read_sequence_csv(str(pair))
+        panel = inference.lag_embed(
+            data["x"], data["y"], inference.LagSpec.influence_test(lags, stride)
+        )
+        expected = inference.test_causal_influence(panel, seed=5, **options).to_json() + "\n"
+
+        def no_panel(*args, **kwargs):
+            raise AssertionError("test built a data panel")
+
+        for module in (inference, cli):
+            for name in ("lag_embed", "DataPanel"):
+                monkeypatch.setattr(module, name, no_panel, raising=False)
+        code, out, err = run_cli(
+            capsys, "test", "--input", str(pair), "--lags", str(lags),
+            "--stride", str(stride), "--seed", "5", *extra,
+        )
+        assert (code, err) == (0, "")
+        assert out == expected
 
     def test_lags_below_one_names_depth(self, tmp_path, capsys):
         pair = tmp_path / "pair.csv"
@@ -340,8 +374,13 @@ class TestPowerRocCalibrate:
         assert outputs[0] == outputs[1]
 
     def test_outputs_identical_across_blas_threads(self, tmp_path):
-        # Equal seeds give byte-identical study files whether BLAS runs one thread or two.
+        # Equal seeds give byte-identical study files whether BLAS runs one thread or two,
+        # and so does `test` up to its documented edge: --lags 47, a 95-row Gram.
+        pair = tmp_path / "pair.csv"
+        assert main(["simulate", "--case", "barnett", "--length", "100000",
+                     "--output", str(pair)]) == 0
         runs = [
+            ("test", "--input", str(pair), "--lags", "47", "--output", "test.json"),
             ("power", "--orders", "0..2", "--replications", "300", "--M", "200", "--T", "3",
              "--n-mc", "20000", "--jobs", "1", "--output", "power.csv"),
             ("calibrate", "--window-mode", "independent-realizations", "--replications", "2000",
@@ -361,7 +400,8 @@ class TestPowerRocCalibrate:
                 )
                 assert done.returncode == 0, done.stderr
             outputs[threads] = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
-        assert sorted(outputs["1"]) == ["calibrate.json", "power.csv", "power.csv.json"]
+        assert sorted(outputs["1"]) == ["calibrate.json", "power.csv", "power.csv.json",
+                                        "test.json"]
         assert outputs["1"] == outputs["2"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -17,6 +17,7 @@ from cohercause import (
     partial_coherence_one_onto_two,
     spectral_partial_coherence,
 )
+from cohercause.coherence import _log_det_q
 from cohercause.inference import likelihood_ratio
 from cohercause.simulate import (
     BarnettModelSpec,
@@ -120,6 +121,22 @@ class TestPartialCoherence:
         res = partial_coherence(zero_cross_composite())
         assert res.rho2 == pytest.approx(0.0, abs=1e-14)
         assert res.det_q == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("dims", [BlockDims(1, 1, 0), BlockDims(1, 2, 2), BlockDims(2, 3, 1)])
+    def test_exactly_zero_cross_covariance_gives_negative_zero(self, dims):
+        # x uncorrelated with (y, z): W = 0, and -sum(log1p(0)) is -0.0. The
+        # kernel's clamp at zero turns that into +0.0, so rho2 = -expm1(+0.0) is
+        # -0.0, which the zero cells of the analytic map files print. Nothing else
+        # reaches the clamp: COND_LIMIT bounds the eigenvalues of W W^T by 1e12,
+        # so a zero one rounds to far above -1 and the sum of log1p stays >= 0.
+        p, q = dims.p, dims.q
+        S = random_pd(np.random.default_rng(4), dims.total)
+        S[:p, p:] = 0.0
+        S[p:, :p] = 0.0
+        log_det_q = _log_det_q(S, p, q, dims.r)
+        assert log_det_q == 0.0 and not np.signbit(log_det_q)
+        rho2 = likelihood_ratio(CompositeCovariance.from_matrix(S, dims))
+        assert rho2 == 0.0 and np.signbit(rho2)
 
     def test_scalar_example(self):
         res = partial_coherence(triple_composite(0.5, 0.6, 0.3))

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cohercause import (
     sample_covariance,
     write_sequence_csv,
 )
+from cohercause import inference
 from cohercause import test_causal_influence as causal_influence_test
 
 from helpers import DEGENERATE_BLOCKS, degenerate_pair, random_nonsingular
@@ -207,6 +209,31 @@ class TestSampleCovariance:
         assert panel.M == 990
         S = sample_covariance(panel)
         assert np.linalg.eigvalsh(S.entries).min() > -1e-8
+
+    def test_gram_of_row_views_holds_one_chunk(self):
+        # The Gram gathers one column chunk of the views at a time and drops it
+        # before it gathers the next. Its traced peak is then one chunk, or the
+        # one-row temporary of a centring mean (taken before the loop), plus
+        # the n x n Grams and length-n scales that are alive throughout.
+        rows = LagSpec.influence_test(T=10).rows
+        n = len(rows)
+        chunk = inference._WINDOW_CHUNK_BYTES // (n * 8)
+        M = 3 * chunk + chunk // 2
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((2, M + 10))
+        views = inference._row_views(x, y, rows)
+        assert len(views[0]) == M
+        chunk_bytes, row_bytes = n * chunk * 8, M * 8
+        # Gram and product (2 n^2 doubles), 6 scale vectors, and each array's and
+        # view's object header (under 1 KiB per row).
+        slack = 2 * n * n * 8 + 6 * n * 8 + n * 1024
+        tracemalloc.start()
+        try:
+            inference._scaled_gram(views, center=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunk_bytes <= peak < max(chunk_bytes, row_bytes) + slack
 
 
 class TestLikelihoodRatio:
