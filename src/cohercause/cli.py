@@ -144,7 +144,7 @@ def _emit_json(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if output:
-        atomic_write(output, text)
+        atomic_write(output, (text,))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +255,7 @@ def _cmd_test(args) -> int:
     text = outcome.to_json() + "\n"
     sys.stdout.write(text)
     if args.output:
-        atomic_write(args.output, text)
+        atomic_write(args.output, (text,))
     return 0
 
 

@@ -499,7 +499,7 @@ def write_map_csv(path: str, cmap: CoherenceMap) -> None:
         for i, s in enumerate(cmap.s_range)
         for j, t in enumerate(cmap.t_range)
     ]
-    atomic_write(path, _csv_text(["s", "t", "rho2"], rows))
+    atomic_write(path, (_csv_text(["s", "t", "rho2"], rows),))
 
 
 def write_power_csv(path: str, points: list[PowerPoint]) -> None:
@@ -516,13 +516,13 @@ def write_power_csv(path: str, points: list[PowerPoint]) -> None:
         for pt in points
     ]
     header = ["ma_order", "power", "std_error", "alpha", "replications", "T", "M"]
-    atomic_write(path, _csv_text(header, rows))
+    atomic_write(path, (_csv_text(header, rows),))
 
 
 def write_roc_csv(path: str, points: list[ROCPoint]) -> None:
     rows = [[repr(pt.size), repr(pt.power), repr(pt.std_error)] for pt in points]
-    atomic_write(path, _csv_text(["size", "power", "std_error"], rows))
+    atomic_write(path, (_csv_text(["size", "power", "std_error"], rows),))
 
 
 def write_summary_json(path: str, summary: dict) -> None:
-    atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(summary, indent=2, sort_keys=True) + "\n",))

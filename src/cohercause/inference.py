@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -355,15 +356,21 @@ def _test_outcome(
     )
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` by one ``os.replace`` of a temporary file
-    beside it, so a failed write leaves an existing file's bytes as they were."""
+def atomic_write(path: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces to ``path`` in order, by one ``os.replace`` of a
+    temporary file beside it.
+
+    The pieces are consumed one at a time, so a generator of them is written
+    in the memory of one piece. A failed write, or an exception from the
+    iterable itself, removes the temporary file and leaves an existing
+    file's bytes as they were.
+    """
     # Created with mode 0o666 less the umask, as a plain open() would be.
     tmp = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

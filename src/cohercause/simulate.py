@@ -50,6 +50,8 @@ __all__ = [
 
 COEFF_TOL = 1e-12
 BURN_IN = 1000
+# Rows of a sequence file formatted and written at a time.
+_CSV_BLOCK_ROWS = 4096
 
 # A channel's response to one noise: coefficients a[k] of w_{n - delay - k}.
 Response = tuple[np.ndarray, int]
@@ -433,10 +435,24 @@ def lag_window_covariance(
 
 
 def write_sequence_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:
-    """Write a generated pair in the t,x,y format the test command reads."""
+    """Write a generated pair in the t,x,y format the test command reads.
+
+    The rows are formatted and written in blocks of a few thousand, so the
+    memory the write takes does not grow with the length of the pair. The
+    file is replaced atomically: a failed write leaves an existing file as
+    it was.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be one-dimensional with equal length")
-    rows = enumerate(zip(x.tolist(), y.tolist()))
-    atomic_write(path, "t,x,y\n" + "".join(f"{t},{a!r},{b!r}\n" for t, (a, b) in rows))
+
+    def pieces() -> Iterator[str]:
+        yield "t,x,y\n"
+        for s in range(0, x.size, _CSV_BLOCK_ROWS):
+            rows = enumerate(
+                zip(x[s : s + _CSV_BLOCK_ROWS].tolist(), y[s : s + _CSV_BLOCK_ROWS].tolist()), s
+            )
+            yield "".join(f"{t},{a!r},{b!r}\n" for t, (a, b) in rows)
+
+    atomic_write(path, pieces())

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from cohercause import (
     simulate,
     write_sequence_csv,
 )
-from cohercause.simulate import BURN_IN, _barnett_cores, _ma_step
+from cohercause.inference import atomic_write
+from cohercause.simulate import _CSV_BLOCK_ROWS, BURN_IN, _barnett_cores, _ma_step
 from cohercause.streams import stream_rng
 
 from reference import model_composite_covariance, xx_at, xy_at, yy_at
@@ -513,6 +515,18 @@ class TestSequenceCsv:
         csv_writer_sequence(str(tmp_path / "loop.csv"), x, y)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "length",
+        [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3],
+        ids=["0", "1", "B-1", "B", "B+1", "2B+3"],
+    )
+    def test_bytes_match_csv_writer_loop_across_blocks(self, tmp_path, length):
+        x, y = gen_barnett(BarnettModelSpec(), 2 * _CSV_BLOCK_ROWS + 3, 5)
+        x, y = x[:length], y[:length]
+        write_sequence_csv(str(tmp_path / "fast.csv"), x, y)
+        csv_writer_sequence(str(tmp_path / "loop.csv"), x, y)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
     def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
         path = tmp_path / "pair.csv"
         path.write_bytes(b"t,x,y\n0,1.0,2.0\n")
@@ -525,6 +539,72 @@ class TestSequenceCsv:
             write_sequence_csv(str(path), np.zeros(3), np.ones(3))
         assert path.read_bytes() == b"t,x,y\n0,1.0,2.0\n"
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_write_failing_mid_stream_keeps_existing_file(self, tmp_path, monkeypatch):
+        # The header and the first block of rows reach the temporary file; the
+        # write of the second block fails.
+        path = tmp_path / "pair.csv"
+        path.write_bytes(b"t,x,y\n0,1.0,2.0\n")
+        fdopen = os.fdopen
+        written = []
+
+        def failing_fdopen(*args, **kwargs):
+            fh = fdopen(*args, **kwargs)
+            write = fh.write
+
+            def failing_write(text):
+                if len(written) == 2:
+                    assert len(list(tmp_path.glob("*.tmp"))) == 1
+                    raise OSError("disk full")
+                written.append(text)
+                return write(text)
+
+            fh.write = failing_write
+            return fh
+
+        monkeypatch.setattr(os, "fdopen", failing_fdopen)
+        n = 2 * _CSV_BLOCK_ROWS + 3
+        with pytest.raises(OSError, match="disk full"):
+            write_sequence_csv(str(path), np.zeros(n), np.ones(n))
+        assert written[0] == "t,x,y\n" and written[1].count("\n") == _CSV_BLOCK_ROWS
+        assert path.read_bytes() == b"t,x,y\n0,1.0,2.0\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failing_pieces_keep_existing_file(self, tmp_path):
+        path = tmp_path / "pair.csv"
+        path.write_bytes(b"t,x,y\n0,1.0,2.0\n")
+
+        def pieces():
+            yield "t,x,y\n"
+            raise ValueError("bad row")
+
+        with pytest.raises(ValueError, match="bad row"):
+            atomic_write(str(path), pieces())
+        assert path.read_bytes() == b"t,x,y\n0,1.0,2.0\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_write_memory_does_not_grow_with_length(self, tmp_path):
+        # The rows are formatted and written one block of B rows at a time, so
+        # the traced peak is one block's temporaries (~0.7 MB: two lists of
+        # floats, the row strings, the joined text and its encoded bytes) at any
+        # length. Between 2B and 16B rows a row grows by at most one byte, the
+        # fifth digit of t, and the block texts differ by the spread of their
+        # reprs' lengths; allowing one byte per row for each of the two reprs,
+        # three copies of a block's text (row strings, joined text, encoded
+        # bytes) grow by at most 3 * B * 3 bytes.
+        short, long = 2 * _CSV_BLOCK_ROWS, 16 * _CSV_BLOCK_ROWS
+        x, y = gen_barnett(BarnettModelSpec(), long, 1)
+        slack = 3 * _CSV_BLOCK_ROWS * 3
+        peaks = {}
+        for n in (short, long):
+            tracemalloc.start()
+            try:
+                write_sequence_csv(str(tmp_path / "pair.csv"), x[:n], y[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[long] <= peaks[short] + slack
+        assert peaks[long] < 2 * 2**20
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "pair.csv"
