@@ -40,7 +40,7 @@ from cohercause.experiments import (
     _study_statistics,
     _study_threshold,
 )
-from cohercause.nulldist import DEFAULT_N_MC, DEFAULT_SEED
+from cohercause.nulldist import DEFAULT_SEED
 
 
 def main() -> int:
@@ -85,7 +85,7 @@ def main() -> int:
     mode = "consecutive-windows"
     specs, streams = _alternative(args.transfer_entropy, orders, mode)
     stats = _study_statistics(specs, streams, reps, args.M, args.T, mode, args.seed, jobs)
-    threshold_at = _study_threshold(args.T, args.M, DEFAULT_N_MC, args.seed)
+    threshold_at = _study_threshold(args.T, args.M, args.seed)
     points = _power_points(orders, stats, threshold_at(args.alpha), args.alpha, args.T, args.M)
     for pt in points:
         print(f"MA order {pt.ma_order:2d}: power {pt.power:.3f} "

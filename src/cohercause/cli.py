@@ -7,17 +7,21 @@ thread counts that holds while every Gram has at most 95 rows (test --lags
 47), as at the defaults, because OpenBLAS 0.3.31 splits dsyrk across
 threads beyond that.
 --jobs (at least 1; default: the CPUs this process may run on), which
-the COHERCAUSE_JOBS environment variable overrides as a default: every
-study's work is spread over --jobs threads; the result does not depend
-on it. The work runs inside numpy calls, and the null law is drawn in
-the calling thread. Of scipy, a run loads its small core package, the C
-routine of lfilter for the generators, and scipy.special only for the
-Bartlett law (test --method bartlett and nulldist). scipy.signal loads
-only if that private routine cannot. No map draws a random number, so
-map accepts --seed and ignores it. A --jobs or
-COHERCAUSE_JOBS value that is not an integer >= 1 is a usage error, as is
-a malformed --orders, --s-range, --t-range or --sizes value, and so is
-giving both --fast (a preset number of replications) and --replications.
+the COHERCAUSE_JOBS environment variable overrides as a default, is a
+flag of power, roc and calibrate: every study's work is spread over
+--jobs threads; the result does not depend on it. The work runs inside
+numpy calls, and the null law is drawn in the calling thread. test
+accepts --jobs and ignores it; map, simulate and nulldist have no --jobs.
+--n-mc, the number of Monte Carlo null-law draws, is a flag of test and
+nulldist; every study draws its law at the default 200,000. Of scipy, a
+run loads its small core package, the C routine of lfilter for the
+generators, and scipy.special only for the Bartlett law (test --method
+bartlett and nulldist). scipy.signal loads only if that private routine
+cannot. No map draws a random number, so map accepts --seed and ignores
+it. A --jobs or COHERCAUSE_JOBS value that is not an integer >= 1 is a
+usage error, as is a malformed --orders, --s-range, --t-range or --sizes
+value, and so is giving both --fast (a preset number of replications)
+and --replications.
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
@@ -87,16 +91,16 @@ class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return super()._get_help_string(action)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_seed(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
         help="master seed for every random stream",
     )
-    sub.add_argument(
-        "--jobs", type=int, default=None,
-        help="every study's work is spread over --jobs threads; the result does not "
-             "depend on it (default: COHERCAUSE_JOBS or the CPUs this process may use)",
-    )
+
+
+def _add_jobs(sub: argparse.ArgumentParser, text: str) -> None:
+    sub.add_argument("--jobs", type=int, default=None, help=text + (
+        " (default: COHERCAUSE_JOBS or the CPUs this process may use)"))
 
 
 def _add_study_flags(sub: argparse.ArgumentParser) -> None:
@@ -109,9 +113,10 @@ def _add_study_flags(sub: argparse.ArgumentParser) -> None:
                        help=f"desk preset: {FAST_REPLICATIONS} replications")
     sub.add_argument("--M", type=int, default=DEFAULT_M, help="samples per replication")
     sub.add_argument("--T", type=int, default=DEFAULT_T, help="lag depth")
-    sub.add_argument("--n-mc", type=int, default=DEFAULT_N_MC, help="null-law draws")
     sub.add_argument("--window-mode", choices=["consecutive-windows", "independent-realizations"],
                      default="consecutive-windows", help="replication protocol")
+    _add_jobs(sub, "every study's work is spread over --jobs threads; the result does not "
+                   "depend on it")
 
 
 def _parse_range(text: str) -> range:
@@ -137,7 +142,7 @@ def _parse_sizes(text: str) -> tuple[float, ...]:
 
 def _study_args(args) -> dict:
     """The arguments that power, roc and calibrate pass to their study and record."""
-    return {k: getattr(args, k) for k in ("replications", "M", "T", "window_mode", "n_mc", "seed")}
+    return {k: getattr(args, k) for k in ("replications", "M", "T", "window_mode", "seed")}
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
@@ -172,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--stride", type=int, default=1, help="column stride of the embedding")
     t.add_argument("--no-center", action="store_true", help="skip per-row mean removal")
     t.add_argument("--output", help="also write the JSON outcome to this file")
-    _add_common(t)
+    _add_seed(t)
+    _add_jobs(t, "accepted and ignored: test runs no thread pool")
 
     m = add_parser("map", help="pairwise partial-coherence map over (s, t)")
     src = m.add_mutually_exclusive_group(required=True)
@@ -189,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
     m.add_argument("--output", required=True, help="CSV with columns s,t,rho2")
     m.add_argument("--summary", help="JSON run summary (default <output>.json)")
-    _add_common(m)
+    _add_seed(m)
 
     s = add_parser("simulate", help="generate a sequence pair to CSV")
     s.add_argument("--case", choices=["I", "II", "III", "barnett"], required=True,
@@ -199,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coupling strength of the ARMA pair")
     s.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
     s.add_argument("--output", required=True, help="CSV destination")
-    _add_common(s)
+    _add_seed(s)
 
     n = add_parser("nulldist", help="null-law critical value and p-values")
     n.add_argument("--p", type=int, required=True, help="x block dimension")
@@ -210,21 +216,21 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--n-mc", type=int, default=DEFAULT_N_MC, help="null-law draws")
     n.add_argument("--stat", type=float, help="optionally report p-values for this statistic")
     n.add_argument("--output", help="also write the JSON result to this file")
-    _add_common(n)
+    _add_seed(n)
 
     p = add_parser("power", help="power versus MA order at fixed transfer entropy")
     p.add_argument("--orders", type=_parse_range, default="0..10", help="inclusive a..b")
-    p.add_argument("--transfer-entropy", "--F", dest="transfer_entropy",
-                   type=float, default=DEFAULT_F, help="coupling strength")
+    p.add_argument("--transfer-entropy", type=float, default=DEFAULT_F,
+                   help="coupling strength")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
     _add_study_flags(p)
     p.add_argument("--output", required=True, help="CSV power curve")
     p.add_argument("--summary", help="JSON run summary (default <output>.json)")
-    _add_common(p)
+    _add_seed(p)
 
     r = add_parser("roc", help="power versus size at fixed transfer entropy")
-    r.add_argument("--transfer-entropy", "--F", dest="transfer_entropy",
-                   type=float, default=DEFAULT_F, help="coupling strength")
+    r.add_argument("--transfer-entropy", type=float, default=DEFAULT_F,
+                   help="coupling strength")
     r.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
     r.add_argument("--sizes", type=_parse_sizes,
                    default=",".join(str(v) for v in DEFAULT_SIZE_GRID),
@@ -232,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_study_flags(r)
     r.add_argument("--output", required=True, help="CSV ROC curve")
     r.add_argument("--summary", help="JSON run summary (default <output>.json)")
-    _add_common(r)
+    _add_seed(r)
 
     c = add_parser("calibrate", help="achieved size under the null (coupling off)")
     c.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
     c.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
     _add_study_flags(c)
     c.add_argument("--output", help="also write the JSON result to this file")
-    _add_common(c)
+    _add_seed(c)
 
     return parser
 
@@ -395,7 +401,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.jobs = _checked_jobs(parser, args.jobs)
+    if "jobs" in args:
+        args.jobs = _checked_jobs(parser, args.jobs)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -231,7 +231,7 @@ def block_diag_transform(
     R: CompositeCovariance,
     tx: np.ndarray,
     ty: np.ndarray,
-    tz: np.ndarray | None = None,
+    tz: np.ndarray,
 ) -> CompositeCovariance:
     """Covariance of (Tx x, Ty y, Tz z) for nonsingular square blocks.
 
@@ -242,8 +242,6 @@ def block_diag_transform(
     dims = R.dims
     tx = np.atleast_2d(np.asarray(tx, dtype=float))
     ty = np.atleast_2d(np.asarray(ty, dtype=float))
-    if tz is None:
-        tz = np.eye(dims.r)
     tz = np.atleast_2d(np.asarray(tz, dtype=float)).reshape(dims.r, dims.r)
     for name, t, d in (("tx", tx, dims.p), ("ty", ty, dims.q), ("tz", tz, dims.r)):
         if t.shape != (d, d):

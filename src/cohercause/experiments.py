@@ -6,7 +6,7 @@ and hands every offset's composite, a principal sub-matrix of it, to the
 Cholesky kernel in one batched call. Monte Carlo replications, O(1) and
 zero-mean by construction, hand whole stacks of unscaled Grams to the same
 kernel, one call per chunk of replications. Each study reads its null
-threshold once per call from ``nulldist.null_law``, as the test does.
+threshold once per call from ``nulldist.null_law``'s default 200,000 draws.
 
 Every study's work is spread over ``jobs`` threads; the result does not
 depend on it. The work runs inside numpy calls, so one thread pool per
@@ -48,7 +48,7 @@ import numpy as np
 from .coherence import _log_det_q
 from .covariance import BlockDims, CompositeCovariance
 from .inference import _WINDOW_CHUNK_BYTES, LagSpec, _row_views, _scaled_gram, atomic_write
-from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, WilksLambdaSpec, null_law
+from .nulldist import DEFAULT_SEED, WilksLambdaSpec, null_law
 from .simulate import (
     BarnettModelSpec,
     MAFilterSpec,
@@ -287,13 +287,13 @@ def _study_statistics(
         return out
 
 
-def _study_threshold(T: int, M: int, n_mc: int, seed: int):
-    """``threshold(alpha)`` of the one null law of every study.
+def _study_threshold(T: int, M: int, seed: int):
+    """``threshold(alpha)`` of the one null law of every study, ``null_law``'s default draw.
 
     A study tests T lags of x against y_t given T lags of y on M centred
     columns, so its spec is (p, q, r, M) = (T, 1, T, M - 1).
     """
-    return null_law(WilksLambdaSpec(T, 1, T, M - 1), n_mc=n_mc, seed=seed)[0]
+    return null_law(WilksLambdaSpec(T, 1, T, M - 1), seed=seed)[0]
 
 
 def _rejection_rate(stats: np.ndarray, threshold: float) -> tuple[float, float]:
@@ -401,7 +401,6 @@ def calibrate_size(
     T: int = DEFAULT_T,
     window_mode: str = "independent-realizations",
     seed: int = DEFAULT_SEED,
-    n_mc: int = DEFAULT_N_MC,
     jobs: int = 1,
 ) -> SizeEstimate:
     """Achieved rejection rate under the null (the model's coupling off).
@@ -416,7 +415,7 @@ def calibrate_size(
     if replications < 1000:
         raise ValueError(f"replications must be >= 1000, got {replications}")
     null_spec = replace(spec, transfer_entropy=0.0)
-    threshold = _study_threshold(T, M, n_mc, seed)(alpha)
+    threshold = _study_threshold(T, M, seed)(alpha)
     [stats] = _study_statistics([null_spec], [0], replications, M, T, window_mode, seed, jobs)
     achieved, se = _rejection_rate(stats, threshold)
     return SizeEstimate(
@@ -434,7 +433,6 @@ def power_curve(
     T: int = DEFAULT_T,
     seed: int = DEFAULT_SEED,
     window_mode: str = "consecutive-windows",
-    n_mc: int = DEFAULT_N_MC,
     jobs: int = 1,
 ) -> list[PowerPoint]:
     """Rejection rate versus MA order at fixed transfer entropy F.
@@ -450,7 +448,7 @@ def power_curve(
     ma_orders = [int(order) for order in ma_orders]
     if not ma_orders:
         raise ValueError("ma_orders is empty; give at least one MA order")
-    threshold = _study_threshold(T, M, n_mc, seed)(alpha)
+    threshold = _study_threshold(T, M, seed)(alpha)
     specs, streams = _alternative(F, ma_orders, window_mode)
     stats = _study_statistics(specs, streams, replications, M, T, window_mode, seed, jobs)
     return _power_points(ma_orders, stats, threshold, alpha, T, M)
@@ -465,7 +463,6 @@ def roc_curve(
     size_grid=DEFAULT_SIZE_GRID,
     seed: int = DEFAULT_SEED,
     window_mode: str = "consecutive-windows",
-    n_mc: int = DEFAULT_N_MC,
     jobs: int = 1,
 ) -> list[ROCPoint]:
     """Power versus size over a fixed grid of nominal sizes.
@@ -479,7 +476,7 @@ def roc_curve(
     for size in sizes:
         if not 0.0 < size < 1.0:
             raise ValueError(f"sizes must lie in (0, 1), got {size}")
-    threshold_at = _study_threshold(T, M, n_mc, seed)
+    threshold_at = _study_threshold(T, M, seed)
     specs, streams = _alternative(F, [ma_order], window_mode)
     [stats] = _study_statistics(specs, streams, replications, M, T, window_mode, seed, jobs)
     return _roc_points(stats, threshold_at, sizes)
@@ -503,16 +500,10 @@ def write_map_csv(path: str, cmap: CoherenceMap) -> None:
 
 
 def write_power_csv(path: str, points: list[PowerPoint]) -> None:
+    # int() and float() first, so numpy scalars print as plain numbers.
     rows = [
-        [
-            pt.ma_order,
-            repr(pt.power),
-            repr(pt.std_error),
-            repr(pt.alpha),
-            pt.replications,
-            pt.T,
-            pt.M,
-        ]
+        [int(pt.ma_order), *(repr(float(v)) for v in (pt.power, pt.std_error, pt.alpha)),
+         int(pt.replications), int(pt.T), int(pt.M)]
         for pt in points
     ]
     header = ["ma_order", "power", "std_error", "alpha", "replications", "T", "M"]
@@ -520,7 +511,7 @@ def write_power_csv(path: str, points: list[PowerPoint]) -> None:
 
 
 def write_roc_csv(path: str, points: list[ROCPoint]) -> None:
-    rows = [[repr(pt.size), repr(pt.power), repr(pt.std_error)] for pt in points]
+    rows = [[repr(float(v)) for v in (pt.size, pt.power, pt.std_error)] for pt in points]
     atomic_write(path, (_csv_text(["size", "power", "std_error"], rows),))
 
 

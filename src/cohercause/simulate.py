@@ -121,9 +121,9 @@ def _bind_lfilter():
 lfilter = _bind_lfilter()
 
 
-def _geometric(c0: float, ratio: float, tol: float = COEFF_TOL) -> np.ndarray:
-    """One-sided sequence c0 * ratio^k truncated where |c0 ratio^K| < tol."""
-    K = int(math.ceil(math.log(tol / abs(c0)) / math.log(abs(ratio))))
+def _geometric(c0: float, ratio: float) -> np.ndarray:
+    """One-sided sequence c0 * ratio^k truncated where |c0 ratio^K| < COEFF_TOL."""
+    K = int(math.ceil(math.log(COEFF_TOL / abs(c0)) / math.log(abs(ratio))))
     return c0 * ratio ** np.arange(K + 1)
 
 
@@ -211,8 +211,6 @@ class BarnettModelSpec:
     def coupling(self) -> float:
         """The cross-channel coefficient c; zero iff the transfer entropy is."""
         F = self.transfer_entropy
-        if F == 0:
-            return 0.0
         return math.sqrt(math.exp(-F) * math.expm1(F) * (math.exp(F) - self.b**2))
 
     @property
@@ -427,10 +425,8 @@ def lag_window_covariance(
     This is the embedding geometry of the causality test; its partial
     coherence is the population value the sample statistic estimates.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    seqs = analytic_covariances(spec, T)
     rows = LagSpec.influence_test(T).rows
+    seqs = analytic_covariances(spec, T)
     return composite_from_sequences(seqs, rows[:T], rows[T : T + 1], rows[T + 1 :])
 
 

@@ -378,6 +378,15 @@ class TestSpectral:
         window_rate = 1.0 - det_q ** (1.0 / W)
         assert sp.broadband_rho2 == pytest.approx(window_rate, rel=0.02)
 
+    def test_lists_match_arrays(self):
+        seqs = analytic_covariances(MAFilterSpec.from_case("I"), 16)
+        arrays = spectral_partial_coherence(seqs.xx, seqs.yy, seqs.xy, 256)
+        lists = spectral_partial_coherence(
+            seqs.xx.tolist(), seqs.yy.tolist(), seqs.xy.tolist(), 256
+        )
+        assert lists.broadband_rho2 == arrays.broadband_rho2
+        assert np.array_equal(lists.narrowband_k2, arrays.narrowband_k2)
+
     def test_grid_must_exceed_support(self):
         with pytest.raises(ValueError, match="support"):
             spectral_partial_coherence(np.ones(65), np.ones(65), np.ones(65), 64)

@@ -33,6 +33,8 @@ from cohercause import (
 from cohercause import experiments, inference, simulate
 from cohercause.coherence import _log_det_q
 from cohercause.experiments import (
+    PowerPoint,
+    ROCPoint,
     _consecutive_stats,
     _independent_stats,
     _study_statistics,
@@ -327,7 +329,7 @@ class TestSharedCore:
                 return self.rng.standard_normal(size)
 
         monkeypatch.setattr(simulate, "stream_rng", lambda *key: Counting(real(*key)))
-        kwargs = dict(F=0.1, replications=300, M=150, T=2, seed=5, n_mc=20_000)
+        kwargs = dict(F=0.1, replications=300, M=150, T=2, seed=5)
         one = power_curve([0], **kwargs)
         assert sum(drawn) == 2 * (BURN_IN + 300 * 152)
         drawn.clear()
@@ -502,6 +504,15 @@ class TestCoherenceMap:
         future = cmap.values[3, 0]  # s = 3, t = 0 -> s > t
         assert on_diag > 10 * future
 
+    def test_list_and_generator_ranges(self):
+        spec = MAFilterSpec.from_case("II")
+        ref = coherence_map(spec, range(0, 3), range(1, 4), T_cond=6)
+        cmap = coherence_map(spec, [0, 1, 2], (t for t in range(1, 4)), T_cond=6)
+        assert np.array_equal(cmap.values, ref.values)
+        for got in (cmap.s_range, cmap.t_range, ref.s_range):
+            assert isinstance(got, np.ndarray) and got.dtype.kind == "i"
+        assert cmap.t_range.tolist() == [1, 2, 3]
+
     def test_bad_model_type(self):
         sequences = analytic_covariances(MAFilterSpec.from_case("I"), 4)
         for model in (42, sequences):
@@ -514,7 +525,7 @@ class TestCalibrateSize:
         est = calibrate_size(
             BarnettModelSpec(transfer_entropy=0.0, ma_order=1),
             alpha=0.05, replications=2000, M=200, T=3,
-            window_mode="independent-realizations", seed=7, n_mc=50_000,
+            window_mode="independent-realizations", seed=7,
         )
         assert est.achieved == pytest.approx(0.05, abs=3 * 0.0055)
         assert est.window_mode == "independent-realizations"
@@ -522,7 +533,7 @@ class TestCalibrateSize:
     def test_alpha_monotonicity(self):
         kwargs = dict(
             replications=2000, M=200, T=3,
-            window_mode="independent-realizations", seed=7, n_mc=50_000,
+            window_mode="independent-realizations", seed=7,
         )
         spec = BarnettModelSpec(transfer_entropy=0.0, ma_order=1)
         small = calibrate_size(spec, alpha=0.01, **kwargs)
@@ -538,7 +549,7 @@ class TestPowerCurve:
     def test_power_increases_with_effect_size(self):
         kwargs = dict(
             alpha=0.05, replications=800, M=200, T=3, seed=11,
-            window_mode="consecutive-windows", n_mc=50_000,
+            window_mode="consecutive-windows",
         )
         weak = power_curve([0, 1], F=0.02, **kwargs)
         strong = power_curve([0, 1], F=0.2, **kwargs)
@@ -548,7 +559,7 @@ class TestPowerCurve:
     def test_null_power_matches_alpha(self):
         pts = power_curve(
             [1], F=0.0, alpha=0.05, replications=2000, M=200, T=3, seed=13,
-            window_mode="independent-realizations", n_mc=50_000,
+            window_mode="independent-realizations",
         )
         assert pts[0].power == pytest.approx(0.05, abs=0.02)
 
@@ -557,27 +568,28 @@ class TestPowerCurve:
         for M in (250, 500, 1000):
             pts = power_curve(
                 [1], F=0.02, alpha=0.05, replications=2000, M=M, T=10,
-                seed=31, window_mode="consecutive-windows", n_mc=50_000,
+                seed=31, window_mode="consecutive-windows",
             )
             powers.append(pts[0].power)
         assert powers[0] < powers[1] < powers[2]
 
     def test_point_metadata(self):
-        pts = power_curve(
-            [0, 2], F=0.1, alpha=0.1, replications=800, M=150, T=2, seed=3,
-            n_mc=20_000,
-        )
+        pts = power_curve([0, 2], F=0.1, alpha=0.1, replications=800, M=150, T=2, seed=3)
         assert [pt.ma_order for pt in pts] == [0, 2]
         assert all(pt.replications == 800 and pt.M == 150 for pt in pts)
         assert all(0 <= pt.power <= 1 for pt in pts)
         assert all(pt.std_error < 0.02 for pt in pts)
+
+    def test_one_pass_generator_of_orders(self):
+        kwargs = dict(F=0.1, replications=300, M=150, T=2, seed=3)
+        assert power_curve((order for order in (0, 2)), **kwargs) == power_curve([0, 2], **kwargs)
 
 
 class TestRocCurve:
     def test_monotone_and_bounded(self):
         pts = roc_curve(
             F=0.1, ma_order=1, replications=800, M=200, T=3,
-            size_grid=(0.01, 0.05, 0.2, 0.5), seed=5, n_mc=50_000,
+            size_grid=(0.01, 0.05, 0.2, 0.5), seed=5,
         )
         powers = [pt.power for pt in pts]
         assert powers == sorted(powers)
@@ -587,7 +599,7 @@ class TestRocCurve:
         pts = roc_curve(
             F=0.0, ma_order=1, replications=2000, M=200, T=3,
             size_grid=(0.05, 0.2, 0.5), seed=17,
-            window_mode="independent-realizations", n_mc=50_000,
+            window_mode="independent-realizations",
         )
         for pt in pts:
             band = 3 * np.sqrt(pt.size * (1 - pt.size) / 2000)
@@ -596,7 +608,7 @@ class TestRocCurve:
     def test_dominates_diagonal_under_coupling(self):
         pts = roc_curve(
             F=0.2, ma_order=0, replications=800, M=200, T=3,
-            size_grid=(0.01, 0.05, 0.2), seed=19, n_mc=50_000,
+            size_grid=(0.01, 0.05, 0.2), seed=19,
         )
         for pt in pts:
             assert pt.power > pt.size
@@ -604,18 +616,19 @@ class TestRocCurve:
     def test_consistent_with_power_curve(self):
         # same seed, same order, same replications: the 0.05 grid point
         # must reproduce the power curve exactly (shared streams)
-        common = dict(replications=600, M=200, T=3, seed=23, n_mc=50_000)
+        common = dict(replications=600, M=200, T=3, seed=23)
         pts = roc_curve(F=0.1, ma_order=1, size_grid=(0.05,), **common)
         pw = power_curve([1], F=0.1, alpha=0.05, **common)
         assert pts[0].power == pw[0].power
 
     def test_too_few_null_draws_rejected(self):
-        with pytest.raises(ValueError, match="n_mc=2000 gives insufficient tail"):
-            roc_curve(replications=600, M=100, T=2, size_grid=(0.01, 0.5), n_mc=2000)
+        # The study law's 200,000 draws hold 20 in the tail of size 1e-4, fewer than 50.
+        with pytest.raises(ValueError, match="n_mc=200000 gives insufficient tail"):
+            roc_curve(replications=600, M=100, T=2, size_grid=(1e-4, 0.5))
 
     def test_size_grid_validated(self):
         with pytest.raises(ValueError, match="sizes"):
-            roc_curve(replications=600, M=100, T=2, size_grid=(0.0, 0.5), n_mc=20_000)
+            roc_curve(replications=600, M=100, T=2, size_grid=(0.0, 0.5))
 
 
 class TestWriters:
@@ -640,20 +653,35 @@ class TestWriters:
         assert float(rows[0]["rho2"]) == pytest.approx(cmap.values[0, 0])
 
     def test_power_and_roc_csv(self, tmp_path):
-        pts = power_curve([0], F=0.1, replications=600, M=150, T=2, seed=3,
-                          n_mc=20_000)
+        pts = power_curve([0], F=0.1, replications=600, M=150, T=2, seed=3)
         p1 = tmp_path / "power.csv"
         write_power_csv(str(p1), pts)
         with open(p1) as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["ma_order"] == "0"
         rpts = roc_curve(F=0.1, replications=600, M=150, T=2,
-                         size_grid=(0.1, 0.5), seed=3, n_mc=20_000)
+                         size_grid=(0.1, 0.5), seed=3)
         p2 = tmp_path / "roc.csv"
         write_roc_csv(str(p2), rpts)
         text = p2.read_text()
         assert text.startswith("size,power,std_error\n")
         assert "\r" not in text
+
+    def test_numpy_scalars_written_as_plain_numbers(self, tmp_path):
+        # A study run with numpy arguments writes the bytes of the same study run
+        # with Python ones, and so do points built from numpy scalars.
+        kwargs = dict(F=0.1, replications=300, M=150, T=2, seed=3)
+        write_power_csv(str(tmp_path / "np.csv"),
+                        power_curve(np.arange(2), alpha=np.float64(0.05), **kwargs))
+        write_power_csv(str(tmp_path / "py.csv"), power_curve([0, 1], alpha=0.05, **kwargs))
+        assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "py.csv").read_bytes()
+        power = [PowerPoint(np.int64(2), np.float64(0.5), np.float64(0.25), np.float64(0.05),
+                            np.int64(300), np.int64(2), np.int64(150))]
+        roc = [ROCPoint(np.float64(0.05), np.float64(0.5), np.float64(0.25))]
+        write_power_csv(str(tmp_path / "power.csv"), power)
+        write_roc_csv(str(tmp_path / "roc.csv"), roc)
+        assert (tmp_path / "power.csv").read_text().splitlines()[1] == "2,0.5,0.25,0.05,300,2,150"
+        assert (tmp_path / "roc.csv").read_text().splitlines()[1] == "0.05,0.5,0.25"
 
     def test_summary_json_and_atomicity(self, tmp_path):
         path = tmp_path / "summary.json"
@@ -672,7 +700,7 @@ class TestWriters:
 
     def test_byte_identical_reruns(self, tmp_path):
         args = dict(F=0.05, ma_order=0, replications=600, M=150, T=2,
-                    size_grid=(0.1, 0.3), seed=29, n_mc=20_000)
+                    size_grid=(0.1, 0.3), seed=29)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         write_roc_csv(str(a), roc_curve(**args))

@@ -1,6 +1,8 @@
 """The package's public names resolve, and the test-only routes stay out of it."""
 import ast
 import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,18 @@ def test_all_names_exist(module):
     mod = importlib.import_module(module)
     assert len(set(mod.__all__)) == len(mod.__all__)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", [*MODULES, "cli", "streams"])
+def test_annotations_resolve(module):
+    # Every annotation of a module's functions, classes and methods names what the
+    # module binds, so that typing.get_type_hints, and the tools built on it, can read it.
+    mod = importlib.import_module(f"cohercause.{module}")
+    for obj in vars(mod).values():
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == mod.__name__:
+            methods = [v for v in vars(obj).values() if inspect.isfunction(v)]
+            for target in [obj, *(methods if inspect.isclass(obj) else [])]:
+                typing.get_type_hints(target)
 
 
 def test_star_import_binds_exactly_all():

@@ -527,6 +527,11 @@ class TestSequenceCsv:
         csv_writer_sequence(str(tmp_path / "loop.csv"), x, y)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
+    def test_lists_written_as_floats(self, tmp_path):
+        path = tmp_path / "pair.csv"
+        write_sequence_csv(str(path), [1, 0.5], [-2, 3.25])
+        assert path.read_text() == "t,x,y\n0,1.0,-2.0\n1,0.5,3.25\n"
+
     def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
         path = tmp_path / "pair.csv"
         path.write_bytes(b"t,x,y\n0,1.0,2.0\n")
