@@ -3,11 +3,12 @@
 
 Writes the size calibration, the power-versus-MA-order curve and the ROC
 curve as plot-ready CSVs plus a JSON summary holding every parameter and
-the master seed. The full run uses 10,000 replications per point;
---fast drops to 2,000 for a desk-scale pass and may not be combined with
---replications. The power curve and the ROC (MA order 1) read one array
-of statistics, drawn once for orders 0..10, at thresholds from one draw
-of the null law. --jobs spreads every study's work over that many threads
+the master seed. The full run uses 10,000 replications per point (at
+least 1,000); --fast drops to 2,000 for a desk-scale pass and may not be
+combined with --replications. The power curve and the ROC (MA order 1)
+read one array of statistics, drawn once for orders 0..10, and both size
+calibrations, power and the ROC read their thresholds from one draw of
+the null law. --jobs spreads every study's work over that many threads
 as the CLI's does, with the same default and COHERCAUSE_JOBS rule; the
 outputs do not depend on it.
 """
@@ -18,13 +19,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from cohercause import (
-    BarnettModelSpec,
-    calibrate_size,
-    write_power_csv,
-    write_roc_csv,
-    write_summary_json,
-)
+from cohercause import BarnettModelSpec, write_power_csv, write_roc_csv, write_summary_json
 from cohercause.cli import _checked_jobs
 from cohercause.experiments import (
     DEFAULT_ALPHA,
@@ -36,6 +31,7 @@ from cohercause.experiments import (
     FAST_REPLICATIONS,
     _alternative,
     _power_points,
+    _rejection_rate,
     _roc_points,
     _study_statistics,
     _study_threshold,
@@ -62,31 +58,34 @@ def main() -> int:
     jobs = _checked_jobs(parser, args.jobs)
 
     reps = args.replications
+    if reps < 1000:
+        parser.error(f"--replications must be >= 1000 for the size calibration, got {reps}")
     os.makedirs(args.outdir, exist_ok=True)
     t0 = time.monotonic()
 
-    size_ind = calibrate_size(
-        BarnettModelSpec(transfer_entropy=0.0, ma_order=1),
-        alpha=args.alpha, replications=reps, M=args.M, T=args.T,
-        window_mode="independent-realizations", seed=args.seed, jobs=jobs,
+    # Every reading below takes its thresholds from this one draw of the null law.
+    threshold_at = _study_threshold(args.T, args.M, args.seed)
+    threshold = threshold_at(args.alpha)
+    # calibrate_size in both window modes, from the same statistics and threshold.
+    null = [BarnettModelSpec(transfer_entropy=0.0, ma_order=1)]
+    (size_ind, se_ind), (size_con, se_con) = (
+        _rejection_rate(
+            _study_statistics(null, [0], reps, args.M, args.T, mode, args.seed, jobs)[0],
+            threshold,
+        )
+        for mode in ("independent-realizations", "consecutive-windows")
     )
-    size_con = calibrate_size(
-        BarnettModelSpec(transfer_entropy=0.0, ma_order=1),
-        alpha=args.alpha, replications=reps, M=args.M, T=args.T,
-        window_mode="consecutive-windows", seed=args.seed, jobs=jobs,
-    )
-    print(f"achieved size: independent={size_ind.achieved:.4f} "
-          f"(se {size_ind.std_error:.4f}), consecutive={size_con.achieved:.4f} "
-          f"(se {size_con.std_error:.4f})")
+    print(f"achieved size: independent={size_ind:.4f} "
+          f"(se {se_ind:.4f}), consecutive={size_con:.4f} "
+          f"(se {se_con:.4f})")
 
     # power_curve(range(0, 11)) and roc_curve(ma_order=1) in consecutive-window
-    # mode, from one draw of their statistics and one of the null law.
+    # mode, from one draw of their statistics.
     orders = range(0, 11)
     mode = "consecutive-windows"
     specs, streams = _alternative(args.transfer_entropy, orders, mode)
     stats = _study_statistics(specs, streams, reps, args.M, args.T, mode, args.seed, jobs)
-    threshold_at = _study_threshold(args.T, args.M, args.seed)
-    points = _power_points(orders, stats, threshold_at(args.alpha), args.alpha, args.T, args.M)
+    points = _power_points(orders, stats, threshold, args.alpha, args.T, args.M)
     for pt in points:
         print(f"MA order {pt.ma_order:2d}: power {pt.power:.3f} "
               f"(se {pt.std_error:.4f})")
@@ -106,8 +105,8 @@ def main() -> int:
             "M": args.M,
             "T": args.T,
             "alpha": args.alpha,
-            "achieved_size_independent": size_ind.achieved,
-            "achieved_size_consecutive": size_con.achieved,
+            "achieved_size_independent": size_ind,
+            "achieved_size_consecutive": size_con,
             "power": {pt.ma_order: pt.power for pt in points},
             "roc": {pt.size: pt.power for pt in roc},
             "elapsed_seconds": round(time.monotonic() - t0, 1),

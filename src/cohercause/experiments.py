@@ -22,19 +22,21 @@ is formed. Chunk i of replications consumes stream (seed, stream, i).
 "consecutive-windows" carves one long simulated sequence into
 back-to-back windows, reproducing the original experimental protocol
 with its weakly dependent columns. The sequence is streamed: the
-generator yields it in blocks of one panel's windows, so memory does not
-grow with the number of replications. ``power_curve`` and ``roc_curve``
-draw one AR core from stream (seed, 1) for every MA order and filter each
-block of it through every order's MA polynomial (common random numbers).
-Each block's panel rows are
-laid out by ``LagSpec.rows``, as in ``lag_embed``: one zero-copy view per
-row over the block reshaped to one window per row, gathered into ``jobs``
-reused panel buffers of about 10 MB together, one per contiguous range of
-the block's windows; each range carves every order. Its windows are
-centred by conditioning: removing each row's mean is the projection onto a
-constant regressor (Frisch-Waugh-Lovell), so a row of ones written once at
-the end of z, which the kernel's one Cholesky factor projects out, replaces
-a centring pass over the data.
+generator yields it in core blocks of ``_window_chunk`` windows (59 at
+T 10, M 1000), so memory does not grow with the number of replications.
+``power_curve`` and ``roc_curve`` draw one AR core from stream (seed, 1)
+for every MA order and filter each block of it through every order's MA
+polynomial (common random numbers). Each block's windows are cut into
+``jobs`` contiguous ranges, and each range carves every order. Its panel
+rows are laid out by ``LagSpec.rows``, as in ``lag_embed``: one zero-copy
+view per row over the block reshaped to one window per row, gathered batch
+by batch into the range's reused panel of about 1 MiB (5 windows at the
+defaults), which stays in L2 between its fill and its Gram. Each batch
+writes its Grams into one stack for the range, and the kernel runs once on
+that stack. The windows are centred by conditioning: removing each row's
+mean is the projection onto a constant regressor (Frisch-Waugh-Lovell), so
+a row of ones written once at the end of z, which the kernel's one
+Cholesky factor projects out, replaces a centring pass over the data.
 """
 from __future__ import annotations
 
@@ -84,6 +86,9 @@ FAST_REPLICATIONS = 2_000
 DEFAULT_SIZE_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
 
 _MVN_CHUNK = 200
+# A consecutive-window panel of this size stays in a core's L2 cache (commonly
+# 1-2 MiB) between the fill of its windows and their Grams.
+_PANEL_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -173,18 +178,21 @@ def _independent_stats(
 
 
 def _window_chunk(T: int, M: int) -> int:
-    """Windows per reused panel of about ``_WINDOW_CHUNK_BYTES``.
+    """Windows per core block: as many as fill ``_WINDOW_CHUNK_BYTES`` of panel.
 
     A window's panel has the 2T + 1 rows of the influence-test embedding
-    and the row of ones, each M columns long.
+    and the row of ones, each M columns long. The panel itself holds only
+    the windows of ``_PANEL_BYTES`` at a time.
     """
     return max(1, _WINDOW_CHUNK_BYTES // ((2 * T + 2) * M * 8))
 
 
 def _panel(T: int, M: int, n_windows: int) -> np.ndarray:
-    """A reused window panel: ``_window_chunk`` windows (at most ``n_windows``)
-    of the influence-test rows and the row of ones, written here once."""
-    D = np.empty((min(_window_chunk(T, M), n_windows), 2 * T + 2, M))
+    """A reused window panel: the windows that fill about ``_PANEL_BYTES``
+    (at least one, at most ``n_windows``) of the influence-test rows and the
+    row of ones, written here once."""
+    window_bytes = (2 * T + 2) * M * 8
+    D = np.empty((min(max(1, _PANEL_BYTES // window_bytes), n_windows), 2 * T + 2, M))
     D[:, 2 * T + 1 :] = 1.0
     return D
 
@@ -197,10 +205,13 @@ def _consecutive_stats(
     Each window is M + T samples long, and the samples past the last whole
     window are not used. Each window yields M full-context columns of the
     influence-test embedding. Its rows are zero-copy views of the sequence
-    reshaped to one window per row, copied chunk by chunk into one reused
-    panel of about ``_WINDOW_CHUNK_BYTES``, which stays cache-resident for
-    any M and T; a caller that carves many sequences passes one ``buffer``
-    from :func:`_panel` to all of them. The
+    reshaped to one window per row, copied batch by batch into one reused
+    panel of about ``_PANEL_BYTES``, small enough to stay in L2 between its
+    fill and its Gram; a caller that carves many sequences passes one
+    ``buffer`` from :func:`_panel` to all of them. Each batch writes its
+    Grams into one stack for all the windows, and the kernel runs once on
+    it, so memory grows by a Gram (3.9 KB at T 10) per window: the studies
+    pass one core block's range at a time. The
     panel has one more row, all ones, written once and kept at the end of
     z: conditioning on it centres every window without a pass over the data
     (Frisch-Waugh-Lovell), and the kernel's one Cholesky factor does that
@@ -211,20 +222,19 @@ def _consecutive_stats(
     window = M + T
     k = x.size // window
     D = _panel(T, M, k) if buffer is None else buffer
-    chunk = len(D)
-    out = np.empty(k)
+    batch = len(D)
+    S = np.empty((k, 2 * T + 2, 2 * T + 2))
     # Entry [w, c] of each view is the row's sample at column c of window w.
     views = _row_views(
         x[: k * window].reshape(k, window), y[: k * window].reshape(k, window),
         LagSpec.influence_test(T).rows,
     )
-    for w0 in range(0, k, chunk):
-        panel = D[: min(chunk, k - w0)]
+    for w0 in range(0, k, batch):
+        panel = D[: min(batch, k - w0)]
         for i, v in enumerate(views):
-            panel[:, i] = v[w0 : w0 + chunk]
-        S = panel @ np.swapaxes(panel, 1, 2)
-        out[w0 : w0 + len(panel)] = -np.expm1(_log_det_q(S, T, 1, T + 1))
-    return out
+            panel[:, i] = v[w0 : w0 + batch]
+        np.matmul(panel, np.swapaxes(panel, 1, 2), out=S[w0 : w0 + len(panel)])
+    return -np.expm1(_log_det_q(S, T, 1, T + 1))
 
 
 def _study_statistics(
@@ -237,12 +247,12 @@ def _study_statistics(
     (seed, streams[i], c), the chunks of every spec on the one pool. With
     consecutive windows the specs differ only in their MA polynomials, so
     they filter one AR core of ``specs[0]``, drawn from stream
-    (seed, streams[0]) in blocks of one panel's windows; row i equals
+    (seed, streams[0]) in blocks of ``_window_chunk`` windows; row i equals
     ``_consecutive_stats(*gen_barnett(specs[i], ..., seed, streams[0]), T, M)``
     bit for bit. Each block's windows are cut into ``jobs`` contiguous
-    ranges; a task carves every spec over one non-empty range on its own
-    reused panel, the ``jobs`` panels holding one panel's windows together,
-    so every worker is used even for one spec. The blocks are submitted one
+    ranges; a task carves every spec over one non-empty range, in batches
+    of its own small reused panel, so every worker is used even for one
+    spec. The blocks are submitted one
     at a time, so memory does not grow with ``replications`` or the number
     of specs. Either way the result does not depend on ``jobs``.
     """

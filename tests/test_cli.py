@@ -18,7 +18,7 @@ from helpers import DEGENERATE_BLOCKS, degenerate_pair
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # Peak RSS of default-replication `power --orders 0..1 --jobs 2`, as the README states.
-POWER_PEAK_RSS_MB = 250
+POWER_PEAK_RSS_MB = 100
 
 
 def run_cli(capsys, *argv):

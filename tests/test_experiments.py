@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -229,23 +231,70 @@ class TestConsecutiveCarving:
     @pytest.mark.parametrize(
         "T, M, n_windows, extra, chunks",
         [
-            (30, 2000, 25, 0, 3),  # last of three chunks is partial
+            (30, 2000, 25, 0, 3),  # last of three core blocks is partial
             (30, 2000, 25, 777, 3),  # sequence longer than the windows
             (10, 1000, 130, 13, 3),  # the power study's window shape
-            (4, 60, 7, 0, 1),  # fewer windows than one chunk holds
+            (4, 60, 7, 0, 1),  # fewer windows than one block holds
         ],
     )
     def test_bit_identical_to_per_window_loop(
         self, T, M, n_windows, extra, chunks
     ):
-        chunk = experiments._WINDOW_CHUNK_BYTES // ((2 * T + 2) * M * 8)
+        chunk = experiments._window_chunk(T, M)
         assert -(-n_windows // chunk) == chunks
         assert chunks == 1 or n_windows % chunk != 0
         spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
         x, y = gen_barnett(spec, n_windows * (M + T) + extra, 11)
-        fast = _consecutive_stats(x, y, T, M)
         slow = per_window_consecutive_stats(x, y, T, M, n_windows)
-        assert np.array_equal(fast, slow)
+        assert np.array_equal(_consecutive_stats(x, y, T, M), slow)
+        # Carved as the studies carve it: core block by core block, through one
+        # reused panel (5 windows at T 10, M 1000, so 59-window blocks end in a
+        # partial batch); the last block keeps the samples past the windows.
+        buffer = experiments._panel(T, M, chunk)
+        ends = [min(w0 + chunk, n_windows) * (M + T) for w0 in range(0, n_windows, chunk)]
+        ends[-1] = x.size
+        blocks = [
+            _consecutive_stats(x[a:b], y[a:b], T, M, buffer) for a, b in zip([0, *ends], ends)
+        ]
+        assert np.array_equal(np.concatenate(blocks), slow)
+
+    @pytest.mark.parametrize(
+        "n_windows, panel", [(5, 2), (7, 2), (13, 3), (12, 5), (3, 5)],
+    )
+    def test_panel_batches_bit_identical(self, monkeypatch, n_windows, panel):
+        # Panels of fewer windows than the sequence has, most ending in a partial
+        # batch; the last case's panel is cut to the sequence's 3 windows.
+        T, M = 3, 50
+        monkeypatch.setattr(experiments, "_PANEL_BYTES", panel * (2 * T + 2) * M * 8)
+        assert len(experiments._panel(T, M, n_windows)) == min(panel, n_windows)
+        spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=2)
+        x, y = gen_barnett(spec, n_windows * (M + T) + 17, 11)
+        slow = per_window_consecutive_stats(x, y, T, M, n_windows)
+        assert np.array_equal(_consecutive_stats(x, y, T, M), slow)
+        buffer = experiments._panel(T, M, n_windows)
+        assert np.array_equal(_consecutive_stats(x, y, T, M, buffer), slow)
+        # The buffer's row of ones survives its reuse.
+        assert np.array_equal(buffer[:, 2 * T + 1], np.ones((len(buffer), M)))
+
+    def test_traced_peak_is_one_small_panel(self):
+        # One default core block carved through a panel of about _PANEL_BYTES:
+        # the traced peak is the panel and the block's Gram stack, plus the
+        # kernel's reordered copy and factor of that stack and small arrays.
+        T, M = 10, 1000
+        k = experiments._window_chunk(T, M)
+        assert k == 59
+        x, y = gen_barnett(BarnettModelSpec(transfer_entropy=0.02, ma_order=1), k * (M + T), 3)
+        # The 5 windows of 22 x 1000 doubles that fit in 1 MiB.
+        panel_bytes = 5 * (2 * T + 2) * M * 8
+        gram_bytes = k * (2 * T + 2) ** 2 * 8
+        slack = 3 * gram_bytes + 64 * 1024
+        tracemalloc.start()
+        try:
+            _consecutive_stats(x, y, T, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert panel_bytes + gram_bytes <= peak < panel_bytes + gram_bytes + slack
 
     def test_streamed_blocks_match_one_sequence(self):
         # Generator blocks of three windows, the last one shorter, carved one by one.
@@ -276,13 +325,17 @@ class TestSharedCore:
         ],
     )
     def test_orders_match_one_order_route(self, monkeypatch, orders, jobs):
-        # Three windows per panel make blocks of 3 windows, each cut into
-        # jobs window ranges (the last block of 1 window leaves some empty,
-        # and they are not carved), so the core's last samples are carried
-        # across block and range boundaries.
-        T, M, n_windows, seed = 3, 50, 10, 8
-        monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", 3 * (2 * T + 2) * M * 8)
-        assert experiments._window_chunk(T, M) == 3
+        # Core blocks of 5 windows (the last of 2), each cut into jobs window
+        # ranges (the last block leaves one empty at jobs 3, and it is not
+        # carved), so the core's last samples are carried across block and
+        # range boundaries. Panels hold 2 windows, so a block's or a range's
+        # last batch is partial.
+        T, M, n_windows, seed = 3, 50, 12, 8
+        window_bytes = (2 * T + 2) * M * 8
+        monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", 5 * window_bytes)
+        monkeypatch.setattr(experiments, "_PANEL_BYTES", 2 * window_bytes)
+        assert experiments._window_chunk(T, M) == 5
+        assert len(experiments._panel(T, M, n_windows)) == 2
         specs = [BarnettModelSpec(transfer_entropy=0.1, ma_order=order) for order in orders]
         stats = _study_statistics(
             specs, [1] * len(specs), n_windows, M, T, "consecutive-windows", seed, jobs
@@ -291,6 +344,39 @@ class TestSharedCore:
             # The one-block sequence has no block boundary to carry across.
             whole = gen_barnett(spec, n_windows * (M + T), seed, stream=1)
             assert np.array_equal(got, _consecutive_stats(*whole, T, M))
+            assert np.array_equal(got, per_window_consecutive_stats(*whole, T, M, n_windows))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_carving_error_reaches_caller(self, jobs):
+        # M = 5 columns cannot hold the rank of 2T + 2 = 8 rows, so the kernel
+        # raises inside each carving task, and the study raises it.
+        spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=1)
+        with pytest.raises(CovarianceError, match="rank-deficient"):
+            _study_statistics([spec], [0], 6, 5, 3, "consecutive-windows", 1, jobs)
+
+    def test_blocks_never_share_a_panel(self, monkeypatch):
+        # Blocks of 3 windows cut into ranges of 1 and 2 at jobs=2; the 1-window
+        # range is carved fast and the 2-window range slowly. If the next block
+        # were submitted before this one's tasks ended, the fast worker would
+        # take both of its ranges and reach the slow range's panel while the
+        # slow task still fills it.
+        T, M = 3, 50
+        monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", 3 * (2 * T + 2) * M * 8)
+        real, lock, busy, clashes = experiments._consecutive_stats, threading.Lock(), set(), []
+
+        def carve(x, y, T, M, buffer):
+            with lock:
+                clashes.append(id(buffer) in busy)
+                busy.add(id(buffer))
+            time.sleep(0.01 if x.size < 2 * (M + T) else 0.2)
+            with lock:
+                busy.discard(id(buffer))
+            return real(x, y, T, M, buffer)
+
+        monkeypatch.setattr(experiments, "_consecutive_stats", carve)
+        spec = BarnettModelSpec(transfer_entropy=0.1, ma_order=1)
+        _study_statistics([spec], [0], 6, M, T, "consecutive-windows", 8, 2)
+        assert len(clashes) == 4 and not any(clashes)
 
     def test_one_order_uses_every_worker(self, monkeypatch):
         # A one-order study at jobs=2 carves each block's two window ranges

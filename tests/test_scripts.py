@@ -1,9 +1,20 @@
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
-from cohercause import power_curve, roc_curve, write_power_csv, write_roc_csv
+import pytest
+
+from cohercause import (
+    BarnettModelSpec,
+    calibrate_size,
+    power_curve,
+    roc_curve,
+    write_power_csv,
+    write_roc_csv,
+)
+from cohercause import experiments
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -48,6 +59,19 @@ def test_run_power_study(tmp_path):
     write_roc_csv(str(tmp_path / "ref_roc.csv"), roc_curve(ma_order=1, **study))
     for name, ref in (("power_vs_ma_order.csv", "ref_power.csv"), ("roc.csv", "ref_roc.csv")):
         assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes()
+    # Both sizes, read at the script's one threshold, are calibrate_size's.
+    null = BarnettModelSpec(transfer_entropy=0.0, ma_order=1)
+    for key, mode in (("independent", "independent-realizations"),
+                      ("consecutive", "consecutive-windows")):
+        size = calibrate_size(null, window_mode=mode, **study)
+        assert summary[f"achieved_size_{key}"] == size.achieved
+    few = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_power_study.py"), "--replications", "999",
+         "--outdir", str(tmp_path / "never")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert few.returncode == 2
+    assert "--replications must be >= 1000" in few.stderr
     clash = subprocess.run(
         [*script, "--fast", "--outdir", str(tmp_path / "never")],
         capture_output=True, text=True, timeout=300,
@@ -55,6 +79,20 @@ def test_run_power_study(tmp_path):
     assert clash.returncode == 2
     assert "--fast" in clash.stderr and "--replications" in clash.stderr
     assert not (tmp_path / "never").exists()
+
+
+def test_run_power_study_draws_one_null_law(tmp_path, monkeypatch):
+    # Both size calibrations, power and the ROC read one draw of the null law.
+    draws, real = [], experiments.null_law
+    monkeypatch.setattr(experiments, "null_law", lambda *a, **k: draws.append(a) or real(*a, **k))
+    monkeypatch.setattr(sys, "argv", [
+        "run_power_study.py", "--replications", "1000", "--M", "60", "--T", "2", "--jobs", "1",
+        "--outdir", str(tmp_path),
+    ])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "run_power_study.py"), run_name="__main__")
+    assert done.value.code == 0
+    assert len(draws) == 1
 
 
 def test_run_power_study_jobs(tmp_path):
