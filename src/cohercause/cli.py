@@ -48,7 +48,7 @@ from .experiments import (
     write_roc_csv,
     write_summary_json,
 )
-from .inference import LagSpec, _row_views, _test_outcome, atomic_write, read_sequence_csv
+from .inference import LagSpec, atomic_write, lag_embed, read_sequence_csv, test_causal_influence
 from .nulldist import DEFAULT_N_MC, DEFAULT_SEED, WilksLambdaSpec, null_law
 from .simulate import (
     BarnettModelSpec,
@@ -252,11 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_test(args) -> int:
     data = read_sequence_csv(args.input)
-    spec = LagSpec.influence_test(T=args.lags, stride=args.stride)
-    # The Gram is gathered from views of the columns: no panel copy is made.
-    views = _row_views(data["x"], data["y"], spec.rows, spec.stride)
-    outcome = _test_outcome(
-        views, spec.dims, args.alpha, args.method, args.n_mc, args.seed, not args.no_center
+    panel = lag_embed(data["x"], data["y"], LagSpec.influence_test(args.lags, args.stride))
+    outcome = test_causal_influence(
+        panel, args.alpha, args.method, args.n_mc, args.seed, center=not args.no_center
     )
     text = outcome.to_json() + "\n"
     sys.stdout.write(text)
@@ -269,29 +267,26 @@ def _cmd_map(args) -> int:
     if args.input:
         data = read_sequence_csv(args.input)
         model = (data["x"], data["y"])
-        case = "data"
     elif args.case == "barnett":
         model = BarnettModelSpec(
             transfer_entropy=args.transfer_entropy, ma_order=args.ma_order
         )
-        case = "barnett"
     else:
         model = MAFilterSpec.from_case(args.case)
-        case = args.case
     cmap = coherence_map(
         model, args.s_range, args.t_range, conditioning=args.conditioning, T_cond=args.t_cond
     )
     write_map_csv(args.output, cmap)
     summary = {
         "command": "map",
-        "case": case,
+        "case": cmap.case,
         "conditioning": args.conditioning,
         "s_range": [args.s_range.start, args.s_range.stop - 1],
         "t_range": [args.t_range.start, args.t_range.stop - 1],
         "t_cond": args.t_cond,
         "output": args.output,
     }
-    if case == "barnett":
+    if cmap.case == "barnett":
         # Only the Barnett model reads the coupling and the MA order.
         summary.update(transfer_entropy=args.transfer_entropy, ma_order=args.ma_order)
     write_summary_json(args.summary or args.output + ".json", summary)

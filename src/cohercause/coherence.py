@@ -148,11 +148,9 @@ def _log_det_q(S: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
     large blocks; callers take rho2 = -expm1(log) and det_q = exp(log).
     """
     W = _whitened_cross(S, p, q, r)
-    k2 = np.linalg.eigvalsh(W @ np.swapaxes(W, -1, -2))
-    # Under the pivot rule a rounded zero eigenvalue stays far above -1, so the
-    # sum is >= 0 and the clamp acts only where W = 0: it makes the log +0.0,
-    # and rho2 -0.0, as the analytic map files print it.
-    return np.minimum(-np.sum(np.log1p(k2), axis=-1), 0.0)
+    # When p < q, q - p eigenvalues are zero and can round below it.
+    lam = np.maximum(np.linalg.eigvalsh(W @ np.swapaxes(W, -1, -2)), 0.0)
+    return -np.sum(np.log1p(lam), axis=-1)
 
 
 def partial_coherence(R: CompositeCovariance) -> PartialCoherenceResult:

@@ -49,7 +49,9 @@ import numpy as np
 
 from .coherence import _log_det_q
 from .covariance import BlockDims, CompositeCovariance
-from .inference import _WINDOW_CHUNK_BYTES, LagSpec, _row_views, _scaled_gram, atomic_write
+from .inference import (
+    _WINDOW_CHUNK_BYTES, LagSpec, _row_views, _scaled_gram, _sequence_pair, atomic_write,
+)
 from .nulldist import DEFAULT_SEED, WilksLambdaSpec, null_law
 from .simulate import (
     BarnettModelSpec,
@@ -377,9 +379,7 @@ def coherence_map(
     p = sum(ch == "x" for ch, _ in rows)
     if isinstance(model, tuple) and len(model) == 2:
         case = "data"
-        x_seq, y_seq = (np.asarray(seq, dtype=float) for seq in model)
-        if x_seq.ndim != 1 or x_seq.shape != y_seq.shape:
-            raise ValueError("x and y must be one-dimensional with equal length")
+        x_seq, y_seq = _sequence_pair(*model)
         gram = CompositeCovariance.from_matrix(
             _scaled_gram(_row_views(x_seq, y_seq, rows), center=True)[0],
             BlockDims(p, len(rows) - p, 0),

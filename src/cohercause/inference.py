@@ -7,9 +7,8 @@ floating-point scale and gathered one column chunk at a time, take its
 partial coherence (scale-invariant, so that of S = D D^T) as the test
 statistic, and compare it against the Wilks Lambda null law read by
 ``nulldist.null_law``. One minus it is the likelihood ratio for zero
-conditional x-y cross-covariance. ``cli test`` forms the Gram straight from
-the views, so D is never held whole; ``lag_embed`` copies it into a
-``DataPanel`` for library callers.
+conditional x-y cross-covariance. ``lag_embed`` returns a ``DataPanel`` of
+those views, so D is never held whole, in the library or in ``cli test``.
 
 A rejection is an indication of causal influence at the stated level,
 relative to the chosen prima facie conditioning; a non-rejection is a
@@ -147,7 +146,13 @@ class LagSpec:
 
 @dataclass(frozen=True)
 class DataPanel:
-    """Lag-embedded data matrix with rows grouped as (X; Y; Z).
+    """Lag-embedded data with rows grouped as (X; Y; Z).
+
+    ``data`` is the panel's rows in (x, y, z) order: a tuple of read-only
+    one-dimensional float arrays, ``dims.total`` of them, all of one length
+    M >= 1. A 2-D array is accepted as its sequence of rows. The panel reads
+    its rows in place and copies nothing, so it reflects later writes to the
+    arrays it was built from; ``np.asarray(panel.data)`` is the matrix.
 
     A panel is testable only when M > p + q + r (and strictly the Wilks
     law wants M - r > p + q); that is enforced where the statistic and
@@ -155,23 +160,24 @@ class DataPanel:
     constructible.
     """
 
-    data: np.ndarray
+    data: tuple[np.ndarray, ...]
     dims: BlockDims
 
     def __post_init__(self) -> None:
-        d = np.array(self.data, dtype=float)
-        if d.ndim != 2 or d.shape[0] != self.dims.total:
-            raise ValueError(
-                f"panel must be {self.dims.total} x M, got shape {d.shape}"
-            )
-        if d.shape[1] < 1:
+        rows = tuple(np.asarray(row, dtype=float).view() for row in self.data)
+        shapes = sorted({row.shape for row in rows})
+        if len(rows) != self.dims.total or len(shapes) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"panel must be {self.dims.total} equal-length rows, got "
+                             f"{len(rows)} of shapes {shapes}")
+        if not rows[0].size:
             raise ValueError("panel needs at least one column")
-        d.flags.writeable = False
-        object.__setattr__(self, "data", d)
+        for row in rows:
+            row.flags.writeable = False
+        object.__setattr__(self, "data", rows)
 
     @property
     def M(self) -> int:
-        return self.data.shape[1]
+        return len(self.data[0])
 
 
 def _row_views(x: np.ndarray, y: np.ndarray, rows, stride: int = 1) -> list[np.ndarray]:
@@ -227,19 +233,24 @@ def _scaled_gram(rows, center: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return gram, unit, spread
 
 
+def _sequence_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays; ``ValueError`` unless both are one-dimensional
+    of equal length."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("x and y must be one-dimensional with equal length")
+    return x, y
+
+
 def lag_embed(x_seq: np.ndarray, y_seq: np.ndarray, spec: LagSpec) -> DataPanel:
     """Build the data panel of two one-dimensional sequences for a lag spec.
 
     Column k holds the spec's rows at t = t_0 + k ``spec.stride``, where t_0
-    is the first t at which every offset lies inside the sequences.
+    is the first t at which every offset lies inside the sequences. Each row
+    is a zero-copy view of a sequence.
     """
-    x_seq = np.asarray(x_seq, dtype=float)
-    y_seq = np.asarray(y_seq, dtype=float)
-    if x_seq.shape != y_seq.shape:
-        raise ValueError("x and y sequences must have the same shape")
-    if x_seq.ndim != 1:
-        raise ValueError("lag_embed expects one-dimensional sequences")
-    return DataPanel(data=_row_views(x_seq, y_seq, spec.rows, spec.stride), dims=spec.dims)
+    x_seq, y_seq = _sequence_pair(x_seq, y_seq)
+    return DataPanel(_row_views(x_seq, y_seq, spec.rows, spec.stride), spec.dims)
 
 
 def sample_covariance(panel: DataPanel, center: bool = True) -> CompositeCovariance:
@@ -321,23 +332,15 @@ def test_causal_influence(
     continuous statistics and non-integer alpha (n_mc + 1)) exactly when
     p_value < alpha. So "wilks-mc" raises ``ValueError`` when fewer than
     50 of the n_mc null draws fall in a tail.
+
+    The Gram is gathered from the panel's rows one column chunk at a time,
+    so a panel of sequence views is tested without a copy of D.
     """
-    return _test_outcome(panel.data, panel.dims, alpha, method, n_mc, seed, center)
-
-
-def _test_outcome(
-    rows, dims: BlockDims, alpha: float, method: str, n_mc: int, seed: int, center: bool
-) -> TestOutcome:
-    """The test on equal-length rows in (x, y, z) order: a panel's, or row views.
-
-    M is the row length. ``cli test`` passes the views of its CSV columns,
-    so its Gram is gathered one chunk at a time and no panel is copied.
-    """
-    M = len(rows[0])
-    m_eff = M - 1 if center else M
+    dims = panel.dims
+    m_eff = panel.M - 1 if center else panel.M
     # Wilks solvency first, so short panels fail with the named dims.
     wspec = WilksLambdaSpec(dims.p, dims.q, dims.r, m_eff)
-    gram = _scaled_gram(rows, center)[0]
+    gram = _scaled_gram(panel.data, center)[0]
     stat = likelihood_ratio(CompositeCovariance.from_matrix(gram, dims))
     threshold_at, p_value_of = null_law(wspec, method, n_mc, seed)
     threshold = threshold_at(alpha)

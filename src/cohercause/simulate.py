@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import BlockDims, CompositeCovariance
-from .inference import LagSpec, atomic_write
+from .inference import LagSpec, _sequence_pair, atomic_write
 from .streams import stream_rng
 
 __all__ = [
@@ -438,10 +438,7 @@ def write_sequence_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:
     file is replaced atomically: a failed write leaves an existing file as
     it was.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be one-dimensional with equal length")
+    x, y = _sequence_pair(x, y)
 
     def pieces() -> Iterator[str]:
         yield "t,x,y\n"

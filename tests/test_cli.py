@@ -57,9 +57,9 @@ class TestSimulateAndTest:
     )
     def test_matches_library_without_a_panel(self, tmp_path, capsys, monkeypatch,
                                              lags, stride, extra, options):
-        # `test` builds its Gram from views of the CSV columns, and prints what the
-        # library prints for the panel of the same embedding. A small chunk size
-        # makes both routes sum the Gram over many chunks.
+        # `test` tests the lag_embed panel of the CSV columns, whose rows are views
+        # of them, and prints what the library prints for the same embedding. A
+        # small chunk size makes the Gram sum over many chunks.
         monkeypatch.setattr(inference, "_WINDOW_CHUNK_BYTES", 2**14)
         pair = tmp_path / "pair.csv"
         run_cli(capsys, "simulate", "--case", "barnett", "--length", "3000",
@@ -70,18 +70,22 @@ class TestSimulateAndTest:
         )
         expected = inference.test_causal_influence(panel, seed=5, **options).to_json() + "\n"
 
-        def no_panel(*args, **kwargs):
-            raise AssertionError("test built a data panel")
+        tested = []
 
-        for module in (inference, cli):
-            for name in ("lag_embed", "DataPanel"):
-                monkeypatch.setattr(module, name, no_panel, raising=False)
+        def spy(panel, *args, **kwargs):
+            tested.append(panel)
+            return inference.test_causal_influence(panel, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "test_causal_influence", spy)
         code, out, err = run_cli(
             capsys, "test", "--input", str(pair), "--lags", str(lags),
             "--stride", str(stride), "--seed", "5", *extra,
         )
         assert (code, err) == (0, "")
         assert out == expected
+        [panel] = tested
+        assert panel.dims == inference.LagSpec.influence_test(lags).dims
+        assert not any(row.flags.owndata for row in panel.data)
 
     def test_lags_below_one_names_depth(self, tmp_path, capsys):
         pair = tmp_path / "pair.csv"

@@ -124,19 +124,20 @@ class TestPartialCoherence:
 
     @pytest.mark.parametrize("dims", [BlockDims(1, 1, 0), BlockDims(1, 2, 2), BlockDims(2, 3, 1)])
     def test_exactly_zero_cross_covariance_gives_negative_zero(self, dims):
-        # x uncorrelated with (y, z): W = 0, and -sum(log1p(0)) is -0.0. The
-        # kernel's clamp at zero turns that into +0.0, so rho2 = -expm1(+0.0) is
-        # -0.0, which the zero cells of the analytic map files print. Nothing else
-        # reaches the clamp: COND_LIMIT bounds the eigenvalues of W W^T by 1e12,
-        # so a zero one rounds to far above -1 and the sum of log1p stays >= 0.
+        # x uncorrelated with (y, z): W = 0, and the log -sum(log1p(0)) is -0.0,
+        # so rho2 = -expm1(-0.0) is +0.0 on both of the kernel's readers, as the
+        # zero cells of the analytic map files print it. Both clamp the
+        # eigenvalues of W W^T at 0, and neither clamps the log.
         p, q = dims.p, dims.q
         S = random_pd(np.random.default_rng(4), dims.total)
         S[:p, p:] = 0.0
         S[p:, :p] = 0.0
         log_det_q = _log_det_q(S, p, q, dims.r)
-        assert log_det_q == 0.0 and not np.signbit(log_det_q)
-        rho2 = likelihood_ratio(CompositeCovariance.from_matrix(S, dims))
-        assert rho2 == 0.0 and np.signbit(rho2)
+        assert log_det_q == 0.0 and np.signbit(log_det_q)
+        R = CompositeCovariance.from_matrix(S, dims)
+        rho2 = likelihood_ratio(R)
+        assert rho2 == 0.0 and not np.signbit(rho2)
+        assert np.float64(rho2).tobytes() == np.float64(partial_coherence(R).rho2).tobytes()
 
     def test_scalar_example(self):
         res = partial_coherence(triple_composite(0.5, 0.6, 0.3))

@@ -124,8 +124,8 @@ def per_offset_data_map(x, y, s_range, t_range, conditioning, T_cond):
     for off, spec in specs.items():
         own = [o for _, o in spec.rows]
         first = min(0, *own) - lo  # panel column of the first shared t
-        panel = lag_embed(x, y, spec).data[:, first : first + n]
-        cut = DataPanel(data=panel, dims=spec.dims)
+        rows = [row[first : first + n] for row in lag_embed(x, y, spec).data]
+        cut = DataPanel(data=rows, dims=spec.dims)
         values[off] = likelihood_ratio(sample_covariance(cut))
     return np.array([[values[s - t] for t in t_range] for s in s_range])
 

@@ -146,7 +146,7 @@ class TestLagEmbed:
         t0 = 3
         col0 = np.concatenate([[x[t0 - 1], x[t0 - 2], x[t0 - 3]], [y[t0]],
                                [y[t0 - 1], y[t0 - 2], y[t0 - 3]]])
-        assert_allclose(panel.data[:, 0], col0)
+        assert_allclose(np.asarray(panel.data)[:, 0], col0)
 
     @pytest.mark.parametrize("roles", REFERENCE_ROLES.values(), ids=REFERENCE_ROLES.keys())
     @pytest.mark.parametrize("stride", [1, 3])
@@ -156,9 +156,23 @@ class TestLagEmbed:
         x, y = rng.standard_normal((2, length))
         spec = LagSpec(*roles, stride=stride)
         panel = lag_embed(x, y, spec)
-        assert np.array_equal(panel.data, row_loop_embed(x, y, spec))
-        assert not panel.data.flags.writeable
-        assert not np.shares_memory(panel.data, x)
+        assert np.array_equal(np.asarray(panel.data), row_loop_embed(x, y, spec))
+        # Each row is a read-only view of a sequence, which itself stays writable.
+        for row in panel.data:
+            assert not row.flags.writeable
+            assert np.shares_memory(row, x) or np.shares_memory(row, y)
+        assert x.flags.writeable and y.flags.writeable
+
+    def test_panel_reads_its_rows_in_place(self):
+        x, y = np.arange(10.0), np.arange(10.0, 20.0)
+        panel = lag_embed(x, y, LagSpec.influence_test(T=2))
+        assert panel.data[0][0] == x[1]
+        x[1] = -1.0
+        assert panel.data[0][0] == -1.0
+        matrix = np.arange(6.0).reshape(3, 2)
+        from_matrix = DataPanel(matrix, BlockDims(1, 1, 1))
+        assert from_matrix.M == 2 and matrix.flags.writeable
+        assert all(np.shares_memory(row, matrix) for row in from_matrix.data)
 
     @pytest.mark.parametrize("roles", REFERENCE_ROLES.values(), ids=REFERENCE_ROLES.keys())
     def test_shortest_feasible_length(self, roles):
@@ -201,7 +215,8 @@ class TestSampleCovariance:
     def test_centering_removes_row_means(self):
         panel = barnett_panel(length=500, T=2)
         S = sample_covariance(panel, center=True)
-        D = panel.data - panel.data.mean(axis=1, keepdims=True)
+        D = np.asarray(panel.data)
+        D = D - D.mean(axis=1, keepdims=True)
         assert_allclose(S.entries, D @ D.T, rtol=1e-12)
 
     def test_barnett_panel_covariance_is_psd(self):
@@ -234,6 +249,24 @@ class TestSampleCovariance:
         finally:
             tracemalloc.stop()
         assert chunk_bytes <= peak < max(chunk_bytes, row_bytes) + slack
+
+    def test_embedded_test_copies_no_panel(self, monkeypatch):
+        # The library route holds D as views of the sequences: testing the panel
+        # allocates the Gram's small chunks, one row-long centring temporary and
+        # the null draws, far below one n x M copy of the panel.
+        monkeypatch.setattr(inference, "_WINDOW_CHUNK_BYTES", 2**16)
+        spec = LagSpec.influence_test(T=10)
+        M = 100_000
+        x, y = np.random.default_rng(5).standard_normal((2, M + 10))
+        causal_influence_test(lag_embed(x[:100], y[:100], spec), n_mc=20_000)  # warm-up
+        panel_bytes = spec.dims.total * M * 8
+        tracemalloc.start()
+        try:
+            causal_influence_test(lag_embed(x, y, spec), n_mc=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < panel_bytes // 4
 
 
 class TestLikelihoodRatio:
@@ -321,7 +354,7 @@ class TestLikelihoodRatio:
         # maximum (their sum would overflow). At 1e-310 the subnormal x
         # samples keep about 44 significant bits.
         panel = barnett_panel(length=5000)
-        data = panel.data.copy()
+        data = np.array(panel.data)
         data[: panel.dims.p] *= scale
         scaled = DataPanel(data=data, dims=panel.dims)
         assert causal_influence_test(scaled, method="bartlett").statistic == pytest.approx(
@@ -332,7 +365,7 @@ class TestLikelihoodRatio:
         panel = barnett_panel(length=600, T=3)
         rng = np.random.default_rng(4)
         perm = rng.permutation(panel.M)
-        permuted = DataPanel(data=panel.data[:, perm], dims=panel.dims)
+        permuted = DataPanel(data=np.asarray(panel.data)[:, perm], dims=panel.dims)
         assert likelihood_ratio(sample_covariance(permuted)) == pytest.approx(
             likelihood_ratio(sample_covariance(panel)), abs=1e-12
         )
@@ -595,11 +628,12 @@ class TestSequenceCsvReference:
                      "unknown conditioning 'past-of-z'; expected past-of-x or past-of-y",
                      id="pairwise-conditioning"),
         pytest.param(lambda: DataPanel(np.zeros((2, 5)), BlockDims(1, 1, 1)),
-                     "panel must be 3 x M, got shape (2, 5)", id="panel-rows"),
+                     "panel must be 3 equal-length rows, got 2 of shapes [(5,)]",
+                     id="panel-rows"),
         pytest.param(lambda: DataPanel(np.zeros((3, 0)), BlockDims(1, 1, 1)),
                      "panel needs at least one column", id="panel-no-columns"),
         pytest.param(lambda: lag_embed(np.zeros(10), np.zeros(11), LagSpec.influence_test(2)),
-                     "x and y sequences must have the same shape", id="embed-shapes"),
+                     "x and y must be one-dimensional with equal length", id="embed-shapes"),
         pytest.param(lambda: causal_influence_test(barnett_panel(), method="x"),
                      "unknown method 'x'; expected wilks-mc or bartlett", id="test-method"),
     ],

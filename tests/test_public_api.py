@@ -63,17 +63,17 @@ def test_covariance_sequences_have_no_lag_lookups():
         assert not hasattr(cohercause.CovarianceSequences, name), name
 
 
-def nulldist_reads():
+def reads_of(home):
     """``(module, name)`` for each name another package module imports or reads
-    from ``nulldist``."""
+    from ``home``."""
     reads = []
     for path in sorted(Path(cohercause.__file__).parent.glob("*.py")):
-        if path.stem == "nulldist":
+        if path.stem == home:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("nulldist"):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(home):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "nulldist":
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == home:
                 names = [node.attr]
             else:
                 continue
@@ -84,14 +84,22 @@ def nulldist_reads():
 def test_only_nulldist_reads_its_private_names():
     """The null law has one home: no other module imports or reads a ``_`` name
     of ``nulldist``, so choosing the law and reading it stay in ``null_law``."""
-    assert [read for read in nulldist_reads() if read[1].startswith("_")] == []
+    assert [read for read in reads_of("nulldist") if read[1].startswith("_")] == []
+
+
+def test_cli_reads_no_private_inference_name():
+    """``cli test`` goes through the library's door, ``lag_embed`` and then
+    ``test_causal_influence``: the CLI imports or reads no ``_`` name of
+    ``inference``."""
+    reads = [read for read in reads_of("inference") if read[0] == "cli"]
+    assert reads and [read for read in reads if read[1].startswith("_")] == []
 
 
 def test_null_law_has_one_door():
     """Other modules take from ``nulldist`` only its spec, ``null_law`` and the
     two defaults. The package's star import re-exports the public names."""
     door = {"WilksLambdaSpec", "null_law", "DEFAULT_N_MC", "DEFAULT_SEED"}
-    reads = [read for read in nulldist_reads() if read != ("__init__", "*")]
+    reads = [read for read in reads_of("nulldist") if read != ("__init__", "*")]
     assert [read for read in reads if read[1] not in door] == []
 
 
