@@ -6,9 +6,10 @@ writes a mutant in which that statement is replaced by ``pass`` and runs a
 pytest selection on it with ``-x`` and a time limit. Docstrings, ``pass``
 and ``from __future__`` imports are not mutated. A mutant survives when
 the selection passes. One mutant runs at a time, in a temporary copy of
-src/, tests/, scripts/, README.md and pyproject.toml (the tests find src/
-beside them), with bytecode caching off, so the working tree is never
-touched. The unmutated copy must pass the selection first.
+src/, tests/, scripts/, README.md, pyproject.toml and output_digest.json
+(the tests find src/ beside them), with bytecode caching off, so the
+working tree is never touched. The unmutated copy must pass the selection
+first.
 
 The JSON report lists every mutant's site (module:line), the deleted
 statement's first line and its outcome (killed, survived or timeout),
@@ -40,7 +41,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "cohercause")
-COPIED = ("src", "tests", "scripts", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "scripts", "README.md", "pyproject.toml", "output_digest.json")
 OUTCOMES = ("killed", "timeout", "survived")
 
 

@@ -6,22 +6,22 @@ produce byte-identical output files at a fixed BLAS thread count. Across
 thread counts that holds while every Gram has at most 95 rows (test --lags
 47), as at the defaults, because OpenBLAS 0.3.31 splits dsyrk across
 threads beyond that.
---jobs (at least 1; default: the CPUs this process may run on), which
-the COHERCAUSE_JOBS environment variable overrides as a default, is a
-flag of power, roc and calibrate: every study's work is spread over
---jobs threads; the result does not depend on it. The work runs inside
-numpy calls, and the null law is drawn in the calling thread. test
-accepts --jobs and ignores it; map, simulate and nulldist have no --jobs.
---n-mc, the number of Monte Carlo null-law draws, is a flag of test and
-nulldist; every study draws its law at the default 200,000. Of scipy, a
-run loads its small core package, the C routine of lfilter for the
-generators, and scipy.special only for the Bartlett law (test --method
-bartlett and nulldist). scipy.signal loads only if that private routine
-cannot. No map draws a random number, so map accepts --seed and ignores
+--jobs (at least 1; default: the CPUs this process may use), which the
+COHERCAUSE_JOBS environment variable overrides as a default, is a flag of
+power, roc and calibrate: every study's work is spread over --jobs
+threads; the result does not depend on it. The work runs inside numpy
+calls; the null law is drawn in the calling thread. test accepts and
+ignores --jobs and reads no COHERCAUSE_JOBS; map, simulate and nulldist
+have no --jobs. --n-mc, the number of Monte Carlo null-law draws, is a
+flag of test and nulldist; every study draws its law at the default
+200,000. Of scipy, a run loads its small core package, the generators'
+AR(1) binding (lfilter's C routine, loaded on its own from scipy.signal's
+private _sigtools; scipy.signal loads only if that fails), and
+scipy.special only for the Bartlett law (test --method bartlett and
+nulldist). No map draws a random number, so map accepts --seed and ignores
 it. A --jobs or COHERCAUSE_JOBS value that is not an integer >= 1 is a
 usage error, as is a malformed --orders, --s-range, --t-range or --sizes
-value, and so is giving both --fast (a preset number of replications)
-and --replications.
+value, and so is giving both --fast and --replications.
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
@@ -396,7 +396,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "jobs" in args:
+    if "jobs" in args and (args.jobs is not None or args.command != "test"):
         args.jobs = _checked_jobs(parser, args.jobs)
     try:
         return _COMMANDS[args.command](args)

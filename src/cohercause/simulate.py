@@ -20,15 +20,16 @@ and composite covariances for arbitrary sample selections are assembled
 from those sequences. Generators simulate the AR recursions directly and
 apply the finite MA filters afterwards, so the only truncation anywhere
 is in the geometric responses, whose discarded tails are kept below
-1e-12 per coefficient.
+1e-12 per coefficient. Each AR recursion is one call of ``ar1``, the C
+routine of scipy's ``lfilter`` bound without importing scipy.signal.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
 
@@ -65,60 +66,38 @@ MA_CASES = {
 }
 
 
-def _load_extension(path: str, name: str):
-    """Load the compiled module at ``path`` on its own, as ``cohercause.<name>``."""
-    spec = importlib.util.spec_from_file_location(f"cohercause.{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _bind_ar1():
+    """``ar1(gain, coeff, x, zi) -> (y, zf)``: y_n = gain x_n + coeff y_{n-1}, from state ``zi``.
 
-
-def _sigtools_path() -> str:
-    """The file of scipy.signal's ``_sigtools`` extension, found without importing either."""
-    found = importlib.machinery.PathFinder.find_spec(
-        "_sigtools", importlib.util.find_spec("scipy.signal").submodule_search_locations
-    )
-    return found.origin
-
-
-def _bind_lfilter():
-    """``scipy.signal.lfilter`` for the AR recursions, without importing scipy.signal.
-
+    That is ``scipy.signal.lfilter([gain], [1, -coeff], x, zi=zi)``, which
+    for a denominator of two coefficients calls
+    ``_sigtools._linear_filter(b, a, x, axis, zi)`` and nothing else.
     Importing scipy.signal takes ~0.9 s and ~40 MB, most of every short CLI
-    process, and this module needs only ``lfilter`` from it. For a
-    denominator of two or more coefficients ``lfilter`` calls
-    ``_sigtools._linear_filter(b, a, x, axis[, zi])`` and nothing else, so
-    the extension is loaded on its own under a private name: the same C
-    routine gives the same bits, and scipy.signal stays unloaded for any
-    later importer. If the file, its load or the symbol is missing (it is
-    private SciPy API), the public ``lfilter`` is bound instead: the same
-    bits at the old cost.
+    process, so the extension is loaded on its own as
+    ``cohercause._sigtools``: the same C routine gives the same bits, and
+    scipy.signal stays unloaded for any later importer. If the file, its load
+    or the symbol is missing (it is private SciPy API), the public
+    ``lfilter`` is bound instead: the same bits at the old cost.
     """
     try:
-        linear_filter = _load_extension(_sigtools_path(), "_sigtools")._linear_filter
+        # The extension's file, found without importing scipy.signal.
+        found = PathFinder.find_spec(
+            "_sigtools", find_spec("scipy.signal").submodule_search_locations
+        )
+        spec = spec_from_file_location("cohercause._sigtools", found.origin)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        linear_filter = module._linear_filter
     except (ImportError, AttributeError):
-        from scipy import signal
+        from scipy.signal import lfilter as linear_filter
 
-        return signal.lfilter
+    def ar1(gain: float, coeff: float, x: np.ndarray, zi: np.ndarray):
+        return linear_filter(np.array([gain]), np.array([1.0, -coeff]), x, -1, zi)
 
-    def lfilter(b, a, x, zi=None):
-        """``scipy.signal.lfilter(b, a, x, zi=zi)`` along the last axis; ``len(a) >= 2``."""
-        # As lfilter's np.atleast_1d makes of the list arguments.
-        b = np.array(b, dtype=np.float64, ndmin=1)
-        a = np.array(a, dtype=np.float64, ndmin=1)
-        if b.ndim != 1 or a.ndim != 1 or b.size < 1 or a.size < 2:
-            # lfilter takes a separate np.convolve route for a single a.
-            raise ValueError(
-                f"need 1-D b and a with len(a) >= 2, got shapes {b.shape} and {a.shape}"
-            )
-        if zi is None:
-            return linear_filter(b, a, x, -1)
-        return linear_filter(b, a, x, -1, zi)
-
-    return lfilter
+    return ar1
 
 
-lfilter = _bind_lfilter()
+ar1 = _bind_ar1()
 
 
 def _geometric(c0: float, ratio: float) -> np.ndarray:
@@ -166,10 +145,6 @@ class MAFilterSpec:
     @property
     def g(self) -> np.ndarray:
         return _geometric(self.g0, self.b)
-
-    @property
-    def truncation(self) -> int:
-        return max(self.h.size, self.g.size) - 1
 
     def noise_responses(self) -> tuple[Channel, Channel]:
         """x's and y's responses to (mu, nu): x = h * mu, y = g * nu + (f * h) * mu.
@@ -262,16 +237,14 @@ def gen_ma_case(
     is drawn from streams (seed, stream, 0) and (seed, stream, 1).
     """
     spec = MAFilterSpec.from_case(case)
-    if length <= 2 * spec.truncation:
-        raise ValueError(
-            f"length {length} too short: need more than {2 * spec.truncation} samples"
-        )
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     future = max(0, -min(spec.f_offsets))
     total = length + BURN_IN + future
     mu = stream_rng(seed, stream, 0).standard_normal(total)
     nu = stream_rng(seed, stream, 1).standard_normal(total)
-    x_full = lfilter([spec.h0], [1.0, -spec.a], mu)
-    y_full = lfilter([spec.g0], [1.0, -spec.b], nu)
+    x_full, _ = ar1(spec.h0, spec.a, mu, np.zeros(1))
+    y_full, _ = ar1(spec.g0, spec.b, nu, np.zeros(1))
     for off, coef in zip(spec.f_offsets, spec.f_coeffs):
         # y_n += coef * x_{n - off}; burn-in covers positive offsets and
         # the trailing margin covers negative ones.
@@ -309,11 +282,11 @@ def _barnett_cores(
         n = skip + min(block, length - start)
         mu = mu_rng.standard_normal(n)
         nu = nu_rng.standard_normal(n)
-        eta2, zi2 = lfilter([1.0], [1.0, -spec.b], nu, zi=zi2)
+        eta2, zi2 = ar1(1.0, spec.b, nu, zi2)
         mu[0] += spec.coupling * eta2_last  # mu becomes the drive of eta1
         mu[1:] += spec.coupling * eta2[:-1]
         eta2_last = eta2[-1]
-        eta1, zi1 = lfilter([1.0], [1.0, -spec.a], mu, zi=zi1)
+        eta1, zi1 = ar1(1.0, spec.a, mu, zi1)
         core1 = np.concatenate((core1[core1.size - history :], eta1))[skip:]
         core2 = np.concatenate((core2[core2.size - history :], eta2))[skip:]
         # Only the cores stay alive while the consumer filters and carves them.

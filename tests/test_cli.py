@@ -589,7 +589,10 @@ class TestParser:
         assert exc.value.code == 2
         assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
 
-    def test_bad_jobs_env(self, monkeypatch, capsys):
+    def test_bad_jobs_env(self, monkeypatch, capsys, tmp_path):
+        pair = str(tmp_path / "pair.csv")
+        code, _, _ = run_cli(capsys, "simulate", "--case", "I", "--length", "500", "--output", pair)
+        assert code == 0
         for jobs in ("lots", "0", "-3"):
             monkeypatch.setenv("COHERCAUSE_JOBS", jobs)
             with pytest.raises(SystemExit) as exc:
@@ -597,7 +600,14 @@ class TestParser:
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert f"COHERCAUSE_JOBS must be an integer >= 1, got '{jobs}'" in err
-        # A command without --jobs does not read the variable.
+        # A command without --jobs, or with a --jobs it ignores, does not read the variable.
         code, _, err = run_cli(capsys, "nulldist", "--p", "1", "--q", "1", "--r", "0",
                                "--M", "20", "--n-mc", "20000")
         assert (code, err) == (0, "")
+        code, _, err = run_cli(capsys, "test", "--input", pair, "--lags", "2", "--n-mc", "20000")
+        assert (code, err) == (0, "")
+        # A --jobs given to test is still checked.
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--input", pair, "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be >= 1, got 0" in capsys.readouterr().err

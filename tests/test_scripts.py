@@ -118,3 +118,28 @@ def test_run_power_study_jobs(tmp_path):
     assert bad.returncode == 2
     assert "argument --jobs: must be >= 1, got 0" in bad.stderr
     assert not (tmp_path / "never").exists()
+
+
+def test_outputs_keep_their_digests():
+    # Every output of the digest command set keeps the bytes recorded in
+    # output_digest.json; the failure names the moved files or the stamp mismatch.
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_digest.py"), "--check"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith(" outputs keep their bytes\n")
+
+
+def test_digest_comparison_names_moves_and_stamp_mismatch(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script pins these on load; restored after
+    compare = runpy.run_path(str(SCRIPTS / "output_digest.py"))["compare"]
+    recorded = {"stamp": {"numpy": "2.0"}, "digests": {"a.csv": "1", "b.csv": "2", "c.csv": "3"}}
+    assert compare(recorded, recorded) == []
+    fresh = {"stamp": {"numpy": "2.0"}, "digests": {"a.csv": "1", "b.csv": "9", "d.csv": "4"}}
+    assert compare(recorded, fresh) == ["moved: b.csv", "missing: c.csv", "new: d.csv"]
+    # On another stack the digests are not compared at all.
+    other = {"stamp": {"numpy": "2.1"}, "digests": recorded["digests"]}
+    problems = compare(recorded, other)
+    assert problems[0].startswith("stamp mismatch") and len(problems) == 3

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import os
 import re
@@ -201,8 +202,17 @@ class TestGenerators:
         assert not np.allclose(x1, x2)
 
     def test_length_too_short(self):
-        with pytest.raises(ValueError, match="too short"):
-            gen_ma_case("I", 100, 1)
+        for length in (0, -5):
+            with pytest.raises(ValueError, match=f"length must be >= 1, got {length}"):
+                gen_ma_case("I", length, 1)
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    def test_short_series_is_prefix(self, case):
+        # The AR recursions truncate nothing, so a short series loses nothing.
+        x, y = gen_ma_case(case, 5000, 7)
+        for length in (1, 100, 154):
+            xs, ys = gen_ma_case(case, length, 7)
+            assert np.array_equal(xs, x[:length]) and np.array_equal(ys, y[:length])
 
     def test_gen_barnett_reproducible(self):
         spec = BarnettModelSpec()
@@ -261,28 +271,42 @@ class TestGenerators:
 
 
 class TestPrivateLfilter:
-    """simulate's lfilter is scipy's C routine, loaded without scipy.signal."""
+    """simulate's ar1 is scipy's C routine of lfilter, loaded without scipy.signal."""
 
     @pytest.mark.parametrize("with_zi", [False, True], ids=["no-zi", "zi"])
-    @pytest.mark.parametrize("b", [[1.0], [0.8]], ids=["unit", "gain"])
+    @pytest.mark.parametrize("gain", [1.0, 0.8], ids=["unit", "gain"])
     @pytest.mark.parametrize("coef", [0.7, 1.0, 1.3, -0.5])
-    def test_matches_scipy_lfilter(self, coef, b, with_zi):
+    def test_matches_scipy_lfilter(self, coef, gain, with_zi):
         # The private route, not a silent fallback to the public function.
-        assert simulate.lfilter is not lfilter
-        assert simulate.lfilter.__module__ == "cohercause.simulate"
+        bound = inspect.getclosurevars(simulate.ar1).nonlocals["linear_filter"]
+        assert bound.__module__ == "cohercause._sigtools"
         x = np.random.default_rng(5).standard_normal(200_003)
-        a = [1.0, -coef]
+        b, a = [gain], [1.0, -coef]
         if not with_zi:
-            assert np.array_equal(simulate.lfilter(b, a, x), lfilter(b, a, x))
+            # A zero state is lfilter's own start, as gen_ma_case uses it.
+            out, _ = simulate.ar1(gain, coef, x, np.zeros(1))
+            assert np.array_equal(out, lfilter(b, a, x))
             return
         zi = np.array([0.37])
-        out, zf = simulate.lfilter(b, a, x, zi=zi)
+        out, zf = simulate.ar1(gain, coef, x, zi)
         ref_out, ref_zf = lfilter(b, a, x, zi=zi)
         assert np.array_equal(out, ref_out) and np.array_equal(zf, ref_zf)
 
-    def test_rejects_single_denominator_coefficient(self):
-        with pytest.raises(ValueError, match="len\\(a\\) >= 2"):
-            simulate.lfilter([1.0], [1.0], np.ones(4))
+    def test_binding_runs_the_whole_import_protocol(self, monkeypatch):
+        # A multi-phase build of the extension initialises in exec_module,
+        # not in module_from_spec, so the binding must call both.
+        executed = []
+        real = simulate.spec_from_file_location
+
+        def spec_from_file_location(name, path):
+            spec = real(name, path)
+            run = spec.loader.exec_module
+            spec.loader.exec_module = lambda module: executed.append(module) or run(module)
+            return spec
+
+        monkeypatch.setattr(simulate, "spec_from_file_location", spec_from_file_location)
+        bound = inspect.getclosurevars(simulate._bind_ar1()).nonlocals["linear_filter"]
+        assert bound is not lfilter and len(executed) == 1
 
     def test_import_leaves_scipy_signal_unloaded(self):
         # A later importer still gets scipy.signal and its public lfilter.
@@ -306,8 +330,8 @@ class TestPrivateLfilter:
         code = f"""
 import sys
 from cohercause import cli
-heavy = ("scipy.linalg", "scipy.special", "scipy._lib._array_api", "numpy.f2py",
-         "numpy.testing", "cohercause._flapack")
+heavy = ("scipy.signal", "scipy.linalg", "scipy.special", "scipy._lib._array_api",
+         "numpy.f2py", "numpy.testing", "cohercause._flapack")
 def loaded():
     return [m for m in heavy if m in sys.modules]
 print(loaded(), "numpy.random" in sys.modules)
@@ -336,13 +360,19 @@ print(loaded())
     def test_failed_load_falls_back_to_public_lfilter(self, monkeypatch, tmp_path):
         def outputs():
             pairs = [gen_barnett(BarnettModelSpec(ma_order=r), 5000, 4, stream=2) for r in (0, 10)]
+            # Core blocks of 700 carry both AR(1) states across seven block boundaries.
+            cores = list(_barnett_cores(BarnettModelSpec(), 5000, 700, 4, 2, 0))
+            pairs.append(tuple(np.concatenate(core) for core in zip(*cores)))
             return pairs + [gen_ma_case(case, 5000, 4) for case in ("I", "II", "III")]
 
         private = outputs()
-        monkeypatch.setattr(simulate, "_sigtools_path", lambda: str(tmp_path / "_sigtools.so"))
-        fallback = simulate._bind_lfilter()
-        assert fallback is lfilter
-        monkeypatch.setattr(simulate, "lfilter", fallback)
+        # The extension's file is missing: the public lfilter serves.
+        real = simulate.spec_from_file_location
+        monkeypatch.setattr(simulate, "spec_from_file_location",
+                            lambda name, path: real(name, str(tmp_path / "_sigtools.so")))
+        fallback = simulate._bind_ar1()
+        assert inspect.getclosurevars(fallback).nonlocals["linear_filter"] is lfilter
+        monkeypatch.setattr(simulate, "ar1", fallback)
         for (x, y), (px, py) in zip(outputs(), private):
             assert np.array_equal(x, px) and np.array_equal(y, py)
 
