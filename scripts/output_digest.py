@@ -4,7 +4,8 @@
 The commands below run through ``cohercause.cli.main`` in one process, in a
 temporary directory, with BLAS pinned to one thread. They cover both
 generators, ``test`` at three settings, the data map and the six analytic
-maps, ``power``, ``roc``, both ``calibrate`` window modes and ``nulldist``.
+maps, ``power`` at MA orders 0..3 and 0..10, ``roc``, both ``calibrate``
+window modes and ``nulldist``.
 The sha256 of every file they write is recorded with a stamp of the numeric
 stack (Python, numpy, scipy, the BLAS build, the machine and the thread
 count), because the same code can give other bits on another stack.
@@ -55,6 +56,9 @@ COMMANDS = [
     *(["map", "--case", case, "--conditioning", cond, "--output", f"map_{case}_{cond}.csv"]
       for case in ("I", "II", "III") for cond in ("past-of-x", "past-of-y")),
     ["power", "--orders", "0..3", *STUDY, "--output", "power.csv"],
+    # Every order of the power study's depth (T 10, MA orders up to 10).
+    ["power", "--orders", "0..10", "--replications", "300", "--jobs", "1",
+     "--output", "power_0_10.csv"],
     # A fine size grid: a window statistic that moves in its last digits
     # moves some rejection count with it.
     ["roc", "--sizes", ",".join(str(k / 100) for k in range(1, 100)), *STUDY,

@@ -21,7 +21,8 @@ scipy.special only for the Bartlett law (test --method bartlett and
 nulldist). No map draws a random number, so map accepts --seed and ignores
 it. A --jobs or COHERCAUSE_JOBS value that is not an integer >= 1 is a
 usage error, as is a malformed --orders, --s-range, --t-range or --sizes
-value, and so is giving both --fast and --replications.
+value (a range a..b needs b >= a, and no MA order is negative), and so is
+giving both --fast and --replications.
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
@@ -120,14 +121,25 @@ def _add_study_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _parse_range(text: str) -> range:
-    """Parse 'a..b' (inclusive) or a single integer into a range."""
+    """Parse 'a..b' (inclusive, b >= a) or a single integer into a range."""
     lo, sep, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi if sep else lo) + 1)
+        span = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
+        span = range(0)
+    if not span:
         raise argparse.ArgumentTypeError(
-            f"expected an integer or an inclusive range a..b, got {text!r}"
-        ) from None
+            f"expected an integer or an inclusive range a..b with b >= a, got {text!r}"
+        )
+    return span
+
+
+def _parse_orders(text: str) -> range:
+    """Parse MA orders as :func:`_parse_range` does; none may be negative."""
+    orders = _parse_range(text)
+    if orders.start < 0:
+        raise argparse.ArgumentTypeError(f"expected MA orders >= 0, got {text!r}")
+    return orders
 
 
 def _parse_sizes(text: str) -> tuple[float, ...]:
@@ -219,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(n)
 
     p = add_parser("power", help="power versus MA order at fixed transfer entropy")
-    p.add_argument("--orders", type=_parse_range, default="0..10", help="inclusive a..b")
+    p.add_argument("--orders", type=_parse_orders, default="0..10", help="inclusive a..b")
     p.add_argument("--transfer-entropy", type=float, default=DEFAULT_F,
                    help="coupling strength")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")

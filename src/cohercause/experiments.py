@@ -25,18 +25,25 @@ with its weakly dependent columns. The sequence is streamed: the
 generator yields it in core blocks of ``_window_chunk`` windows (59 at
 T 10, M 1000), so memory does not grow with the number of replications.
 ``power_curve`` and ``roc_curve`` draw one AR core from stream (seed, 1)
-for every MA order and filter each block of it through every order's MA
-polynomial (common random numbers). Each block's windows are cut into
-``jobs`` contiguous ranges, and each range carves every order. Its panel
+for every MA order (common random numbers). Each block's windows are cut
+into ``jobs`` contiguous ranges, and each range carves every order. Its panel
 rows are laid out by ``LagSpec.rows``, as in ``lag_embed``: one zero-copy
-view per row over the block reshaped to one window per row, gathered batch
-by batch into the range's reused panel of about 1 MiB (5 windows at the
-defaults), which stays in L2 between its fill and its Gram. Each batch
-writes its Grams into one stack for the range, and the kernel runs once on
-that stack. The windows are centred by conditioning: removing each row's
-mean is the projection onto a constant regressor (Frisch-Waugh-Lovell), so
-a row of ones written once at the end of z, which the kernel's one
-Cholesky factor projects out, replaces a centring pass over the data.
+view per row over the block cut into one window per row, gathered batch by
+batch into the range's reused panel of about 1 MiB (5 windows of 22 rows,
+or 3 of the core's 42, at the defaults), which stays in L2 between its fill
+and its Gram. Each batch writes its Grams into one stack, and the kernel
+runs once per stack. The MA filters are linear, so an order's window panel
+is a fixed matrix C times the core's lag panel at depth T + h, for h the
+highest order, and its Gram is C G C^T for G the core window's Gram. So
+when several orders share the core, the panel holds the core's rows (42 at
+T 10, h 10) and each window's G is formed once for every order. That costs
+less than a Gram per order when (2T + 2h + 2)^2 < n_orders (2T + 2)^2;
+otherwise each order is filtered through its MA polynomial and carved on
+its own, C the identity.
+The windows are centred by conditioning: removing each row's mean is the
+projection onto a constant regressor (Frisch-Waugh-Lovell), so a row of
+ones written once at the end of z, which the kernel's one Cholesky factor
+projects out, replaces a centring pass over the data.
 """
 from __future__ import annotations
 
@@ -46,6 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherence import _log_det_q
 from .covariance import BlockDims, CompositeCovariance
@@ -199,44 +207,82 @@ def _panel(T: int, M: int, n_windows: int) -> np.ndarray:
     return D
 
 
+def _ma_transform(spec: BarnettModelSpec, T: int, history: int) -> np.ndarray:
+    """The matrix C that reads ``spec``'s window Gram from the AR core's.
+
+    The MA filters are linear, so each row of ``spec``'s influence-test panel
+    (depth T) is a fixed combination of the rows of the core's panel at depth
+    T + ``history``, with the core's x and y channels eta2 and eta1: x_{t-l}
+    weighs eta2_{t-l-j} by ``ma_x[j]``, y_{t-l} weighs eta1_{t-l-j} by
+    ``ma_y[j]``, and the row of ones maps to itself. So C G C^T is the Gram
+    of ``spec``'s window when G is the core window's.
+    """
+    core = {row: i for i, row in enumerate(LagSpec.influence_test(T + history).rows)}
+    rows = LagSpec.influence_test(T).rows
+    C = np.zeros((len(rows) + 1, len(core) + 1))
+    for i, (channel, off) in enumerate(rows):
+        for j, c in enumerate(spec.ma_x if channel == "x" else spec.ma_y):
+            C[i, core[channel, off - j]] = c
+    C[-1, -1] = 1.0
+    return C
+
+
 def _consecutive_stats(
-    x: np.ndarray, y: np.ndarray, T: int, M: int, buffer: np.ndarray | None = None
+    x: np.ndarray, y: np.ndarray, T: int, M: int, buffer: np.ndarray | None = None,
+    transforms: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Statistics from the back-to-back windows of one sequence pair.
 
     Each window is M + T samples long, and the samples past the last whole
     window are not used. Each window yields M full-context columns of the
     influence-test embedding. Its rows are zero-copy views of the sequence
-    reshaped to one window per row, copied batch by batch into one reused
+    cut into one window per row, copied batch by batch into one reused
     panel of about ``_PANEL_BYTES``, small enough to stay in L2 between its
     fill and its Gram; a caller that carves many sequences passes one
     ``buffer`` from :func:`_panel` to all of them. Each batch writes its
-    Grams into one stack for all the windows, and the kernel runs once on
-    it, so memory grows by a Gram (3.9 KB at T 10) per window: the studies
-    pass one core block's range at a time. The
+    Grams into one stack, which holds the windows of a core block
+    (``_window_chunk``), and the kernel runs once per stack, so memory does
+    not grow with the sequence. The
     panel has one more row, all ones, written once and kept at the end of
     z: conditioning on it centres every window without a pass over the data
     (Frisch-Waugh-Lovell), and the kernel's one Cholesky factor does that
     projection. That holds for O(1), zero-mean sequences such as the
     studies simulate; ``inference._scaled_gram`` centres explicitly for
     data at any scale.
+
+    With ``transforms`` (from :func:`_ma_transform`, all of one ``history``
+    h), x and y are the AR cores eta2 and eta1, led by the h samples the MA
+    polynomials need, and row m of the result holds the statistics of
+    order m's windows. The panel then holds the core's rows at depth T + h
+    (42 rows at T 10, h 10), each window's core Gram G is formed once, and
+    the kernel runs on C_m G C_m^T for every m. The stack holds as many
+    core Grams as a core block's Grams of 2T + 2 rows fill (16 at T 10,
+    h 10), so the deeper Grams take no more memory.
     """
     window = M + T
-    k = x.size // window
-    D = _panel(T, M, k) if buffer is None else buffer
-    batch = len(D)
-    S = np.empty((k, 2 * T + 2, 2 * T + 2))
+    depth = T if transforms is None else (transforms[0].shape[1] - 2) // 2
     # Entry [w, c] of each view is the row's sample at column c of window w.
     views = _row_views(
-        x[: k * window].reshape(k, window), y[: k * window].reshape(k, window),
-        LagSpec.influence_test(T).rows,
+        *(sliding_window_view(s, window + depth - T)[::window] for s in (x, y)),
+        LagSpec.influence_test(depth).rows,
     )
-    for w0 in range(0, k, batch):
-        panel = D[: min(batch, k - w0)]
-        for i, v in enumerate(views):
-            panel[:, i] = v[w0 : w0 + batch]
-        np.matmul(panel, np.swapaxes(panel, 1, 2), out=S[w0 : w0 + len(panel)])
-    return -np.expm1(_log_det_q(S, T, 1, T + 1))
+    k = len(views[0])
+    D = _panel(depth, M, k) if buffer is None else buffer
+    batch = len(D)
+    span = max(1, _window_chunk(T, M) * (2 * T + 2) ** 2 // (2 * depth + 2) ** 2)
+    G = np.empty((min(span, k), 2 * depth + 2, 2 * depth + 2))
+    out = np.empty((1 if transforms is None else len(transforms), k))
+    for g0 in range(0, k, span):
+        grams = G[: min(span, k - g0)]
+        for w0 in range(0, len(grams), batch):
+            panel = D[: min(batch, len(grams) - w0)]
+            for i, v in enumerate(views):
+                panel[:, i] = v[g0 + w0 : g0 + w0 + len(panel)]
+            np.matmul(panel, np.swapaxes(panel, 1, 2), out=grams[w0 : w0 + len(panel)])
+        for m, C in enumerate([None] if transforms is None else transforms):
+            S = grams if C is None else C @ grams @ C.T
+            out[m, g0 : g0 + len(grams)] = -np.expm1(_log_det_q(S, T, 1, T + 1))
+    return out[0] if transforms is None else out
 
 
 def _study_statistics(
@@ -249,12 +295,18 @@ def _study_statistics(
     (seed, streams[i], c), the chunks of every spec on the one pool. With
     consecutive windows the specs differ only in their MA polynomials, so
     they filter one AR core of ``specs[0]``, drawn from stream
-    (seed, streams[0]) in blocks of ``_window_chunk`` windows; row i equals
+    (seed, streams[0]) in blocks of ``_window_chunk`` windows. Row i is the
+    statistics of ``gen_barnett(specs[i], ..., seed, streams[0])``'s
+    windows. When (2T + 2h + 2)^2 < len(specs) (2T + 2)^2, for h the highest
+    MA order, every spec reads its window Grams from one Gram of the core's
+    lag panel through :func:`_ma_transform`. That rounds differently from
+    filtering first, and lands nearer the statistics of exactly filtered
+    windows. Otherwise row i equals
     ``_consecutive_stats(*gen_barnett(specs[i], ..., seed, streams[0]), T, M)``
-    bit for bit. Each block's windows are cut into ``jobs`` contiguous
-    ranges; a task carves every spec over one non-empty range, in batches
-    of its own small reused panel, so every worker is used even for one
-    spec. The blocks are submitted one
+    bit for bit, as for every one-spec study. Each block's windows are cut
+    into ``jobs`` contiguous ranges; a task carves every spec over one
+    non-empty range, in batches of its own small reused panel, so every
+    worker is used even for one spec. The blocks are submitted one
     at a time, so memory does not grow with ``replications`` or the number
     of specs. Either way the result does not depend on ``jobs``.
     """
@@ -273,18 +325,28 @@ def _study_statistics(
             ])
         window = M + T
         history = max(spec.ma_order for spec in specs)
+        # One core Gram of 2(T + h) + 2 rows costs less than a Gram of 2T + 2
+        # rows for each order only when several orders share it.
+        shared = (2 * (T + history) + 2) ** 2 < len(specs) * (2 * T + 2) ** 2
+        transforms = [_ma_transform(spec, T, history) for spec in specs] if shared else None
         chunk = _window_chunk(T, M)
-        panels = [_panel(T, M, math.ceil(min(chunk, replications) / jobs)) for _ in range(jobs)]
+        depth = T + history if shared else T
+        panels = [
+            _panel(depth, M, math.ceil(min(chunk, replications) / jobs)) for _ in range(jobs)
+        ]
         out = np.empty((len(specs), replications))
 
         def carve(core, start: int, lo: int, hi: int, panel) -> None:
             # The range's samples, led by the history samples its MA polynomials need.
             part = [c[lo * window : history + hi * window] for c in core]
+            cols = slice(start + lo, start + hi)
+            if shared:
+                eta1, eta2 = part
+                out[:, cols] = _consecutive_stats(eta2, eta1, T, M, panel, transforms)
+                return
             for i, spec in enumerate(specs):
                 # No name holds an order's pair, so it is freed before the next one forms.
-                out[i, start + lo : start + hi] = _consecutive_stats(
-                    *_ma_step(spec, part, history), T, M, panel
-                )
+                out[i, cols] = _consecutive_stats(*_ma_step(spec, part, history), T, M, panel)
 
         start = 0
         for core in _barnett_cores(
@@ -451,6 +513,10 @@ def power_curve(
     once from stream (seed, 1) and streamed through reused panels, one per
     worker, each carving every order over its range of a block's windows,
     so memory does not grow with ``replications`` or the number of orders.
+    When the orders are many enough to share it, each window's Gram of the
+    core's lag panel is formed once and every order's Gram is read from it
+    (``_study_statistics`` gives the rule); a one-order study filters and
+    carves its own pair.
     With independent realizations order r draws from stream (seed, r + 1).
     Every study's work is spread over ``jobs`` threads; the result does not
     depend on it.

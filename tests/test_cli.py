@@ -464,12 +464,15 @@ class TestPowerRocCalibrate:
 
     def test_empty_order_range_rejected(self, tmp_path, capsys):
         out_csv = tmp_path / "power.csv"
-        code, out, err = run_cli(
-            capsys, "power", "--orders", "5..2", "--output", str(out_csv)
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["power", "--orders", "5..2", "--output", str(out_csv)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err == "cohercause: error: ma_orders is empty; give at least one MA order\n"
+        assert err.endswith(
+            "error: argument --orders: expected an integer or an inclusive range a..b "
+            "with b >= a, got '5..2'\n"
+        )
         assert not out_csv.exists()
 
 
@@ -556,11 +559,16 @@ class TestParser:
         "argv, flag",
         [
             (["power", "--orders", "abc", "--output", "p.csv"], "--orders"),
+            (["power", "--orders", "-1", "--output", "p.csv"], "--orders"),
+            (["power", "--orders=-2..3", "--output", "p.csv"], "--orders"),
             (["map", "--case", "I", "--s-range", "0..x", "--output", "m.csv"], "--s-range"),
+            (["map", "--case", "I", "--s-range", "3..-3", "--output", "m.csv"], "--s-range"),
+            (["map", "--case", "I", "--t-range=-1..-2", "--output", "m.csv"], "--t-range"),
             (["map", "--case", "I", "--t-range", "1..2..3", "--output", "m.csv"], "--t-range"),
             (["roc", "--sizes", "0.05,x", "--output", "r.csv"], "--sizes"),
         ],
-        ids=["orders", "s-range", "t-range", "sizes"],
+        ids=["orders", "orders-negative", "orders-from-negative", "s-range",
+             "s-range-reversed", "t-range-reversed", "t-range", "sizes"],
     )
     def test_malformed_range_or_size_is_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

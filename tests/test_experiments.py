@@ -424,6 +424,126 @@ class TestSharedCore:
         assert four[0] == one[0]
 
 
+class TestCoreGram:
+    """Several MA orders read their window Grams from one Gram of the shared AR core."""
+
+    @staticmethod
+    def record_routes(monkeypatch):
+        """Whether each carving call took the core route (it passes transforms)."""
+        real, core = experiments._consecutive_stats, []
+
+        def carve(*args):
+            core.append(len(args) > 5)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_consecutive_stats", carve)
+        return core
+
+    @pytest.mark.parametrize(
+        "T, orders, core",
+        [
+            (10, [0, 1], True),
+            (10, range(4), True),
+            (10, [0, 10], False),
+            (10, [10], False),
+            (10, [1], False),
+            (3, range(4), True),
+            (3, [0, 1, 3, 10], False),
+            # (2T + 2h + 2)^2 = 144 = 4 (2T + 2)^2: a tie takes the direct route.
+            (2, range(4), False),
+        ],
+    )
+    def test_route_rule(self, monkeypatch, T, orders, core):
+        # The core route when (2T + 2h + 2)^2 < n_orders (2T + 2)^2, for h the top order.
+        routes = self.record_routes(monkeypatch)
+        specs = [BarnettModelSpec(transfer_entropy=0.1, ma_order=order) for order in orders]
+        _study_statistics(specs, [1] * len(specs), 2, 60, T, "consecutive-windows", 8, 1)
+        assert routes and set(routes) == {core}
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "chunk, panel", [(None, None), (5, 2), (7, 1), (10, 3)],
+        ids=["default", "5-2", "7-1", "10-3"],
+    )
+    def test_exact_across_jobs_and_buffers(self, monkeypatch, jobs, chunk, panel):
+        # Orders 0..3 at T 3 take the core route (14^2 < 4 * 8^2). Core blocks of
+        # `chunk` windows hold core Grams for 1, 2 or 3 windows at a time, and the
+        # 14-row panel holds `panel` windows; none of it moves a bit.
+        T, M, n_windows, seed = 3, 50, 12, 8
+        specs = [BarnettModelSpec(transfer_entropy=0.1, ma_order=order) for order in range(4)]
+        args = (specs, [1] * 4, n_windows, M, T, "consecutive-windows", seed)
+        expected = _study_statistics(*args, 1)
+        if chunk:
+            monkeypatch.setattr(experiments, "_WINDOW_CHUNK_BYTES", chunk * (2 * T + 2) * M * 8)
+            monkeypatch.setattr(experiments, "_PANEL_BYTES", panel * (2 * (T + 3) + 2) * M * 8)
+            assert len(experiments._panel(T + 3, M, n_windows)) == panel
+        routes = self.record_routes(monkeypatch)
+        got = _study_statistics(*args, jobs)
+        assert routes and all(routes)
+        assert np.array_equal(got, expected)
+        # Each row is its own order's statistics, up to rounding.
+        for spec, row in zip(specs, got):
+            whole = gen_barnett(spec, n_windows * (M + T), seed, stream=1)
+            assert_allclose(row, _consecutive_stats(*whole, T, M), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("order", [1, 3, 10])
+    def test_at_least_as_accurate_as_direct_route(self, order):
+        # Reference: the order filtered from the core and its window Grams formed
+        # in extended precision, rounded once and passed to the same kernel. The
+        # core route rounds the core's Gram and its transform; the direct route
+        # also rounds the filtered pair before forming its Gram.
+        T, M, n_windows, h, seed = 10, 1000, 30, 10, 42
+        spec = BarnettModelSpec(transfer_entropy=0.02, ma_order=order)
+        N = n_windows * (M + T)
+        core = next(_barnett_cores(spec, N, N, seed, 1, h))
+        direct = _consecutive_stats(*_ma_step(spec, core, h), T, M)
+        [shared] = _consecutive_stats(
+            core[1], core[0], T, M, transforms=[experiments._ma_transform(spec, T, h)]
+        )
+        eta1, eta2 = (c.astype(np.longdouble) for c in core)
+        x = sum(c * eta2[h - j : h - j + N] for j, c in enumerate(spec.ma_x))
+        y = sum(c * eta1[h - j : h - j + N] for j, c in enumerate(spec.ma_y))
+        rows = inference._row_views(
+            x.reshape(n_windows, M + T), y.reshape(n_windows, M + T),
+            LagSpec.influence_test(T).rows,
+        )
+        D = np.concatenate(
+            [np.stack(rows, axis=1), np.ones((n_windows, 1, M), np.longdouble)], axis=1
+        )
+        S = (D @ np.swapaxes(D, 1, 2)).astype(float)
+        reference = -np.expm1(_log_det_q(S, T, 1, T + 1))
+        error = {
+            name: np.max(np.abs(stats - reference) / reference)
+            for name, stats in (("direct", direct), ("core", shared))
+        }
+        assert error["core"] <= error["direct"], error
+
+    def test_traced_peak_is_one_small_panel(self):
+        # One default core block of orders 0..10 carved through a 42-row panel of
+        # about _PANEL_BYTES: the traced peak is the panel and a stack of 16 core
+        # Grams, plus one order's transformed stack, the kernel's copies of it
+        # and small arrays.
+        T, M, h = 10, 1000, 10
+        k = experiments._window_chunk(T, M)
+        specs = [BarnettModelSpec(transfer_entropy=0.02, ma_order=order) for order in range(h + 1)]
+        core = next(_barnett_cores(specs[0], k * (M + T), k * (M + T), 3, 1, h))
+        transforms = [experiments._ma_transform(spec, T, h) for spec in specs]
+        # The 3 windows of 42 x 1000 doubles that fit in 1 MiB.
+        panel_bytes = 3 * (2 * (T + h) + 2) * M * 8
+        # 16 core Grams take the bytes of 59 Grams of 22 rows.
+        grams_bytes = 16 * (2 * (T + h) + 2) ** 2 * 8
+        half_bytes = 16 * (2 * T + 2) * (2 * (T + h) + 2) * 8  # C G
+        order_bytes = 16 * (2 * T + 2) ** 2 * 8
+        slack = half_bytes + 3 * order_bytes + 64 * 1024
+        tracemalloc.start()
+        try:
+            _consecutive_stats(core[1], core[0], T, M, transforms=transforms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert panel_bytes + grams_bytes <= peak < panel_bytes + grams_bytes + slack
+
+
 class TestBatchedFastPath:
     def test_agrees_with_one_onto_two(self):
         rng = np.random.default_rng(0)
@@ -802,6 +922,8 @@ class TestWriters:
                      "unknown window mode 'sliding'", id="window-mode"),
         pytest.param(lambda: coherence_map((np.zeros(10), np.zeros(11)), range(2), range(2)),
                      "x and y must be one-dimensional with equal length", id="map-shapes"),
+        pytest.param(lambda: power_curve(range(5, 2), replications=10, M=50, T=2),
+                     "ma_orders is empty; give at least one MA order", id="no-orders"),
     ],
 )
 def test_input_check_messages(call, message):
