@@ -8,9 +8,9 @@ least 1,000); --fast drops to 2,000 for a desk-scale pass and may not be
 combined with --replications. The power curve and the ROC (MA order 1)
 read one array of statistics, drawn once for orders 0..10, and both size
 calibrations, power and the ROC read their thresholds from one draw of
-the null law. --jobs spreads every study's work over that many threads
-as the CLI's does, with the same default and COHERCAUSE_JOBS rule; the
-outputs do not depend on it.
+the null law. --jobs is the CLI's flag: it spreads every study's work
+over that many threads (at least 1; default: the CPUs this process may
+use), and the outputs do not depend on it.
 """
 import argparse
 import os
@@ -20,7 +20,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from cohercause import BarnettModelSpec, write_power_csv, write_roc_csv, write_summary_json
-from cohercause.cli import _checked_jobs
+from cohercause.cli import _add_jobs
 from cohercause.experiments import (
     DEFAULT_ALPHA,
     DEFAULT_F,
@@ -51,11 +51,8 @@ def main() -> int:
     parser.add_argument("--M", type=int, default=DEFAULT_M)
     parser.add_argument("--T", type=int, default=DEFAULT_T)
     parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="study threads (default: COHERCAUSE_JOBS or the CPUs "
-                             "this process may use)")
+    _add_jobs(parser, "study threads (default: the CPUs this process may use)")
     args = parser.parse_args()
-    jobs = _checked_jobs(parser, args.jobs)
 
     reps = args.replications
     if reps < 1000:
@@ -70,7 +67,7 @@ def main() -> int:
     null = [BarnettModelSpec(transfer_entropy=0.0, ma_order=1)]
     (size_ind, se_ind), (size_con, se_con) = (
         _rejection_rate(
-            _study_statistics(null, [0], reps, args.M, args.T, mode, args.seed, jobs)[0],
+            _study_statistics(null, [0], reps, args.M, args.T, mode, args.seed, args.jobs)[0],
             threshold,
         )
         for mode in ("independent-realizations", "consecutive-windows")
@@ -84,7 +81,7 @@ def main() -> int:
     orders = range(0, 11)
     mode = "consecutive-windows"
     specs, streams = _alternative(args.transfer_entropy, orders, mode)
-    stats = _study_statistics(specs, streams, reps, args.M, args.T, mode, args.seed, jobs)
+    stats = _study_statistics(specs, streams, reps, args.M, args.T, mode, args.seed, args.jobs)
     points = _power_points(orders, stats, threshold, args.alpha, args.T, args.M)
     for pt in points:
         print(f"MA order {pt.ma_order:2d}: power {pt.power:.3f} "

@@ -6,23 +6,22 @@ produce byte-identical output files at a fixed BLAS thread count. Across
 thread counts that holds while every Gram has at most 95 rows (test --lags
 47), as at the defaults, because OpenBLAS 0.3.31 splits dsyrk across
 threads beyond that.
---jobs (at least 1; default: the CPUs this process may use), which the
-COHERCAUSE_JOBS environment variable overrides as a default, is a flag of
+--jobs (at least 1; default: the CPUs this process may use) is a flag of
 power, roc and calibrate: every study's work is spread over --jobs
 threads; the result does not depend on it. The work runs inside numpy
 calls; the null law is drawn in the calling thread. test accepts and
-ignores --jobs and reads no COHERCAUSE_JOBS; map, simulate and nulldist
-have no --jobs. --n-mc, the number of Monte Carlo null-law draws, is a
-flag of test and nulldist; every study draws its law at the default
-200,000. Of scipy, a run loads its small core package, the generators'
-AR(1) binding (lfilter's C routine, loaded on its own from scipy.signal's
-private _sigtools; scipy.signal loads only if that fails), and
-scipy.special only for the Bartlett law (test --method bartlett and
-nulldist). No map draws a random number, so map accepts --seed and ignores
-it. A --jobs or COHERCAUSE_JOBS value that is not an integer >= 1 is a
-usage error, as is a malformed --orders, --s-range, --t-range or --sizes
-value (a range a..b needs b >= a, and no MA order is negative), and so is
-giving both --fast and --replications.
+ignores --jobs; map, simulate and nulldist have no --jobs. --n-mc, the
+number of Monte Carlo null-law draws, is a flag of test and nulldist;
+every study draws its law at the default 200,000. Of scipy, a run loads
+its small core package, the generators' AR(1) binding (lfilter's C
+routine, loaded on its own from scipy.signal's private _sigtools;
+scipy.signal loads only if that fails), and scipy.special only for the
+Bartlett law (test --method bartlett and nulldist). No map draws a random
+number, so map accepts --seed and ignores it. Every flag is checked as it
+is parsed: a --jobs below 1, a negative --ma-order, a malformed --orders,
+--s-range, --t-range or --sizes value (a range a..b needs b >= a, and no
+MA order is negative) and giving both --fast and --replications are usage
+errors.
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
@@ -60,29 +59,6 @@ from .simulate import (
 )
 
 
-def _default_jobs(parser: argparse.ArgumentParser) -> int:
-    env = os.environ.get("COHERCAUSE_JOBS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        if int(env) >= 1:
-            return int(env)
-    except ValueError:
-        pass
-    parser.error(f"COHERCAUSE_JOBS must be an integer >= 1, got {env!r}")
-
-
-def _checked_jobs(parser: argparse.ArgumentParser, jobs: int | None) -> int:
-    """A given --jobs value, which must be >= 1, else the default above."""
-    if jobs is None:
-        return _default_jobs(parser)
-    if jobs < 1:
-        parser.error(f"argument --jobs: must be >= 1, got {jobs}")
-    return jobs
-
-
 class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
     """Appends an option's default to its help unless the default is None."""
 
@@ -99,9 +75,30 @@ def _add_seed(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer, of which a value below ``low`` is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names a non-integer an "invalid int value"
+    return parse
+
+
+def _add_ma_order(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--ma-order", type=_int_at_least(0), default=1,
+                     help="MA order of the ARMA pair")
+
+
 def _add_jobs(sub: argparse.ArgumentParser, text: str) -> None:
-    sub.add_argument("--jobs", type=int, default=None, help=text + (
-        " (default: COHERCAUSE_JOBS or the CPUs this process may use)"))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    sub.add_argument("--jobs", type=_int_at_least(1), default=cpus, help=text)
 
 
 def _add_study_flags(sub: argparse.ArgumentParser) -> None:
@@ -204,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--t-cond", type=int, default=20, help="conditioning depth")
     m.add_argument("--transfer-entropy", type=float, default=DEFAULT_F,
                    help="coupling strength of the ARMA pair")
-    m.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
+    _add_ma_order(m)
     m.add_argument("--output", required=True, help="CSV with columns s,t,rho2")
     m.add_argument("--summary", help="JSON run summary (default <output>.json)")
     _add_seed(m)
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--length", type=int, default=100_000, help="samples to generate")
     s.add_argument("--transfer-entropy", type=float, default=DEFAULT_F,
                    help="coupling strength of the ARMA pair")
-    s.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
+    _add_ma_order(s)
     s.add_argument("--output", required=True, help="CSV destination")
     _add_seed(s)
 
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = add_parser("roc", help="power versus size at fixed transfer entropy")
     r.add_argument("--transfer-entropy", type=float, default=DEFAULT_F,
                    help="coupling strength")
-    r.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
+    _add_ma_order(r)
     r.add_argument("--sizes", type=_parse_sizes,
                    default=",".join(str(v) for v in DEFAULT_SIZE_GRID),
                    help="comma-separated size grid")
@@ -254,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = add_parser("calibrate", help="achieved size under the null (coupling off)")
     c.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
-    c.add_argument("--ma-order", type=int, default=1, help="MA order of the ARMA pair")
+    _add_ma_order(c)
     _add_study_flags(c)
     c.add_argument("--output", help="also write the JSON result to this file")
     _add_seed(c)
@@ -406,10 +403,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "jobs" in args and (args.jobs is not None or args.command != "test"):
-        args.jobs = _checked_jobs(parser, args.jobs)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

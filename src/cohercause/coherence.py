@@ -262,8 +262,8 @@ def _two_sided_dtft(seq: np.ndarray, grid_size: int) -> np.ndarray:
     if 2 * max_lag + 1 > grid_size:
         raise ValueError("grid_size must exceed the sequence support")
     buf = np.zeros(grid_size, dtype=complex)
-    for m in range(-max_lag, max_lag + 1):
-        buf[m % grid_size] += seq[max_lag + m]
+    # 2 max_lag + 1 <= grid_size, so the indices are distinct: each lag lands once.
+    buf[np.arange(-max_lag, max_lag + 1) % grid_size] += seq
     return np.fft.fft(buf)
 
 

@@ -128,12 +128,7 @@ class LagSpec:
         if T_cond < 1:
             raise ValueError(f"T_cond must be >= 1, got {T_cond}")
         if conditioning == "past-of-x":
-            z_offsets: list[int] = []
-            j = 0
-            while len(z_offsets) < T_cond:
-                if j != offset:
-                    z_offsets.append(j)
-                j -= 1
+            z_offsets = [j for j in range(0, -T_cond - 1, -1) if j != offset][:T_cond]
             z_role = Role("x", tuple(z_offsets))
         elif conditioning == "past-of-y":
             z_role = Role("y", tuple(range(-1, -T_cond - 1, -1)))

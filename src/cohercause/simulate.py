@@ -324,14 +324,12 @@ def gen_barnett(
 
 def _overlap_sum(al: np.ndarray, be: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """sum_k al[k] be[k+m] for one-sided coefficient arrays, per lag m."""
-    out = np.empty(lags.size)
-    for i, m in enumerate(lags):
-        if m >= 0:
-            n = min(al.size, be.size - m)
-            out[i] = float(al[:n] @ be[m : m + n]) if n > 0 else 0.0
-        else:
-            n = min(be.size, al.size + m)
-            out[i] = float(al[-m : -m + n] @ be[:n]) if n > 0 else 0.0
+    out = np.zeros(lags.size)
+    if al.size and be.size:  # np.correlate rejects an empty array
+        full = np.correlate(be, al, "full")  # lag m at index m + al.size - 1
+        idx = lags + al.size - 1
+        inside = (idx >= 0) & (idx < full.size)
+        out[inside] = full[idx[inside]]
     return out
 
 

@@ -205,6 +205,28 @@ def conditional_estimator_gain(R: CompositeCovariance) -> np.ndarray:
 # --- simulate -----------------------------------------------------------
 
 
+def overlap_sum(al: np.ndarray, be: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """sum_k al[k] be[k+m] per lag m, as one dot product of the overlap per lag."""
+    out = np.empty(lags.size)
+    for i, m in enumerate(lags):
+        if m >= 0:
+            n = min(al.size, be.size - m)
+            out[i] = float(al[:n] @ be[m : m + n]) if n > 0 else 0.0
+        else:
+            n = min(be.size, al.size + m)
+            out[i] = float(al[-m : -m + n] @ be[:n]) if n > 0 else 0.0
+    return out
+
+
+def two_sided_dtft(seq: np.ndarray, grid_size: int) -> np.ndarray:
+    """FFT of a two-sided sequence placed lag by lag on a zero-padded grid."""
+    max_lag = seq.size // 2
+    buf = np.zeros(grid_size, dtype=complex)
+    for m in range(-max_lag, max_lag + 1):
+        buf[m % grid_size] += seq[max_lag + m]
+    return np.fft.fft(buf)
+
+
 def _at(seqs: CovarianceSequences, arr: np.ndarray, m: int) -> float:
     if abs(m) > seqs.max_lag:
         raise ValueError(f"lag {m} exceeds the tabulated range {seqs.max_lag}")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cohercause import WilksLambdaSpec, cli, null_law, sample_null, write_sequence_csv
-from cohercause import BarnettModelSpec, calibrate_size, coherence_map, inference, nulldist
+from cohercause import BarnettModelSpec, coherence_map, inference, nulldist
 from cohercause.cli import build_parser, main
 from cohercause.experiments import write_map_csv
 
@@ -504,8 +504,8 @@ class TestParser:
         assert "(default: None)" not in text
 
     def test_every_flag_is_read_and_has_one_spelling(self):
-        # A command reads a flag as args.<dest> or through _study_args. main only
-        # resolves --jobs; a command that ignores it does not read it.
+        # A command reads a flag as args.<dest> or through _study_args; main
+        # resolves no argument, so a command that ignores a flag does not read it.
         study = set()
 
         class Recorder:
@@ -533,48 +533,51 @@ class TestParser:
         ignored = {("test", "--jobs"), ("map", "--seed")}
         assert (many, unread) == ([], ignored)
 
-    def test_jobs_env_override(self, monkeypatch, capsys):
-        monkeypatch.setenv("COHERCAUSE_JOBS", "1")
-        seen = []
-        monkeypatch.setattr(
-            cli, "calibrate_size", lambda *a, **k: seen.append(k["jobs"]) or calibrate_size(*a, **k)
-        )
-        code, _, _ = run_cli(
-            capsys, "calibrate", "--replications", "1000", "--M", "150", "--T", "2",
-            "--window-mode", "independent-realizations",
-        )
-        assert (code, seen) == (0, [1])
-
     def test_default_jobs_counts_usable_cpus(self, monkeypatch):
-        monkeypatch.delenv("COHERCAUSE_JOBS", raising=False)
+        def default_jobs():
+            return build_parser().parse_args(["calibrate"]).jobs
+
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-        assert cli._default_jobs(build_parser()) == 2
+        assert default_jobs() == 2
         monkeypatch.delattr(cli.os, "sched_getaffinity")
-        assert cli._default_jobs(build_parser()) == 8
+        assert default_jobs() == 8
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._default_jobs(build_parser()) == 1
+        assert default_jobs() == 1
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, message",
         [
-            (["power", "--orders", "abc", "--output", "p.csv"], "--orders"),
-            (["power", "--orders", "-1", "--output", "p.csv"], "--orders"),
-            (["power", "--orders=-2..3", "--output", "p.csv"], "--orders"),
-            (["map", "--case", "I", "--s-range", "0..x", "--output", "m.csv"], "--s-range"),
-            (["map", "--case", "I", "--s-range", "3..-3", "--output", "m.csv"], "--s-range"),
-            (["map", "--case", "I", "--t-range=-1..-2", "--output", "m.csv"], "--t-range"),
-            (["map", "--case", "I", "--t-range", "1..2..3", "--output", "m.csv"], "--t-range"),
-            (["roc", "--sizes", "0.05,x", "--output", "r.csv"], "--sizes"),
+            (["power", "--orders", "abc", "--output", "p.csv"], "--orders: expected "),
+            (["power", "--orders", "-1", "--output", "p.csv"], "--orders: expected "),
+            (["power", "--orders=-2..3", "--output", "p.csv"], "--orders: expected "),
+            (["map", "--case", "I", "--s-range", "0..x", "--output", "m.csv"],
+             "--s-range: expected "),
+            (["map", "--case", "I", "--s-range", "3..-3", "--output", "m.csv"],
+             "--s-range: expected "),
+            (["map", "--case", "I", "--t-range=-1..-2", "--output", "m.csv"],
+             "--t-range: expected "),
+            (["map", "--case", "I", "--t-range", "1..2..3", "--output", "m.csv"],
+             "--t-range: expected "),
+            (["roc", "--sizes", "0.05,x", "--output", "r.csv"], "--sizes: expected "),
+            (["map", "--case", "barnett", "--ma-order", "-1", "--output", "m.csv"],
+             "--ma-order: must be >= 0, got -1"),
+            (["simulate", "--case", "barnett", "--ma-order", "-1", "--output", "s.csv"],
+             "--ma-order: must be >= 0, got -1"),
+            (["roc", "--ma-order", "-1", "--output", "r.csv"], "--ma-order: must be >= 0, got -1"),
+            (["calibrate", "--ma-order=-2"], "--ma-order: must be >= 0, got -2"),
+            (["calibrate", "--jobs", "lots"], "--jobs: invalid int value: 'lots'"),
         ],
         ids=["orders", "orders-negative", "orders-from-negative", "s-range",
-             "s-range-reversed", "t-range-reversed", "t-range", "sizes"],
+             "s-range-reversed", "t-range-reversed", "t-range", "sizes",
+             "map-ma-order", "simulate-ma-order", "roc-ma-order", "calibrate-ma-order",
+             "jobs-not-integer"],
     )
-    def test_malformed_range_or_size_is_usage_error(self, argv, flag, capsys):
+    def test_malformed_range_or_size_is_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"argument {flag}: expected " in capsys.readouterr().err
+        assert f"argument {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["power", "roc", "calibrate"])
     def test_fast_and_replications_are_exclusive(self, command, capsys):
@@ -592,30 +595,10 @@ class TestParser:
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, jobs, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["calibrate", "--fast", "--jobs", jobs])
-        assert exc.value.code == 2
-        assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
-
-    def test_bad_jobs_env(self, monkeypatch, capsys, tmp_path):
-        pair = str(tmp_path / "pair.csv")
-        code, _, _ = run_cli(capsys, "simulate", "--case", "I", "--length", "500", "--output", pair)
-        assert code == 0
-        for jobs in ("lots", "0", "-3"):
-            monkeypatch.setenv("COHERCAUSE_JOBS", jobs)
+        # test ignores --jobs but still checks it.
+        for argv in (["test", "--input", "pair.csv"], ["power", "--fast", "--output", "p.csv"],
+                     ["roc", "--fast", "--output", "r.csv"], ["calibrate", "--fast"]):
             with pytest.raises(SystemExit) as exc:
-                main(["calibrate", "--fast"])
+                main([*argv, "--jobs", jobs])
             assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert f"COHERCAUSE_JOBS must be an integer >= 1, got '{jobs}'" in err
-        # A command without --jobs, or with a --jobs it ignores, does not read the variable.
-        code, _, err = run_cli(capsys, "nulldist", "--p", "1", "--q", "1", "--r", "0",
-                               "--M", "20", "--n-mc", "20000")
-        assert (code, err) == (0, "")
-        code, _, err = run_cli(capsys, "test", "--input", pair, "--lags", "2", "--n-mc", "20000")
-        assert (code, err) == (0, "")
-        # A --jobs given to test is still checked.
-        with pytest.raises(SystemExit) as exc:
-            main(["test", "--input", pair, "--jobs", "0"])
-        assert exc.value.code == 2
-        assert "argument --jobs: must be >= 1, got 0" in capsys.readouterr().err
+            assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from cohercause import (
     partial_coherence_one_onto_two,
     spectral_partial_coherence,
 )
-from cohercause.coherence import _log_det_q
+from cohercause.coherence import _log_det_q, _two_sided_dtft
 from cohercause.inference import likelihood_ratio
 from cohercause.simulate import (
     BarnettModelSpec,
@@ -34,6 +34,7 @@ from reference import (
     conditional_estimator_gain,
     model_composite_covariance,
     partial_canonical_correlations,
+    two_sided_dtft,
 )
 
 D111 = BlockDims(1, 1, 1)
@@ -387,6 +388,13 @@ class TestSpectral:
         )
         assert lists.broadband_rho2 == arrays.broadband_rho2
         assert np.array_equal(lists.narrowband_k2, arrays.narrowband_k2)
+
+    def test_dtft_keeps_per_lag_placement_bits(self):
+        seqs = analytic_covariances(BarnettModelSpec(transfer_entropy=0.02, ma_order=10), 40)
+        for seq in (seqs.xx, seqs.xy):
+            for grid_size in (seq.size, seq.size + 1, 1024):
+                got, ref = _two_sided_dtft(seq, grid_size), two_sided_dtft(seq, grid_size)
+                assert got.tobytes() == ref.tobytes()
 
     def test_grid_must_exceed_support(self):
         with pytest.raises(ValueError, match="support"):

@@ -39,6 +39,15 @@ def test_run_coherence_maps(tmp_path):
     assert sorted(summary["panels"]) == expected
 
 
+def _assert_curves_match_library(outdir, study):
+    # The script reads power and the ROC from one draw of the statistics; the
+    # files equal what power_curve and roc_curve write at the same arguments.
+    write_power_csv(str(outdir / "ref_power.csv"), power_curve(range(0, 11), **study))
+    write_roc_csv(str(outdir / "ref_roc.csv"), roc_curve(ma_order=1, **study))
+    for name, ref in (("power_vs_ma_order.csv", "ref_power.csv"), ("roc.csv", "ref_roc.csv")):
+        assert (outdir / name).read_bytes() == (outdir / ref).read_bytes()
+
+
 def test_run_power_study(tmp_path):
     script = [sys.executable, str(SCRIPTS / "run_power_study.py"), "--replications", "1000"]
     done = subprocess.run(
@@ -52,13 +61,8 @@ def test_run_power_study(tmp_path):
     summary = json.loads((tmp_path / "power_study_summary.json").read_text())
     assert summary["replications"] == 1000
     assert len((tmp_path / "power_vs_ma_order.csv").read_text().splitlines()) == 1 + 11
-    # The script reads power and the ROC from one draw of the statistics; the
-    # files equal what power_curve and roc_curve write at the same arguments.
     study = dict(replications=1000, M=60, T=2, seed=42)
-    write_power_csv(str(tmp_path / "ref_power.csv"), power_curve(range(0, 11), **study))
-    write_roc_csv(str(tmp_path / "ref_roc.csv"), roc_curve(ma_order=1, **study))
-    for name, ref in (("power_vs_ma_order.csv", "ref_power.csv"), ("roc.csv", "ref_roc.csv")):
-        assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes()
+    _assert_curves_match_library(tmp_path, study)
     # Both sizes, read at the script's one threshold, are calibrate_size's.
     null = BarnettModelSpec(transfer_entropy=0.0, ma_order=1)
     for key, mode in (("independent", "independent-realizations"),
@@ -79,6 +83,19 @@ def test_run_power_study(tmp_path):
     assert clash.returncode == 2
     assert "--fast" in clash.stderr and "--replications" in clash.stderr
     assert not (tmp_path / "never").exists()
+
+
+def test_run_power_study_shared_core_route(tmp_path):
+    # At T 4 the script's orders 0..10 read their Grams from the shared AR core
+    # (30^2 < 11 * 10^2) while roc_curve's one order carves its own panel; the
+    # files still equal the library's.
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_power_study.py"), "--replications", "1000",
+         "--M", "60", "--T", "4", "--jobs", "2", "--outdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    _assert_curves_match_library(tmp_path, dict(replications=1000, M=60, T=4, seed=42))
 
 
 def test_run_power_study_draws_one_null_law(tmp_path, monkeypatch):
@@ -111,12 +128,13 @@ def test_run_power_study_jobs(tmp_path):
         del summary["elapsed_seconds"]
         files[jobs]["power_study_summary.json"] = summary
     assert files["1"] == files["2"]
-    bad = subprocess.run(
-        [*script, "--jobs", "0", "--outdir", str(tmp_path / "never")],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert bad.returncode == 2
-    assert "argument --jobs: must be >= 1, got 0" in bad.stderr
+    for jobs in ("0", "-3"):
+        bad = subprocess.run(
+            [*script, "--jobs", jobs, "--outdir", str(tmp_path / "never")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert bad.returncode == 2
+        assert f"argument --jobs: must be >= 1, got {jobs}" in bad.stderr
     assert not (tmp_path / "never").exists()
 
 

@@ -30,10 +30,17 @@ from cohercause import (
     write_sequence_csv,
 )
 from cohercause.inference import atomic_write
-from cohercause.simulate import _CSV_BLOCK_ROWS, BURN_IN, _barnett_cores, _ma_step
+from cohercause.simulate import (
+    _CSV_BLOCK_ROWS,
+    BURN_IN,
+    MA_CASES,
+    _barnett_cores,
+    _ma_step,
+    _overlap_sum,
+)
 from cohercause.streams import stream_rng
 
-from reference import model_composite_covariance, xx_at, xy_at, yy_at
+from reference import model_composite_covariance, overlap_sum, xx_at, xy_at, yy_at
 
 
 def csv_writer_sequence(path, x, y):
@@ -174,6 +181,21 @@ class TestAnalyticCovariances:
             assert abs(est - xy_at(seqs, lag)) < 3 * se
         est, se = batched_cross_cov(y, y, 1)
         assert abs(est - yy_at(seqs, 1)) < 3 * se
+
+    def test_overlap_sums_keep_per_lag_dot_product_bits(self):
+        # At lags inside, beside and beyond every response pair's overlap, and
+        # for the empty response of an MA case's x to nu.
+        specs = [MAFilterSpec.from_case(case) for case in MA_CASES] + [
+            BarnettModelSpec(transfer_entropy=0.02, ma_order=r) for r in (0, 1, 5, 10)
+        ]
+        for spec in specs:
+            for c in spec.noise_responses():
+                for d in spec.noise_responses():
+                    for (a, s), (b, t) in zip(c, d):
+                        for max_lag in (10, 40, 400):
+                            lags = np.arange(-max_lag, max_lag + 1) + s - t
+                            got, ref = _overlap_sum(a, b, lags), overlap_sum(a, b, lags)
+                            assert got.tobytes() == ref.tobytes()
 
     def test_toeplitz_windows_are_psd(self):
         seqs = analytic_covariances(MAFilterSpec.from_case("I"), 70)
