@@ -545,6 +545,27 @@ class TestParser:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert default_jobs() == 1
 
+    def test_bad_jobs_env(self, monkeypatch, capsys, tmp_path):
+        # COHERCAUSE_JOBS is retired: no value of it is read or rejected.
+        pair = str(tmp_path / "pair.csv")
+        code, _, _ = run_cli(capsys, "simulate", "--case", "I", "--length", "500", "--output", pair)
+        assert code == 0
+        default = build_parser().parse_args(["calibrate"]).jobs
+        for jobs in ("lots", "0", "-3"):
+            monkeypatch.setenv("COHERCAUSE_JOBS", jobs)
+            assert build_parser().parse_args(["calibrate", "--fast"]).jobs == default
+            code, _, err = run_cli(capsys, "nulldist", "--p", "1", "--q", "1", "--r", "0",
+                                   "--M", "20", "--n-mc", "20000")
+            assert (code, err) == (0, "")
+            code, _, err = run_cli(capsys, "test", "--input", pair, "--lags", "2",
+                                   "--n-mc", "20000")
+            assert (code, err) == (0, "")
+        # A --jobs given to test is still checked.
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--input", pair, "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be >= 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
