@@ -56,9 +56,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherence import _log_det_q
-from .covariance import BlockDims, CompositeCovariance
+from .covariance import BlockDims, CompositeCovariance, CovarianceError
 from .inference import (
-    _WINDOW_CHUNK_BYTES, LagSpec, _row_views, _scaled_gram, _sequence_pair, atomic_write,
+    LagSpec, _row_views, _scaled_gram, _sequence_pair, atomic_write,
 )
 from .nulldist import DEFAULT_SEED, WilksLambdaSpec, null_law
 from .simulate import (
@@ -96,6 +96,10 @@ FAST_REPLICATIONS = 2_000
 DEFAULT_SIZE_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
 
 _MVN_CHUNK = 200
+# The panel bytes of a consecutive-window core block. Smaller blocks were
+# measured slower, since each block pays a core draw, the MA steps and a
+# kernel call per order.
+_WINDOW_CHUNK_BYTES = 10 * 2**20
 # A consecutive-window panel of this size stays in a core's L2 cache (commonly
 # 1-2 MiB) between the fill of its windows and their Grams.
 _PANEL_BYTES = 2**20
@@ -227,9 +231,18 @@ def _ma_transform(spec: BarnettModelSpec, T: int, history: int) -> np.ndarray:
     return C
 
 
+def _named(exc: CovarianceError, order: int, T: int) -> CovarianceError:
+    """``exc``, raised by the windows of MA order ``order`` at lag depth T, named so.
+
+    The callers wrap each kernel call in ``try``, which costs nothing until
+    it raises.
+    """
+    return CovarianceError(f"MA order {order} at T {T}: {exc}")
+
+
 def _consecutive_stats(
     x: np.ndarray, y: np.ndarray, T: int, M: int, buffer: np.ndarray | None = None,
-    transforms: list[np.ndarray] | None = None,
+    transforms: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Statistics from the back-to-back windows of one sequence pair.
 
@@ -250,17 +263,21 @@ def _consecutive_stats(
     studies simulate; ``inference._scaled_gram`` centres explicitly for
     data at any scale.
 
-    With ``transforms`` (from :func:`_ma_transform`, all of one ``history``
-    h), x and y are the AR cores eta2 and eta1, led by the h samples the MA
-    polynomials need, and row m of the result holds the statistics of
-    order m's windows. The panel then holds the core's rows at depth T + h
-    (42 rows at T 10, h 10), each window's core Gram G is formed once, and
-    the kernel runs on C_m G C_m^T for every m. The stack holds as many
+    With ``transforms`` (each MA order's :func:`_ma_transform`, all of one
+    ``history`` h), x and y are the AR cores eta2 and eta1, led by the h
+    samples the MA polynomials need, and row m of the result holds the
+    statistics of the m-th order's windows; a rank error names that order.
+    The panel then holds the core's rows at depth T + h (42 rows at T 10,
+    h 10), each window's core Gram G is formed once, and the kernel runs on
+    C_m G C_m^T for every m. The stack holds as many
     core Grams as a core block's Grams of 2T + 2 rows fill (16 at T 10,
     h 10), so the deeper Grams take no more memory.
     """
     window = M + T
-    depth = T if transforms is None else (transforms[0].shape[1] - 2) // 2
+    if transforms is None:
+        depth = T
+    else:
+        depth = (next(iter(transforms.values())).shape[1] - 2) // 2
     # Entry [w, c] of each view is the row's sample at column c of window w.
     views = _row_views(
         *(sliding_window_view(s, window + depth - T)[::window] for s in (x, y)),
@@ -279,9 +296,13 @@ def _consecutive_stats(
             for i, v in enumerate(views):
                 panel[:, i] = v[g0 + w0 : g0 + w0 + len(panel)]
             np.matmul(panel, np.swapaxes(panel, 1, 2), out=grams[w0 : w0 + len(panel)])
-        for m, C in enumerate([None] if transforms is None else transforms):
-            S = grams if C is None else C @ grams @ C.T
-            out[m, g0 : g0 + len(grams)] = -np.expm1(_log_det_q(S, T, 1, T + 1))
+        if transforms is None:
+            out[0, g0 : g0 + len(grams)] = -np.expm1(_log_det_q(grams, T, 1, T + 1))
+        for m, (order, C) in enumerate((transforms or {}).items()):
+            try:
+                out[m, g0 : g0 + len(grams)] = -np.expm1(_log_det_q(C @ grams @ C.T, T, 1, T + 1))
+            except CovarianceError as exc:
+                raise _named(exc, order, T) from None
     return out[0] if transforms is None else out
 
 
@@ -296,19 +317,20 @@ def _study_statistics(
     consecutive windows the specs differ only in their MA polynomials, so
     they filter one AR core of ``specs[0]``, drawn from stream
     (seed, streams[0]) in blocks of ``_window_chunk`` windows. Row i is the
-    statistics of ``gen_barnett(specs[i], ..., seed, streams[0])``'s
-    windows. When (2T + 2h + 2)^2 < len(specs) (2T + 2)^2, for h the highest
-    MA order, every spec reads its window Grams from one Gram of the core's
-    lag panel through :func:`_ma_transform`. That rounds differently from
+    statistics of the windows of specs[i]'s pair drawn whole from that
+    stream, the pair ``gen_barnett`` draws from stream (seed, 0). When
+    (2T + 2h + 2)^2 < len(specs) (2T + 2)^2, for h the highest MA order,
+    every spec reads its window Grams from one Gram of the core's lag panel
+    through :func:`_ma_transform`. That rounds differently from
     filtering first, and lands nearer the statistics of exactly filtered
-    windows. Otherwise row i equals
-    ``_consecutive_stats(*gen_barnett(specs[i], ..., seed, streams[0]), T, M)``
-    bit for bit, as for every one-spec study. Each block's windows are cut
+    windows. Otherwise row i equals ``_consecutive_stats`` of that pair bit
+    for bit, as for every one-spec study. Each block's windows are cut
     into ``jobs`` contiguous ranges; a task carves every spec over one
     non-empty range, in batches of its own small reused panel, so every
     worker is used even for one spec. The blocks are submitted one
     at a time, so memory does not grow with ``replications`` or the number
-    of specs. Either way the result does not depend on ``jobs``.
+    of specs. Either way the result does not depend on ``jobs``, and a rank
+    error names the MA order and T of the windows it hit.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -316,19 +338,24 @@ def _study_statistics(
         raise ValueError(f"unknown window mode {window_mode!r}")
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         if window_mode == "independent-realizations":
-            return np.array([
-                _independent_stats(
-                    lag_window_covariance(spec, T).entries, T, 1, T, M, replications, seed,
-                    stream, pool.map,
-                )
-                for spec, stream in zip(specs, streams)
-            ])
+            rows = []
+            for spec, stream in zip(specs, streams):
+                try:
+                    rows.append(_independent_stats(
+                        lag_window_covariance(spec, T).entries, T, 1, T, M, replications, seed,
+                        stream, pool.map,
+                    ))
+                except CovarianceError as exc:
+                    raise _named(exc, spec.ma_order, T) from None
+            return np.array(rows)
         window = M + T
         history = max(spec.ma_order for spec in specs)
         # One core Gram of 2(T + h) + 2 rows costs less than a Gram of 2T + 2
         # rows for each order only when several orders share it.
         shared = (2 * (T + history) + 2) ** 2 < len(specs) * (2 * T + 2) ** 2
-        transforms = [_ma_transform(spec, T, history) for spec in specs] if shared else None
+        transforms = (
+            {spec.ma_order: _ma_transform(spec, T, history) for spec in specs} if shared else None
+        )
         chunk = _window_chunk(T, M)
         depth = T + history if shared else T
         panels = [
@@ -346,7 +373,10 @@ def _study_statistics(
                 return
             for i, spec in enumerate(specs):
                 # No name holds an order's pair, so it is freed before the next one forms.
-                out[i, cols] = _consecutive_stats(*_ma_step(spec, part, history), T, M, panel)
+                try:
+                    out[i, cols] = _consecutive_stats(*_ma_step(spec, part, history), T, M, panel)
+                except CovarianceError as exc:
+                    raise _named(exc, spec.ma_order, T) from None
 
         start = 0
         for core in _barnett_cores(

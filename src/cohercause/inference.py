@@ -3,7 +3,8 @@
 The pipeline is: embed two scalar sequences into lagged sample vectors (the
 rows of a data panel D, each a zero-copy view of a sequence), form the Gram
 of the centred rows, each scaled by a power of two to stay O(M) at any
-floating-point scale and gathered one column chunk at a time, take its
+floating-point scale and gathered one 1 MiB column chunk at a time into one
+reused buffer, so the Gram's working set does not grow with M, take its
 partial coherence (scale-invariant, so that of S = D D^T) as the test
 statistic, and compare it against the Wilks Lambda null law read by
 ``nulldist.null_law``. One minus it is the likelihood ratio for zero
@@ -42,7 +43,8 @@ __all__ = [
     "read_sequence_csv",
 ]
 
-_WINDOW_CHUNK_BYTES = 10 * 2**20
+# A data Gram's column chunk: half of a common 2 MiB L2 cache.
+_GRAM_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -201,30 +203,41 @@ def _scaled_gram(rows, center: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Row i is divided by u_i, the power of two at or below its largest
     magnitude, which is exact and leaves it in (-2, 2). There it is centred if
     ``center`` and divided by v_i, the power of two above its largest
-    deviation, so its scale is s_i = u_i v_i. Rows are gathered in column
-    chunks of ``_WINDOW_CHUNK_BYTES``. No step overflows or inverts a scale,
-    so G is O(M) for any finite rows, subnormal or near the float maximum;
-    G_ij s_i s_j is the data-scale Gram exactly, and a centred row of equal
-    samples is zero, so the kernel names it.
+    deviation, so its scale is s_i = u_i v_i. No step overflows or inverts a
+    scale, so G is O(M) for any finite rows, subnormal or near the float
+    maximum; G_ij s_i s_j is the data-scale Gram exactly, and a centred row of
+    equal samples is zero, so the kernel names it.
+
+    The rows are read in column chunks of about ``_GRAM_CHUNK_BYTES``, each
+    gathered into one reused buffer: once to sum the centring means, then
+    again to centre, scale and add its Gram. The buffer is sized to stay in a
+    core's L2 cache between its gather and its Gram, so the working set does
+    not grow with M, and each chunk's Gram is a short sum.
     """
+    n, M = len(rows), len(rows[0])
     lo, hi = (np.array([f(v) for v in rows]) for f in (np.min, np.max))
     unit = np.ldexp(1.0, np.frexp(np.maximum(np.abs(lo), np.abs(hi)))[1] - 1)
     lo, hi = lo / unit, hi / unit
+    width = max(1, _GRAM_CHUNK_BYTES // (n * 8))
+    buffer = np.empty(n * min(width, M))
+
+    def chunks():
+        for c0 in range(0, M, width):
+            D = buffer[: n * min(width, M - c0)].reshape(n, -1)
+            np.stack([v[c0 : c0 + width] for v in rows], out=D)
+            D /= unit[:, None]
+            yield D
+
     if center:
-        means = np.where(lo == hi, lo, [(v / u).mean() for v, u in zip(rows, unit)])
+        means = np.where(lo == hi, lo, sum(D.sum(axis=1) for D in chunks()) / M)
     else:
-        means = np.zeros_like(lo)
+        means = np.zeros(n)
     spread = np.ldexp(1.0, np.frexp(np.maximum(hi - means, means - lo))[1])
-    chunk = max(1, _WINDOW_CHUNK_BYTES // (len(rows) * 8))
-    gram = np.zeros((len(rows), len(rows)))
-    for c0 in range(0, len(rows[0]), chunk):
-        D = np.array([v[c0 : c0 + chunk] for v in rows])
-        D /= unit[:, None]
+    gram = np.zeros((n, n))
+    for D in chunks():
         D -= means[:, None]
         D /= spread[:, None]
         gram += D @ D.T
-        # Released before the next chunk is gathered, so one chunk is alive at a time.
-        del D
     return gram, unit, spread
 
 

@@ -13,7 +13,10 @@ Monte Carlo draws take the shorter of the two products: min(p, q) Beta
 factors per draw, one for the default influence test (q = 1). One
 function, :func:`null_law`, picks the law and reads every threshold and
 p-value: from those draws, made in the calling process, or from Bartlett's
-large-M chi-squared approximation, a cheap alternative. The Monte Carlo
+large-M chi-squared approximation, a cheap alternative. The draws are
+written chunk by chunk into one array, which the threshold reader
+partitions in place, so the law holds its n draws and one chunk's two
+gamma buffers (1 MiB), and nothing more. The Monte Carlo
 law needs numpy only; the two Bartlett functions import scipy.special's
 chi-squared tail and inverse when they run, so importing this module loads
 no part of scipy (scipy.special takes ~0.2 s to import).
@@ -33,8 +36,8 @@ __all__ = ["WilksLambdaSpec", "sample_null", "null_law"]
 DEFAULT_N_MC = 200_000
 DEFAULT_SEED = 42
 
-# Draws come in chunks of this size, chunk i from stream index i, which
-# bounds the temporaries of a large draw.
+# Draws come in chunks of this size, chunk i from stream index i. Its two
+# gamma buffers (1 MiB together) are a draw's only temporaries.
 _CHUNK = 1 << 16
 
 
@@ -68,18 +71,6 @@ class WilksLambdaSpec:
         object.__setattr__(self, "beta_params", params)
 
 
-def _sample_chunk(spec: WilksLambdaSpec, n: int, seed: int, chunk_index: int) -> np.ndarray:
-    rng = stream_rng(seed, chunk_index)
-    prod = np.ones(n)
-    for a, b in spec.beta_params:
-        # Two gamma draws per factor; valid for half-integer shapes
-        # (a shape of 0.5 included), unlike some direct Beta samplers.
-        g1 = rng.gamma(a, size=n)
-        g2 = rng.gamma(b, size=n)
-        prod *= g1 / (g1 + g2)
-    return 1.0 - prod
-
-
 def sample_null(spec: WilksLambdaSpec, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Draw n i.i.d. samples of the null statistic 1 - prod b_i.
 
@@ -87,17 +78,29 @@ def sample_null(spec: WilksLambdaSpec, n: int, seed: int = DEFAULT_SEED) -> np.n
     ``spec.beta_params``, and the q factors of the equal law
     Lambda(q, m + q - p, p), ``WilksLambdaSpec(q, p, r, M).beta_params``.
     Deterministic in (spec, n, seed): chunk i of ``_CHUNK`` draws comes
-    from stream (seed, i). The draws are made in the calling process.
+    from stream (seed, i). The draws are made in the calling process, into
+    the returned array, so a draw of n samples holds those n doubles and two
+    reused gamma buffers of one chunk.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if spec.q < spec.p:
         spec = WilksLambdaSpec(spec.q, spec.p, spec.r, spec.M)
-    parts = [
-        _sample_chunk(spec, min(_CHUNK, n - start), seed, i)
-        for i, start in enumerate(range(0, n, _CHUNK))
-    ]
-    return np.concatenate(parts)
+    out = np.ones(n)
+    buffers = np.empty((2, min(n, _CHUNK)))
+    for i, start in enumerate(range(0, n, _CHUNK)):
+        rng = stream_rng(seed, i)
+        prod = out[start : start + _CHUNK]
+        g1, g2 = buffers[:, : prod.size]
+        for a, b in spec.beta_params:
+            # Two gamma draws per factor; valid for half-integer shapes
+            # (a shape of 0.5 included), unlike some direct Beta samplers.
+            rng.standard_gamma(a, out=g1)
+            rng.standard_gamma(b, out=g2)
+            g2 += g1
+            g1 /= g2
+            prod *= g1
+    return np.subtract(1.0, out, out=out)
 
 
 def _order_statistic_threshold(samples: np.ndarray, alpha: float) -> float:
@@ -108,6 +111,11 @@ def _order_statistic_threshold(samples: np.ndarray, alpha: float) -> float:
     provided alpha (n + 1) is not an integer and the statistic is
     continuous. Fewer than 50 draws in a tail, n min(alpha, 1 - alpha) < 50,
     can break that agreement and raise ``ValueError``.
+
+    ``samples`` is partitioned in place, so no copy of it is made. That
+    reorders it but moves no count, so the p-value reader of the same draw
+    and later thresholds, at any alpha and in any order, read what they
+    would from the unpartitioned draw.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -117,7 +125,8 @@ def _order_statistic_threshold(samples: np.ndarray, alpha: float) -> float:
             f"n_mc={n} gives insufficient tail resolution for alpha={alpha}"
         )
     m = int(math.floor(alpha * (n + 1)))
-    return float(np.partition(samples, n - m)[n - m])
+    samples.partition(n - m)
+    return float(samples[n - m])
 
 
 def _mc_p_value(samples: np.ndarray, stat: float) -> float:

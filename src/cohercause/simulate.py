@@ -225,24 +225,22 @@ class CovarianceSequences:
     xy: np.ndarray
 
 
-def gen_ma_case(
-    case: str, length: int, seed: int, stream: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def gen_ma_case(case: str, length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one of the built-in MA demonstration cases.
 
     The geometric channels are run as exact AR(1) recursions; the finite
     coupling filter is applied by shifting, so future-coupling cases
     draw on samples beyond the returned range, which the trailing margin
     covers. Samples inside the burn-in are discarded. The channels' noise
-    is drawn from streams (seed, stream, 0) and (seed, stream, 1).
+    is drawn from streams (seed, 0, 0) and (seed, 0, 1).
     """
     spec = MAFilterSpec.from_case(case)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     future = max(0, -min(spec.f_offsets))
     total = length + BURN_IN + future
-    mu = stream_rng(seed, stream, 0).standard_normal(total)
-    nu = stream_rng(seed, stream, 1).standard_normal(total)
+    mu = stream_rng(seed, 0, 0).standard_normal(total)
+    nu = stream_rng(seed, 0, 1).standard_normal(total)
     x_full, _ = ar1(spec.h0, spec.a, mu, np.zeros(1))
     y_full, _ = ar1(spec.g0, spec.b, nu, np.zeros(1))
     for off, coef in zip(spec.f_offsets, spec.f_coeffs):
@@ -307,9 +305,7 @@ def _ma_step(
     return x, y
 
 
-def gen_barnett(
-    spec: BarnettModelSpec, length: int, seed: int, stream: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def gen_barnett(spec: BarnettModelSpec, length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the bivariate ARMA(r, 1) pair, burn-in discarded.
 
     The AR recursion is run directly (no truncation) and the finite MA
@@ -319,7 +315,7 @@ def gen_barnett(
     generator and MA step that the consecutive-window studies stream from.
     """
     r = spec.ma_order
-    return _ma_step(spec, next(_barnett_cores(spec, length, length, seed, stream, r)), r)
+    return _ma_step(spec, next(_barnett_cores(spec, length, length, seed, 0, r)), r)
 
 
 def _overlap_sum(al: np.ndarray, be: np.ndarray, lags: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ square roots, named Schur complements, block-by-block assembly, one
 lag-table lookup per entry), so that agreement between the two is evidence
 for both. They use the package's public names, plus its pivot rule
 (``_checked_cholesky``) and clamp (``K_CLAMP``), so that a rank-deficient
-block is reported exactly as the kernel reports it.
+block is reported exactly as the kernel reports it, and the private stream
+layout of the draws they reproduce (the null law's ``_CHUNK``, the AR-core
+generator ``_barnett_cores`` and its MA step ``_ma_step``).
 """
 from __future__ import annotations
 
@@ -24,12 +26,16 @@ from cohercause import (
     CovarianceSequences,
     LagSpec,
     MAFilterSpec,
+    WilksLambdaSpec,
     analytic_covariances,
     composite_from_sequences,
     schur_complement,
 )
 from cohercause.coherence import K_CLAMP
 from cohercause.covariance import _checked_cholesky
+from cohercause.nulldist import _CHUNK
+from cohercause.simulate import _barnett_cores, _ma_step
+from cohercause.streams import stream_rng
 
 
 # --- covariance ---------------------------------------------------------
@@ -202,7 +208,41 @@ def conditional_estimator_gain(R: CompositeCovariance) -> np.ndarray:
     return la.cho_solve((L_yy, True), uu[:p, p:].T).T
 
 
+# --- nulldist -----------------------------------------------------------
+
+
+def concatenated_sample_null(spec: WilksLambdaSpec, n: int, seed: int) -> np.ndarray:
+    """``sample_null``'s draw, as one fresh array per chunk, concatenated.
+
+    Chunk i of ``_CHUNK`` draws comes from stream (seed, i), and each Beta
+    factor is formed from two fresh gamma arrays, g1 / (g1 + g2).
+    """
+    if spec.q < spec.p:
+        spec = WilksLambdaSpec(spec.q, spec.p, spec.r, spec.M)
+    parts = []
+    for i, start in enumerate(range(0, n, _CHUNK)):
+        rng = stream_rng(seed, i)
+        size = min(_CHUNK, n - start)
+        prod = np.ones(size)
+        for a, b in spec.beta_params:
+            g1 = rng.gamma(a, size=size)
+            g2 = rng.gamma(b, size=size)
+            prod *= g1 / (g1 + g2)
+        parts.append(1.0 - prod)
+    return np.concatenate(parts)
+
+
 # --- simulate -----------------------------------------------------------
+
+
+def barnett_on_stream(
+    spec: BarnettModelSpec, length: int, seed: int, stream: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``gen_barnett``'s pair drawn from noise streams (seed, stream, 0) and
+    (seed, stream, 1), as one block of the AR-core generator and its MA step."""
+    r = spec.ma_order
+    return _ma_step(spec, next(_barnett_cores(spec, length, length, seed, stream, r)), r)
+
 
 
 def overlap_sum(al: np.ndarray, be: np.ndarray, lags: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cohercause import WilksLambdaSpec, cli, null_law, sample_null, write_sequence_csv
-from cohercause import BarnettModelSpec, coherence_map, inference, nulldist
+from cohercause import BarnettModelSpec, coherence_map, gen_barnett, inference, nulldist
 from cohercause.cli import build_parser, main
 from cohercause.experiments import write_map_csv
 
@@ -19,6 +19,12 @@ from helpers import DEGENERATE_BLOCKS, degenerate_pair
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # Peak RSS of default-replication `power --orders 0..1 --jobs 2`, as the README states.
 POWER_PEAK_RSS_MB = 100
+# Rise of `test`'s own VmHWM over its import baseline on a 100k-row pair. The
+# CSV read peaks about 5 MiB above the baseline and leaves t, x and y (2.4 MB);
+# above them the Gram holds one 1 MiB chunk, and the null law its 200k draws
+# (1.6 MB) and two gamma buffers (1 MiB). Their sum, rounded up, is the bound.
+# A 10 MiB Gram chunk would exceed it on its own, with t, x and y alive.
+TEST_PEAK_RISE_MB = 10
 
 
 def run_cli(capsys, *argv):
@@ -60,7 +66,7 @@ class TestSimulateAndTest:
         # `test` tests the lag_embed panel of the CSV columns, whose rows are views
         # of them, and prints what the library prints for the same embedding. A
         # small chunk size makes the Gram sum over many chunks.
-        monkeypatch.setattr(inference, "_WINDOW_CHUNK_BYTES", 2**14)
+        monkeypatch.setattr(inference, "_GRAM_CHUNK_BYTES", 2**14)
         pair = tmp_path / "pair.csv"
         run_cli(capsys, "simulate", "--case", "barnett", "--length", "3000",
                 "--transfer-entropy", "0.05", "--output", str(pair), "--seed", "3")
@@ -149,6 +155,26 @@ class TestSimulateAndTest:
         assert code == 1
         assert out == ""
         assert err == f"cohercause: error: {DEGENERATE_BLOCKS[case]} is rank-deficient\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # (2(T + h) + 2)^2 < 2 (2T + 2)^2: orders 9 and 10 share one core Gram.
+            ("power", "--orders", "9..10", "--M", "300"),
+            ("roc", "--ma-order", "10"),
+            ("power", "--orders", "10", "--M", "300",
+             "--window-mode", "independent-realizations"),
+        ],
+        ids=["shared-core", "per-order", "independent"],
+    )
+    def test_study_rank_error_names_order_and_T(self, tmp_path, capsys, argv):
+        # At T 60 the order-10 windows are numerically singular on every route.
+        code, out, err = run_cli(
+            capsys, *argv, "--T", "60", "--fast", "--output", str(tmp_path / "out.csv"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "cohercause: error: MA order 10 at T 60: x given z is rank-deficient\n"
 
     def test_too_few_null_draws_is_runtime_error(self, tmp_path, capsys):
         pair = tmp_path / "pair.csv"
@@ -437,6 +463,34 @@ class TestPowerRocCalibrate:
         proc = subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 0, proc.stderr
         assert int(hwm.read_text()) / 1024 < POWER_PEAK_RSS_MB
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_test_peak_rss_rise_bounded(self, tmp_path):
+        # The child reads its own VmHWM after importing the CLI and again after
+        # `test` returns, so the rise is the command's alone.
+        pair = tmp_path / "pair.csv"
+        spec = BarnettModelSpec(transfer_entropy=0.02, ma_order=1)
+        write_sequence_csv(str(pair), *gen_barnett(spec, 100_000, 42))
+        child = (
+            "import sys\n"
+            "def vmhwm_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        lines = [line for line in fh if line.startswith('VmHWM:')]\n"
+            "    return int(lines[0].split()[1])\n"
+            "from cohercause.cli import main\n"
+            "base = vmhwm_kib()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(base, vmhwm_kib(), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        argv = [sys.executable, "-c", child, "test", "--input", str(pair), "--lags", "10"]
+        path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["M"] == 100_000 - 11
+        base, peak = map(int, proc.stderr.split())
+        assert (peak - base) / 1024 < TEST_PEAK_RISE_MB
 
     @pytest.mark.parametrize(
         "command, extra, keys",

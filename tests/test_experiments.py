@@ -55,7 +55,7 @@ from cohercause.simulate import (
 )
 
 from helpers import DEGENERATE_BLOCKS, degenerate_pair
-from reference import model_composite_covariance
+from reference import barnett_on_stream, model_composite_covariance
 
 
 def per_window_consecutive_stats(x, y, T, M, n_windows, chunk=250):
@@ -157,13 +157,14 @@ class TestOneGramMap:
         ref = per_cell_analytic_map(MAP_MODELS[name], grid, grid, "past-of-y", 20)
         assert_allclose(cmap.values, ref, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("chunk_bytes", [None, 100_000], ids=["one-chunk", "chunked"])
+    @pytest.mark.parametrize("chunk_bytes", [2**26, 100_000], ids=["one-chunk", "chunked"])
     @pytest.mark.parametrize("conditioning", ["past-of-x", "past-of-y"])
     def test_data_map_matches_shared_column_panels(
         self, monkeypatch, conditioning, chunk_bytes
     ):
-        if chunk_bytes:  # a few hundred columns per chunk, the last one partial
-            monkeypatch.setattr(inference, "_WINDOW_CHUNK_BYTES", chunk_bytes)
+        # One chunk holds the whole 20k-column panel, or a few hundred columns
+        # fill each chunk, the last one partial.
+        monkeypatch.setattr(inference, "_GRAM_CHUNK_BYTES", chunk_bytes)
         x, y = gen_ma_case("I", 20_000, 42)
         grid = range(0, 20)
         cmap = coherence_map((x, y), grid, grid, conditioning, T_cond=20)
@@ -342,7 +343,7 @@ class TestSharedCore:
         )
         for spec, got in zip(specs, stats):
             # The one-block sequence has no block boundary to carry across.
-            whole = gen_barnett(spec, n_windows * (M + T), seed, stream=1)
+            whole = barnett_on_stream(spec, n_windows * (M + T), seed, 1)
             assert np.array_equal(got, _consecutive_stats(*whole, T, M))
             assert np.array_equal(got, per_window_consecutive_stats(*whole, T, M, n_windows))
 
@@ -483,7 +484,7 @@ class TestCoreGram:
         assert np.array_equal(got, expected)
         # Each row is its own order's statistics, up to rounding.
         for spec, row in zip(specs, got):
-            whole = gen_barnett(spec, n_windows * (M + T), seed, stream=1)
+            whole = barnett_on_stream(spec, n_windows * (M + T), seed, 1)
             assert_allclose(row, _consecutive_stats(*whole, T, M), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("order", [1, 3, 10])
@@ -498,7 +499,7 @@ class TestCoreGram:
         core = next(_barnett_cores(spec, N, N, seed, 1, h))
         direct = _consecutive_stats(*_ma_step(spec, core, h), T, M)
         [shared] = _consecutive_stats(
-            core[1], core[0], T, M, transforms=[experiments._ma_transform(spec, T, h)]
+            core[1], core[0], T, M, transforms={order: experiments._ma_transform(spec, T, h)}
         )
         eta1, eta2 = (c.astype(np.longdouble) for c in core)
         x = sum(c * eta2[h - j : h - j + N] for j, c in enumerate(spec.ma_x))
@@ -527,7 +528,7 @@ class TestCoreGram:
         k = experiments._window_chunk(T, M)
         specs = [BarnettModelSpec(transfer_entropy=0.02, ma_order=order) for order in range(h + 1)]
         core = next(_barnett_cores(specs[0], k * (M + T), k * (M + T), 3, 1, h))
-        transforms = [experiments._ma_transform(spec, T, h) for spec in specs]
+        transforms = {spec.ma_order: experiments._ma_transform(spec, T, h) for spec in specs}
         # The 3 windows of 42 x 1000 doubles that fit in 1 MiB.
         panel_bytes = 3 * (2 * (T + h) + 2) * M * 8
         # 16 core Grams take the bytes of 59 Grams of 22 rows.

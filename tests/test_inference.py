@@ -226,35 +226,38 @@ class TestSampleCovariance:
         assert np.linalg.eigvalsh(S.entries).min() > -1e-8
 
     def test_gram_of_row_views_holds_one_chunk(self):
-        # The Gram gathers one column chunk of the views at a time and drops it
-        # before it gathers the next. Its traced peak is then one chunk, or the
-        # one-row temporary of a centring mean (taken before the loop), plus
-        # the n x n Grams and length-n scales that are alive throughout.
+        # The Gram gathers each column chunk of the views into one reused
+        # buffer, for the centring sums and again for the Gram. Its traced peak
+        # is then that one chunk plus the n x n Grams and length-n sums and
+        # scales, even where a row is longer than a chunk, so that one
+        # row-long temporary would show.
         rows = LagSpec.influence_test(T=10).rows
         n = len(rows)
-        chunk = inference._WINDOW_CHUNK_BYTES // (n * 8)
-        M = 3 * chunk + chunk // 2
+        chunk = inference._GRAM_CHUNK_BYTES // (n * 8)
+        M = n * chunk + chunk // 2
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((2, M + 10))
         views = inference._row_views(x, y, rows)
         assert len(views[0]) == M
-        chunk_bytes, row_bytes = n * chunk * 8, M * 8
-        # Gram and product (2 n^2 doubles), 6 scale vectors, and each array's and
-        # view's object header (under 1 KiB per row).
-        slack = 2 * n * n * 8 + 6 * n * 8 + n * 1024
+        chunk_bytes = n * chunk * 8
+        assert M * 8 > chunk_bytes
+        # Gram and product (2 n^2 doubles), 6 scale vectors, each array's and
+        # view's object header (under 1 KiB per row), and the ufunc buffer of
+        # 8192 doubles that numpy fills to broadcast a scale over the last,
+        # shorter chunk.
+        slack = 2 * n * n * 8 + 6 * n * 8 + n * 1024 + 8192 * 8
         tracemalloc.start()
         try:
             inference._scaled_gram(views, center=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert chunk_bytes <= peak < max(chunk_bytes, row_bytes) + slack
+        assert chunk_bytes <= peak < chunk_bytes + slack
 
-    def test_embedded_test_copies_no_panel(self, monkeypatch):
+    def test_embedded_test_copies_no_panel(self):
         # The library route holds D as views of the sequences: testing the panel
-        # allocates the Gram's small chunks, one row-long centring temporary and
-        # the null draws, far below one n x M copy of the panel.
-        monkeypatch.setattr(inference, "_WINDOW_CHUNK_BYTES", 2**16)
+        # allocates the Gram's one chunk buffer and the null draws, far below
+        # one n x M copy of the panel.
         spec = LagSpec.influence_test(T=10)
         M = 100_000
         x, y = np.random.default_rng(5).standard_normal((2, M + 10))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy import stats
 from cohercause import WilksLambdaSpec, null_law, sample_null
 from cohercause import nulldist
 from cohercause.nulldist import _CHUNK, _order_statistic_threshold
+
+from reference import concatenated_sample_null
 
 # Every (p, q) with min(p, q) <= 2 has a closed-form law; (r, M) is shared.
 EXACT_DIMS = [(10, 1), (1, 1), (3, 2), (2, 5)]
@@ -95,6 +98,32 @@ class TestSampleNull:
         assert not np.allclose(
             sample_null(spec, n, seed=9), sample_null(spec, n, seed=10)
         )
+
+    @pytest.mark.parametrize("p, q", [(10, 1), (3, 3)])
+    def test_matches_concatenated_chunks(self, p, q):
+        # Two whole chunks and a partial third, drawn into one array, are bit
+        # for bit the chunks drawn one by one and concatenated.
+        spec = WilksLambdaSpec(p, q, 4, 500)
+        n = 2 * _CHUNK + 17
+        assert np.array_equal(
+            sample_null(spec, n, seed=11), concatenated_sample_null(spec, n, 11)
+        )
+
+    @pytest.mark.parametrize("p, q", [(10, 1), (3, 3)])
+    def test_draw_holds_output_and_one_chunk(self, p, q):
+        # The draw's traced peak is its output and one chunk's two gamma
+        # buffers, plus the generators' and arrays' objects (under 64 KiB). A
+        # list of chunks and its concatenation would hold the draws twice.
+        spec = WilksLambdaSpec(p, q, 4, 500)
+        n = 5 * _CHUNK + 17
+        sample_null(spec, 100, seed=11)  # warm-up
+        tracemalloc.start()
+        try:
+            sample_null(spec, n, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n * 8 <= peak < (n + 2 * _CHUNK) * 8 + 64 * 1024
 
     def test_shorter_product_is_drawn(self):
         # Lambda(p, m, q) = Lambda(q, m + q - p, p): (10, 1) draws the one
@@ -194,6 +223,29 @@ class TestNullLaw:
         samples = sample_null(spec, 20_000, seed=3)
         assert threshold_at(0.05) == _order_statistic_threshold(samples, 0.05)
         assert p_value_of(0.3) == (np.count_nonzero(samples >= 0.3) + 1) / 20_001
+
+    def test_threshold_reader_partitions_the_draw_in_place(self):
+        # Read at several alphas in any order, the threshold reader matches
+        # np.partition of an untouched copy of the draw without copying it, and
+        # the p-value reader reads what it read before.
+        spec = WilksLambdaSpec(10, 1, 10, 999)
+        n = 20_000
+        samples = sample_null(spec, n, seed=3)
+        threshold_at, p_value_of = null_law(spec, n_mc=n, seed=3)
+        stats_at = [0.0, 0.005, 0.01, 0.015, 0.02, 0.05]
+        before = [p_value_of(s) for s in stats_at]
+        assert before == [(np.count_nonzero(samples >= s) + 1) / (n + 1) for s in stats_at]
+        for alpha in (0.05, 0.5, 0.01, 0.95, 0.05, 0.2, 0.01):
+            k = n - int(np.floor(alpha * (n + 1)))
+            tracemalloc.start()
+            try:
+                threshold = threshold_at(alpha)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert threshold == np.partition(samples, k)[k]
+            assert peak < n * 8 // 8
+        assert [p_value_of(s) for s in stats_at] == before
 
     def test_bartlett_readers_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(nulldist, "sample_null", None)

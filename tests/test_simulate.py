@@ -40,7 +40,9 @@ from cohercause.simulate import (
 )
 from cohercause.streams import stream_rng
 
-from reference import model_composite_covariance, overlap_sum, xx_at, xy_at, yy_at
+from reference import (
+    barnett_on_stream, model_composite_covariance, overlap_sum, xx_at, xy_at, yy_at,
+)
 
 
 def csv_writer_sequence(path, x, y):
@@ -218,9 +220,9 @@ class TestGenerators:
         assert_allclose(x1, x2)
         assert_allclose(y1, y2)
 
-    def test_gen_ma_case_streams_differ(self):
-        x1, _ = gen_ma_case("I", 5000, 7, stream=0)
-        x2, _ = gen_ma_case("I", 5000, 7, stream=1)
+    def test_gen_ma_case_seeds_differ(self):
+        x1, _ = gen_ma_case("I", 5000, 7)
+        x2, _ = gen_ma_case("I", 5000, 8)
         assert not np.allclose(x1, x2)
 
     def test_length_too_short(self):
@@ -245,9 +247,11 @@ class TestGenerators:
     @pytest.mark.parametrize("order", [0, 1, 10])
     def test_gen_barnett_matches_lfilter_reference(self, order):
         spec = BarnettModelSpec(transfer_entropy=0.3, ma_order=order)
-        x, y = gen_barnett(spec, 5000, 4, stream=2)
-        ref_x, ref_y = lfilter_gen_barnett(spec, 5000, 4, stream=2)
-        assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
+        # gen_barnett draws from stream 0; the studies' cores also from others.
+        for stream, (x, y) in [(0, gen_barnett(spec, 5000, 4)),
+                               (2, barnett_on_stream(spec, 5000, 4, 2))]:
+            ref_x, ref_y = lfilter_gen_barnett(spec, 5000, 4, stream)
+            assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
 
     @pytest.mark.parametrize("F", [0.0, 0.02])
     @pytest.mark.parametrize("order", [0, 1, 10])
@@ -255,9 +259,9 @@ class TestGenerators:
     def test_blocks_concatenate_to_gen_barnett(self, block, order, F):
         # 300 divides the length, 7 does not; 1200 is one block, 5000 overshoots.
         spec = BarnettModelSpec(transfer_entropy=F, ma_order=order)
-        x, y = gen_barnett(spec, 1200, 4, stream=2)
+        x, y = gen_barnett(spec, 1200, 4)
         r = spec.ma_order
-        cores = _barnett_cores(spec, 1200, block, 4, 2, r)
+        cores = _barnett_cores(spec, 1200, block, 4, 0, r)
         blocks = [_ma_step(spec, c, r) for c in cores]
         sizes = [bx.size for bx, _ in blocks]
         assert sizes == [min(block, 1200 - s) for s in range(0, 1200, block)]
@@ -381,7 +385,7 @@ print(loaded())
 
     def test_failed_load_falls_back_to_public_lfilter(self, monkeypatch, tmp_path):
         def outputs():
-            pairs = [gen_barnett(BarnettModelSpec(ma_order=r), 5000, 4, stream=2) for r in (0, 10)]
+            pairs = [gen_barnett(BarnettModelSpec(ma_order=r), 5000, 4) for r in (0, 10)]
             # Core blocks of 700 carry both AR(1) states across seven block boundaries.
             cores = list(_barnett_cores(BarnettModelSpec(), 5000, 700, 4, 2, 0))
             pairs.append(tuple(np.concatenate(core) for core in zip(*cores)))
